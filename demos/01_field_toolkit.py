@@ -26,7 +26,7 @@ print(f"small demo field: F_{field.q}")
 print(f"default field:    F_{big.q} (2^61 - 1)")
 print()
 
-print("inverses are exact:", field.inv(3), "* 3 =", field.mul(field.inv(3), 3))
+print("inverses are exact:", field.inv(3), "* 3 =", field.inv(3) * 3 % field.q)
 print("binomials reduce mod q: C(10,3) =", binom_mod(field, 10, 3), "(120 mod 97)")
 print()
 

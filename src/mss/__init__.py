@@ -49,7 +49,6 @@ from .errors import (
     NotBinary,
     NotConsecutive,
     ParseError,
-    QuorumError,
     RngSuspect,
     ShareSpaceExhausted,
     UnsupportedVersion,

@@ -87,12 +87,17 @@ def _parse_residue(value, q: int, what: str) -> int:
     return n
 
 
-def _parse_vector(value, q: int, length: int, what: str) -> tuple[int, ...]:
+def _array(value, length: int, what: str) -> list:
+    """The value itself, once it is known to be a list of the given length."""
     if not isinstance(value, list):
         raise ParseError(f"{what} must be an array")
     if len(value) != length:
         raise ValidationError(f"{what} must have length {length}, got {len(value)}")
-    return tuple(_parse_residue(v, q, what) for v in value)
+    return value
+
+
+def _parse_vector(value, q: int, length: int, what: str) -> tuple[int, ...]:
+    return tuple(_parse_residue(v, q, what) for v in _array(value, length, what))
 
 
 def _matrix_obj(m: Matrix) -> dict:
@@ -108,12 +113,8 @@ def _parse_matrix(value, q: int, rows: int, cols: int, what: str) -> Matrix:
         raise ValidationError(
             f"{what} must be {rows}x{cols}, got {got_rows}x{got_cols}"
         )
-    data = _get(value, "data")
-    if not isinstance(data, list):
-        raise ParseError(f"{what}.data must be an array")
-    if len(data) != rows * cols:
-        raise ValidationError(f"{what}.data has wrong length")
-    return Matrix(rows, cols, tuple(_parse_residue(v, q, f"{what}.data") for v in data))
+    data = _parse_vector(_get(value, "data"), q, rows * cols, f"{what}.data")
+    return Matrix(rows, cols, data)
 
 
 def _params_obj(params: SchemeParams) -> dict:
@@ -137,9 +138,7 @@ def _parse_params(value) -> SchemeParams:
         raise ValidationError(f"unknown variant {variant_raw!r}") from exc
     n = _parse_uint(_get(value, "n"), "params.n")
     k = _parse_uint(_get(value, "k"), "params.k")
-    thresholds = _get(value, "thresholds")
-    if not isinstance(thresholds, list):
-        raise ParseError("params.thresholds must be an array")
+    thresholds = _array(_get(value, "thresholds"), k, "params.thresholds")
     t_list = tuple(_parse_uint(t, "threshold") for t in thresholds)
     q = _parse_decimal(_get(value, "q"), "params.q")
     r = _parse_uint(_get(value, "r"), "params.r")
@@ -182,6 +181,19 @@ def encode_bulletin(bulletin: Bulletin) -> bytes:
     return _canonical_bytes(obj)
 
 
+def _parse_per_secret(value, params: SchemeParams, count, what: str):
+    """Per-secret lists of t_i-vectors, count(t_i) of them for secret i."""
+    return tuple(
+        tuple(
+            _parse_vector(vec, params.q, t_i, f"{what}[{i}][{j}]")
+            for j, vec in enumerate(_array(per_secret, count(t_i), f"{what}[{i}]"))
+        )
+        for i, (per_secret, t_i) in enumerate(
+            zip(_array(value, params.k, what), params.thresholds)
+        )
+    )
+
+
 def decode_bulletin(data: bytes | str) -> Bulletin:
     obj = _load_json(data)
     _expect_kind(obj, "bulletin")
@@ -190,93 +202,35 @@ def decode_bulletin(data: bytes | str) -> Bulletin:
     n, k = params.n, params.k
     t_max = params.max_threshold
 
-    raw_masks = _get(obj, "mask_matrices")
-    if not isinstance(raw_masks, list):
-        raise ParseError("mask_matrices must be an array")
-    if len(raw_masks) != k:
-        raise ValidationError(f"expected {k} mask matrices, got {len(raw_masks)}")
     mask_matrices = tuple(
         _parse_matrix(m, q, params.thresholds[i], params.r, f"mask_matrices[{i}]")
-        for i, m in enumerate(raw_masks)
+        for i, m in enumerate(_array(_get(obj, "mask_matrices"), k, "mask_matrices"))
     )
     commit_matrix = _parse_matrix(
         _get(obj, "commit_matrix"), q, t_max, params.r, "commit_matrix"
     )
-
-    raw_commitments = _get(obj, "commitments")
-    if not isinstance(raw_commitments, list):
-        raise ParseError("commitments must be an array")
-    if len(raw_commitments) != n:
-        raise ValidationError(f"expected {n} commitments, got {len(raw_commitments)}")
     commitments = tuple(
         Commitment(owner=j + 1, values=_parse_vector(c, q, t_max, f"commitments[{j}]"))
-        for j, c in enumerate(raw_commitments)
+        for j, c in enumerate(_array(_get(obj, "commitments"), n, "commitments"))
     )
 
-    raw_hashes = _get(obj, "secret_hashes")
-    if not isinstance(raw_hashes, list):
-        raise ParseError("secret_hashes must be an array")
-    if len(raw_hashes) != k:
-        raise ValidationError(f"expected {k} secret hashes, got {len(raw_hashes)}")
+    raw_hashes = _array(_get(obj, "secret_hashes"), k, "secret_hashes")
     for h in raw_hashes:
         if not isinstance(h, str) or not _HEX_DIGEST.match(h):
             raise ValidationError("secret hash must be 64 lowercase hex digits")
 
-    raw_constants = _get(obj, "constants")
-    if not isinstance(raw_constants, list):
-        raise ParseError("constants must be an array")
-    if params.variant.shared_constant:
-        if len(raw_constants) != 1:
-            raise ValidationError("expected one shared constant vector")
-        constants = (
-            _parse_vector(raw_constants[0], q, t_max, "constants[0]"),
-        )
-    else:
-        if len(raw_constants) != k:
-            raise ValidationError(f"expected {k} constant vectors")
-        constants = tuple(
-            _parse_vector(c, q, params.thresholds[i], f"constants[{i}]")
-            for i, c in enumerate(raw_constants)
-        )
-
-    raw_offsets = _get(obj, "offsets")
-    if not isinstance(raw_offsets, list) or len(raw_offsets) != k:
-        raise ValidationError(f"expected offsets for {k} secrets")
-    offsets = []
-    for i, per_secret in enumerate(raw_offsets):
-        t_i = params.thresholds[i]
-        if not isinstance(per_secret, list):
-            raise ParseError(f"offsets[{i}] must be an array")
-        if len(per_secret) != n - t_i + 1:
-            raise ValidationError(
-                f"offsets[{i}] must have {n - t_i + 1} vectors, got {len(per_secret)}"
-            )
-        offsets.append(
-            tuple(
-                _parse_vector(vec, q, t_i, f"offsets[{i}][{j}]")
-                for j, vec in enumerate(per_secret)
-            )
-        )
-
-    raw_extras = _get(obj, "extras")
-    if not isinstance(raw_extras, list) or len(raw_extras) != k:
-        raise ValidationError(f"expected extras for {k} secrets")
-    extras = []
-    for i, per_secret in enumerate(raw_extras):
-        t_i = params.thresholds[i]
-        e_i = params.variant.extras_count(t_i)
-        if not isinstance(per_secret, list):
-            raise ParseError(f"extras[{i}] must be an array")
-        if len(per_secret) != e_i:
-            raise ValidationError(
-                f"extras[{i}] must have {e_i} vectors, got {len(per_secret)}"
-            )
-        extras.append(
-            tuple(
-                _parse_vector(vec, q, t_i, f"extras[{i}][{j}]")
-                for j, vec in enumerate(per_secret)
-            )
-        )
+    dims = (t_max,) if params.variant.shared_constant else params.thresholds
+    raw_constants = _array(_get(obj, "constants"), len(dims), "constants")
+    constants = tuple(
+        _parse_vector(c, q, dim, f"constants[{i}]")
+        for i, (c, dim) in enumerate(zip(raw_constants, dims))
+    )
+    offsets = _parse_per_secret(
+        _get(obj, "offsets"), params, lambda t_i: n - t_i + 1, "offsets"
+    )
+    extras = _parse_per_secret(
+        _get(obj, "extras"), params, params.variant.extras_count, "extras"
+    )
 
     return Bulletin(
         params=params,
@@ -285,8 +239,8 @@ def decode_bulletin(data: bytes | str) -> Bulletin:
         commitments=commitments,
         secret_hashes=tuple(raw_hashes),
         constants=constants,
-        offsets=tuple(offsets),
-        extras=tuple(extras),
+        offsets=offsets,
+        extras=extras,
     )
 
 

@@ -14,15 +14,14 @@ import sys
 from . import bulletin as bio
 from .bench import bench_csv, bench_rows
 from .counts import FIGURE1_TUPLES, SCHEME_LABELS, counts_csv, public_value_counts
-from .errors import MssError, NotConsecutive, QuorumError, WrongDeal
+from .errors import MssError, WrongDeal
 from .field import DEFAULT_PRIME
 from .rng import Drbg
 from .scheme import (
     SchemeParams,
     Variant,
-    compute_shadow,
-    assemble_subshadows,
     deal,
+    participant_subshadows,
     recover_way1_lagrange,
     recover_way1_vandermonde,
     recover_way2,
@@ -46,13 +45,6 @@ def _rng_for(args) -> Drbg:
     return Drbg(_seed_for(args))
 
 
-def _parse_thresholds(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError("thresholds must be a comma list of integers")
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -74,13 +66,6 @@ def cmd_deal(args) -> int:
         q=int(args.q),
     )
     secrets = bio.decode_secrets(_read(args.secrets), params.q)
-    if len(secrets) != params.k:
-        raise MssError(f"secrets file has {len(secrets)} vectors, expected {params.k}")
-    for i, vec in enumerate(secrets, start=1):
-        if len(vec) != params.thresholds[i - 1]:
-            raise MssError(
-                f"secret {i} has {len(vec)} components, expected {params.thresholds[i - 1]}"
-            )
     shares, board = deal(params, secrets, _rng_for(args))
     deal_digest = bio.deal_id(board)
 
@@ -119,12 +104,7 @@ def cmd_deal(args) -> int:
 
 def cmd_verify_share(args) -> int:
     board = bio.decode_bulletin(_read(args.bulletin))
-    share_file = bio.decode_share(_read(args.share))
-    try:
-        share = bio.bind_share(share_file, board)
-    except WrongDeal as exc:
-        print(f"FAIL: WrongDeal: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+    share = bio.bind_share(bio.decode_share(_read(args.share)), board)
     field = board.params.field()
     commitment = board.commitments[share.owner - 1]
     if verify_commitment(field, board.commit_matrix, share, commitment):
@@ -139,6 +119,21 @@ _METHODS = {
     "lagrange": recover_way1_lagrange,
     "backward": recover_way2,
 }
+
+
+def _quorum(shares: list, t_i: int, method: str) -> list:
+    """The shares a recovery uses, picked from shares sorted by owner.
+
+    These are the t_i lowest owners or, for the backward walk, the first run
+    of t_i consecutive owners when the shares hold one.  The recovery itself
+    rejects a quorum that does not fit it.
+    """
+    if method == "backward":
+        for start in range(len(shares) - t_i + 1):
+            window = shares[start : start + t_i]
+            if window[-1].owner - window[0].owner == t_i - 1:
+                return window
+    return shares[:t_i]
 
 
 def cmd_recover(args) -> int:
@@ -156,8 +151,6 @@ def cmd_recover(args) -> int:
             raise MssError(f"duplicate share for owner {share.owner}")
         seen_owners.add(share.owner)
         shares.append(share)
-    if len(shares) < t_i:
-        raise QuorumError(f"secret {i} needs {t_i} shares, got {len(shares)}")
 
     for share in shares:
         commitment = board.commitments[share.owner - 1]
@@ -166,15 +159,7 @@ def cmd_recover(args) -> int:
             return EXIT_VERIFY_FAILED
 
     shares.sort(key=lambda s: s.owner)
-    quorum = shares[:t_i]
-    if args.method == "backward":
-        owners = [s.owner for s in quorum]
-        if owners != list(range(owners[0], owners[0] + t_i)):
-            raise NotConsecutive(
-                "backward recovery needs consecutive participant indices"
-            )
-    shadows = {s.owner: compute_shadow(board, i, s) for s in quorum}
-    subshadows = assemble_subshadows(board, i, shadows)
+    subshadows = participant_subshadows(board, i, _quorum(shares, t_i, args.method))
     candidate = _METHODS[args.method](board, i, subshadows)
     verified = verify_secret(board, i, candidate)
 
@@ -191,8 +176,7 @@ def cmd_verify_secret(args) -> int:
     board = bio.decode_bulletin(_read(args.bulletin))
     report = bio.decode_recovered(_read(args.recovered))
     if report.deal != bio.deal_id(board):
-        print("FAIL: WrongDeal: report belongs to another deal", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+        raise WrongDeal("report belongs to another deal")
     if verify_secret(board, report.secret_index, report.candidate):
         print(f"secret {report.secret_index}: verified")
         return EXIT_OK
@@ -235,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=[v.value for v in Variant], required=True)
     p.add_argument("--n", type=int, required=True, help="participant count")
     p.add_argument("--k", type=int, required=True, help="secret count")
-    p.add_argument("--thresholds", type=_parse_thresholds, required=True)
+    p.add_argument("--thresholds", type=_parse_int_list, required=True)
     p.add_argument("--q", default=str(DEFAULT_PRIME), help="prime modulus (decimal)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--secrets", required=True, help="secrets.json input file")

@@ -53,10 +53,6 @@ class BadQuorum(MssError):
     """Wrong number of subshadows for the requested recovery."""
 
 
-#: Name used by the command-line layer for the same condition.
-QuorumError = BadQuorum
-
-
 class NotConsecutive(MssError):
     """Backward recovery requires consecutive participant indices."""
 

@@ -58,18 +58,6 @@ class PrimeField:
         if not is_prime(self.q):
             raise ValueError(f"modulus {self.q} is not prime")
 
-    def element(self, x: int) -> int:
-        return x % self.q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.q
-
     def neg(self, a: int) -> int:
         return -a % self.q
 

@@ -352,7 +352,11 @@ def construct(
 def deal(
     params: SchemeParams, secrets: Sequence[Sequence[int]], rng
 ) -> tuple[tuple[Share, ...], Bulletin]:
-    """Run setup and construction in one step."""
+    """Run setup and construction in one step.
+
+    Raises ValueError for a malformed secret before any randomness is drawn.
+    """
+    _validate_secrets(params, secrets)
     setup_result = setup(params, rng)
     bulletin = construct(params, secrets, setup_result, rng)
     return setup_result.shares, bulletin
@@ -365,23 +369,41 @@ def compute_shadow(bulletin: Bulletin, i: int, share: Share) -> tuple[int, ...]:
     return ajtai_hash(field, bulletin.mask_matrices[i - 1], share.bits)
 
 
+def _checked_group(
+    bulletin: Bulletin, i: int, vectors: Mapping[int, Sequence[int]]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(index, reduced vector) pairs of a group, in index order.
+
+    Raises BadIndex for a participant index outside [1, n] and DimMismatch
+    for a vector whose length is not t_i.
+    """
+    t_i = bulletin.threshold(i)
+    n = bulletin.params.n
+    field = bulletin.params.field()
+    pairs = []
+    for j in sorted(vectors):
+        if not 1 <= j <= n:
+            raise BadIndex(f"participant index {j} outside [1, {n}]")
+        vec = vectors[j]
+        if len(vec) != t_i:
+            raise DimMismatch(f"vector for {j} has length {len(vec)}, want {t_i}")
+        pairs.append((j, field.vec(vec)))
+    return pairs
+
+
 def assemble_subshadows(
     bulletin: Bulletin, i: int, shadows: Mapping[int, Sequence[int]]
 ) -> dict[int, tuple[int, ...]]:
-    """Turn shadows into sequence terms: add the published offset for j >= t_i."""
+    """Turn shadows into sequence terms: add the published offset for j >= t_i.
+
+    Raises BadIndex and DimMismatch as the recoveries do for a bad group.
+    """
     t_i = bulletin.threshold(i)
     field = bulletin.params.field()
-    out: dict[int, tuple[int, ...]] = {}
-    for j, shadow in shadows.items():
-        if not 1 <= j <= bulletin.params.n:
-            raise BadIndex(f"participant index {j} outside [1, {bulletin.params.n}]")
-        if len(shadow) != t_i:
-            raise DimMismatch(f"shadow for {j} has length {len(shadow)}, want {t_i}")
-        if j <= t_i - 1:
-            out[j] = field.vec(shadow)
-        else:
-            out[j] = field.vec_add(shadow, bulletin.offset_for(i, j))
-    return out
+    return {
+        j: vec if j < t_i else field.vec_add(vec, bulletin.offset_for(i, j))
+        for j, vec in _checked_group(bulletin, i, shadows)
+    }
 
 
 def participant_subshadows(
@@ -392,23 +414,10 @@ def participant_subshadows(
     return assemble_subshadows(bulletin, i, shadows)
 
 
-def _quorum_samples(
-    bulletin: Bulletin, i: int, subshadows: Mapping[int, Sequence[int]]
-) -> list[tuple[int, tuple[int, ...]]]:
+def _check_quorum_size(bulletin: Bulletin, i: int, group: Mapping) -> None:
     t_i = bulletin.threshold(i)
-    if len(subshadows) != t_i:
-        raise BadQuorum(f"need exactly {t_i} subshadows, got {len(subshadows)}")
-    field = bulletin.params.field()
-    samples = []
-    for j in sorted(subshadows):
-        if not 1 <= j <= bulletin.params.n:
-            raise BadIndex(f"participant index {j} outside [1, {bulletin.params.n}]")
-        vec = subshadows[j]
-        if len(vec) != t_i:
-            raise DimMismatch(f"subshadow for {j} has length {len(vec)}, want {t_i}")
-        samples.append((j, field.vec(vec)))
-    samples.extend(bulletin.extra_points(i))
-    return samples
+    if len(group) != t_i:
+        raise BadQuorum(f"need exactly {t_i} subshadows, got {len(group)}")
 
 
 def recover_way1_vandermonde(
@@ -418,9 +427,12 @@ def recover_way1_vandermonde(
 
     Any t_i subshadows plus the published extras give exactly as many
     samples as the polynomial has coefficients; the secret component is the
-    constant coefficient.
+    constant coefficient.  Raises BadIndex for a secret or participant index
+    out of range, BadQuorum unless exactly t_i subshadows are given, and
+    DimMismatch for a subshadow whose length is not t_i.
     """
-    samples = _quorum_samples(bulletin, i, subshadows)
+    _check_quorum_size(bulletin, i, subshadows)
+    samples = _checked_group(bulletin, i, subshadows) + list(bulletin.extra_points(i))
     spec = bulletin.ilr_spec(i)
     return tuple(
         fit_general_term(spec, samples, s)[0] for s in range(spec.dim)
@@ -430,8 +442,12 @@ def recover_way1_vandermonde(
 def recover_way1_lagrange(
     bulletin: Bulletin, i: int, subshadows: Mapping[int, Sequence[int]]
 ) -> tuple[int, ...]:
-    """Recover secret i by evaluating the interpolating polynomial at zero."""
-    samples = _quorum_samples(bulletin, i, subshadows)
+    """Recover secret i by evaluating the interpolating polynomial at zero.
+
+    Raises the same errors as recover_way1_vandermonde.
+    """
+    _check_quorum_size(bulletin, i, subshadows)
+    samples = _checked_group(bulletin, i, subshadows) + list(bulletin.extra_points(i))
     spec = bulletin.ilr_spec(i)
     out = []
     for s in range(spec.dim):
@@ -446,25 +462,17 @@ def recover_way2(
     """Recover secret i by walking the recursion backward to index 0.
 
     Requires t_i subshadows at consecutive participant indices; the
-    published constant makes every backward step computable.
+    published constant makes every backward step computable.  Raises the
+    same errors as recover_way1_vandermonde, and NotConsecutive when the
+    indices do not form one window.
     """
-    t_i = bulletin.threshold(i)
-    if len(subshadows) != t_i:
-        raise BadQuorum(f"need exactly {t_i} subshadows, got {len(subshadows)}")
-    idxs = sorted(subshadows)
-    if not 1 <= idxs[0] <= bulletin.params.n - t_i + 1:
-        raise BadIndex(f"window start {idxs[0]} out of range")
-    if idxs != list(range(idxs[0], idxs[0] + t_i)):
-        raise NotConsecutive("backward recovery needs consecutive indices")
-    field = bulletin.params.field()
-    spec = bulletin.ilr_spec(i)
-    window = []
-    for j in idxs:
-        vec = subshadows[j]
-        if len(vec) != t_i:
-            raise DimMismatch(f"subshadow for {j} has length {len(vec)}, want {t_i}")
-        window.append(field.vec(vec))
-    recovered = backward_recover(spec, window, start=idxs[0])
+    _check_quorum_size(bulletin, i, subshadows)
+    group = _checked_group(bulletin, i, subshadows)
+    start = group[0][0]
+    if group[-1][0] - start != len(group) - 1:
+        raise NotConsecutive("backward recovery needs consecutive participant indices")
+    window = [vec for _, vec in group]
+    recovered = backward_recover(bulletin.ilr_spec(i), window, start=start)
     return recovered[-1]
 
 
@@ -496,30 +504,21 @@ def privacy_rank_probe(
     With t_i - 1 subshadows the per-component system has one more unknown
     than independent equations, so the constant coefficient (the secret
     component) stays free; with a full quorum it is pinned uniquely.
+    Raises BadQuorum unless 1 to t_i subshadows are given, and BadIndex and
+    DimMismatch as the recoveries do for a bad group.
     """
     t_i = bulletin.threshold(i)
-    if not subshadows:
-        raise BadQuorum("need at least one subshadow")
-    if len(subshadows) > t_i:
-        raise BadQuorum(f"probe takes at most {t_i} subshadows")
+    if not 1 <= len(subshadows) <= t_i:
+        raise BadQuorum(f"probe takes 1 to {t_i} subshadows, got {len(subshadows)}")
     field = bulletin.params.field()
     spec = bulletin.ilr_spec(i)
-    xs = []
-    vecs = {}
-    for j in sorted(subshadows):
-        if not 1 <= j <= bulletin.params.n:
-            raise BadIndex(f"participant index {j} outside [1, {bulletin.params.n}]")
-        xs.append(j)
-        vecs[j] = field.vec(subshadows[j])
-    extra = bulletin.extra_points(i)
-    points = xs + [x for x, _ in extra]
-    matrix = vandermonde(field, points, spec.unknowns)
+    samples = _checked_group(bulletin, i, subshadows) + list(bulletin.extra_points(i))
+    matrix = vandermonde(field, [x for x, _ in samples], spec.unknowns)
     rank = None
     free_dims = None
     witnesses = []
     for s in range(spec.dim):
-        rhs = [fold_value(spec, j, vecs[j][s]) for j in xs]
-        rhs.extend(fold_value(spec, x, vec[s]) for x, vec in extra)
+        rhs = [fold_value(spec, x, vec[s]) for x, vec in samples]
         sol = solve_linear(field, matrix, rhs)
         rank = sol.rank
         free_dims = sol.free_dims

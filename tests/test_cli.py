@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from mss import cli
 from mss.bulletin import encode_secrets
+from mss.counts import public_value_counts
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -44,15 +46,29 @@ DEAL_ARGS = [
 ]
 
 
+def deal_into(directory, **flags):
+    """Deal the standard secrets into directory, with some DEAL_ARGS flags replaced."""
+    args = list(DEAL_ARGS)
+    for flag, value in flags.items():
+        args[args.index(f"--{flag}") + 1] = value
+    secrets_path = directory / "secrets.json"
+    secrets_path.write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
+    result = run_cli(*args, "--secrets", str(secrets_path), "--out-dir", str(directory))
+    assert result.returncode == 0, result.stderr
+    return directory
+
+
 @pytest.fixture
 def dealt(tmp_path):
-    secrets_path = tmp_path / "secrets.json"
-    secrets_path.write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
-    result = run_cli(
-        *DEAL_ARGS, "--secrets", str(secrets_path), "--out-dir", str(tmp_path)
-    )
-    assert result.returncode == 0, result.stderr
-    return tmp_path
+    return deal_into(tmp_path)
+
+
+@pytest.fixture
+def other_deal(tmp_path):
+    """A second deal of the same secrets under another seed."""
+    other = tmp_path / "other"
+    other.mkdir()
+    return deal_into(other, seed="43")
 
 
 class TestDeal:
@@ -123,6 +139,20 @@ class TestDeal:
         )
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("variant", ["s1", "s2", "s3", "s4"])
+    def test_public_value_total_matches_count_formulas(self, tmp_path, capsys, variant):
+        t, k, n = 3, 2, 6
+        secrets_path = tmp_path / "secrets.json"
+        secrets_path.write_bytes(encode_secrets(97, ((7, 9, 1), (1, 2, 3))))
+        args = ["deal", "--variant", variant, "--n", str(n), "--k", str(k)]
+        args += ["--thresholds", f"{t},{t}", "--q", "97", "--seed", "7"]
+        args += ["--secrets", str(secrets_path), "--out-dir", str(tmp_path)]
+        assert cli.main(args) == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line.startswith("public values:")
+        label = "os34" if variant in ("s3", "s4") else "os12"
+        assert line.endswith(f" total={public_value_counts(t, k, n)[label]}")
+
     def test_threshold_one_rejected(self, tmp_path):
         secrets_path = tmp_path / "secrets.json"
         secrets_path.write_bytes(encode_secrets(97, ((7,), (1, 2, 3))))
@@ -162,20 +192,11 @@ class TestVerifyShare:
         )
         assert result.returncode == 1
 
-    def test_wrong_deal_exits_one_with_message(self, dealt, tmp_path):
-        other = tmp_path / "other"
-        other.mkdir()
-        (other / "secrets.json").write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
-        args = list(DEAL_ARGS)
-        args[args.index("42")] = "43"
-        result = run_cli(
-            *args, "--secrets", str(other / "secrets.json"), "--out-dir", str(other)
-        )
-        assert result.returncode == 0
+    def test_wrong_deal_exits_one_with_message(self, dealt, other_deal):
         result = run_cli(
             "verify-share",
             "--bulletin",
-            str(other / "bulletin.json"),
+            str(other_deal / "bulletin.json"),
             "--share",
             str(dealt / "share_1.json"),
         )
@@ -226,6 +247,13 @@ class TestRecover:
         assert result.returncode == 2
         assert "NotConsecutive" in result.stderr
 
+    def test_backward_picks_a_consecutive_window(self, tmp_path):
+        six = deal_into(tmp_path, n="6")
+        result = self.recover(six, "backward", 2, [1, 2, 4, 5, 6], "r_win.json")
+        assert result.returncode == 0, result.stderr
+        report = json.loads((six / "r_win.json").read_text())
+        assert report["candidate"] == ["1", "2", "3"]
+
     def test_extra_shares_tolerated(self, dealt):
         result = self.recover(dealt, "vandermonde", 2, [1, 2, 3, 4, 5], "r4.json")
         assert result.returncode == 0
@@ -275,6 +303,19 @@ class TestVerifySecret:
             str(path),
         )
         assert result.returncode == 1
+
+    def test_report_from_another_deal_exits_one(self, dealt, other_deal):
+        result = TestRecover().recover(dealt, "backward", 1, [1, 2], "r7.json")
+        assert result.returncode == 0
+        result = run_cli(
+            "verify-secret",
+            "--bulletin",
+            str(other_deal / "bulletin.json"),
+            "--recovered",
+            str(dealt / "r7.json"),
+        )
+        assert result.returncode == 1
+        assert result.stderr == "FAIL: WrongDeal: report belongs to another deal\n"
 
 
 class TestCounts:

@@ -61,13 +61,13 @@ class TestPrimeField:
 
     def test_inverse_roundtrip_exhaustive_small_field(self):
         for a in range(1, 97):
-            assert F97.mul(a, F97.inv(a)) == 1
+            assert a * F97.inv(a) % F97.q == 1
 
     def test_inverse_roundtrip_random(self):
         rng = Drbg(101)
         for _ in range(50):
             a = 1 + rng.randbelow(FBIG.q - 1)
-            assert FBIG.mul(a, FBIG.inv(a)) == 1
+            assert a * FBIG.inv(a) % FBIG.q == 1
 
     def test_inverse_of_zero_raises(self):
         with pytest.raises(ZeroDivisionError):

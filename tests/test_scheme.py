@@ -9,6 +9,7 @@ from mss.errors import (
     BadIndex,
     BadQuorum,
     BadShares,
+    DimMismatch,
     NotConsecutive,
 )
 from mss.field import mat_vec, vandermonde
@@ -174,6 +175,14 @@ class TestConstruct:
         with pytest.raises(ValueError):
             construct(p, [(1, 97), (1, 2, 3)], result, rng)  # unreduced
 
+    def test_deal_rejects_bad_secret_before_drawing(self):
+        p = SchemeParams(variant=Variant.S1, n=5, k=2, thresholds=(2, 3), q=97)
+        for secrets in ([(1, 2)], [(1, 2, 3), (1, 2, 3)], [(1, 97), (1, 2, 3)]):
+            rng = Drbg("shape")
+            with pytest.raises(ValueError):
+                deal(p, secrets, rng)
+            assert rng.randbytes(32) == Drbg("shape").randbytes(32)
+
     def test_share_count_checked(self):
         p = SchemeParams(variant=Variant.S1, n=5, k=1, thresholds=(2,), q=97)
         rng = Drbg(2)
@@ -240,6 +249,25 @@ class TestShadows:
 
 
 RECOVERY_METHODS = (recover_way1_vandermonde, recover_way1_lagrange, recover_way2)
+
+V = (1, 2, 3)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize(
+    "group, error",
+    [
+        pytest.param({0: V, 1: V, 2: V}, BadIndex, id="index-0"),
+        pytest.param({5: V, 6: V, 7: V}, BadIndex, id="index-n+1"),
+        pytest.param({1: V, 2: V[:2], 3: V}, DimMismatch, id="short-vector"),
+        pytest.param({4: V, 5: V + (4,), 6: V}, DimMismatch, id="long-vector"),
+    ],
+)
+def test_bad_group_raises_one_class_everywhere(variant, group, error):
+    _, _, _, board = make_deal(variant, n=6, k=1, thresholds=(3,), seed="group")
+    for check in (assemble_subshadows, *RECOVERY_METHODS, privacy_rank_probe):
+        with pytest.raises(error):
+            check(board, 1, group)
 
 
 class TestRecovery:
@@ -392,6 +420,15 @@ class TestPrivacyRankProbe:
         assert probe.free_dims == 0
         for s, (a, b) in enumerate(probe.a0_witnesses):
             assert a == b == secrets[0][s]
+
+    def test_wrong_length_subshadow_rejected(self):
+        params, secrets, shares, board = make_deal(
+            Variant.S1, n=7, k=1, thresholds=(3,), seed="probe4"
+        )
+        sub = participant_subshadows(board, 1, shares[:2])
+        for bad in (sub[2][:-1], sub[2] + (0,)):
+            with pytest.raises(DimMismatch):
+                privacy_rank_probe(board, 1, {1: sub[1], 2: bad})
 
     def test_oversized_probe_rejected(self):
         params, secrets, shares, board = make_deal(
