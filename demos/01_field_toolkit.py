@@ -37,22 +37,22 @@ values = [poly_eval(field, coeffs, x) for x in points]
 print(f"p(x) = 3 + 2x + x^3 evaluated at {points}: {values}")
 
 system = vandermonde(field, points, 4)
-solution = solve_linear(field, system, values)
-print("solving the Vandermonde system recovers the coefficients:", solution.vector)
+solution = solve_linear(field, system, [values])
+print("solving the Vandermonde system recovers the coefficients:", solution.vectors[0])
 
-p0 = lagrange_at_zero(field, list(zip(points, values)))
+(p0,) = lagrange_at_zero(field, points, [values])
 print("interpolating straight at zero gives p(0) =", p0)
 print()
 
 # The same solve reports rank structure when the system is underdetermined,
 # which is how the privacy probe quantifies what small groups learn.
 short = vandermonde(field, points[:3], 4)
-partial = solve_linear(field, short, values[:3])
+partial = solve_linear(field, short, [values[:3]])
 print(
     f"with only 3 of 4 samples: rank {partial.rank}, "
     f"{partial.free_dims} free dimension(s)"
 )
-shifted = field.vec_add(partial.particular, partial.nullspace[0])
+shifted = field.vec_add(partial.particular[0], partial.nullspace[0])
 print("two consistent candidate coefficient vectors differ at the constant term:")
-print("  ", partial.particular)
+print("  ", partial.particular[0])
 print("  ", shifted)

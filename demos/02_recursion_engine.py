@@ -38,7 +38,7 @@ print("backward from u_5, u_6:", [v[0] for v in backward_recover(spec, window, 5
 
 # t+2l samples pin the general-term polynomial; its constant term is u_0.
 samples = [(j, seq.term(j)) for j in (2, 5, 7, 9)]
-coeffs = fit_general_term(spec, samples, 0)
+(coeffs,) = fit_general_term(spec, samples)
 print("fitted general term:", coeffs, "-> u_0 =", coeffs[0])
 assert all(poly_eval(field, coeffs, j) == seq.term(j)[0] for j in range(10))
 print()
@@ -49,7 +49,7 @@ alt_seq = forward_extend(alt, [(5,)], 7)
 print("alternating sequence:", [v[0] for v in alt_seq.terms])
 folded = [fold_value(alt, j, alt_seq.term(j)[0]) for j in range(8)]
 print("after sign folding  :", folded, " (polynomial values again)")
-alt_fit = fit_general_term(alt, [(j, alt_seq.term(j)) for j in range(3)], 0)
+(alt_fit,) = fit_general_term(alt, [(j, alt_seq.term(j)) for j in range(3)])
 print("fit recovers u_0 =", alt_fit[0])
 print()
 

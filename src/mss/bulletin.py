@@ -296,10 +296,15 @@ def decode_share(data: bytes | str) -> ShareFile:
     return ShareFile(share=Share(owner=owner, bits=bits), r=r, deal=deal)
 
 
-def bind_share(share_file: ShareFile, bulletin: Bulletin) -> Share:
-    """Check a share file against a bulletin and return the share."""
+def bind_share(share_file: ShareFile, bulletin: Bulletin, deal: str) -> Share:
+    """Check a share file against a bulletin and return the share.
+
+    ``deal`` is the bulletin's digest, ``deal_id(bulletin)``, computed once
+    by the caller for all the share files it binds; a share file that names
+    another deal raises WrongDeal.
+    """
     params = bulletin.params
-    if share_file.deal is not None and share_file.deal != deal_id(bulletin):
+    if share_file.deal is not None and share_file.deal != deal:
         raise WrongDeal(f"share of owner {share_file.share.owner} belongs to another deal")
     if share_file.r != params.r:
         raise ValidationError(

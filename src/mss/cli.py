@@ -104,7 +104,8 @@ def cmd_deal(args) -> int:
 
 def cmd_verify_share(args) -> int:
     board = bio.decode_bulletin(_read(args.bulletin))
-    share = bio.bind_share(bio.decode_share(_read(args.share)), board)
+    share_file = bio.decode_share(_read(args.share))
+    share = bio.bind_share(share_file, board, bio.deal_id(board))
     field = board.params.field()
     commitment = board.commitments[share.owner - 1]
     if verify_commitment(field, board.commit_matrix, share, commitment):
@@ -142,11 +143,12 @@ def cmd_recover(args) -> int:
     i = args.secret
     t_i = board.threshold(i)
     field = params.field()
+    digest = bio.deal_id(board)
 
     shares = []
     seen_owners = set()
     for path in args.shares:
-        share = bio.bind_share(bio.decode_share(_read(path)), board)
+        share = bio.bind_share(bio.decode_share(_read(path)), board, digest)
         if share.owner in seen_owners:
             raise MssError(f"duplicate share for owner {share.owner}")
         seen_owners.add(share.owner)
@@ -166,7 +168,7 @@ def cmd_recover(args) -> int:
     out_path = args.out or f"recovered_{i}.json"
     bio.write_atomic(
         out_path,
-        bio.encode_recovered(i, candidate, verified, bio.deal_id(board)),
+        bio.encode_recovered(i, candidate, verified, digest),
     )
     print(f"secret {i}: {'verified' if verified else 'NOT VERIFIED'} -> {out_path}")
     return EXIT_OK if verified else EXIT_VERIFY_FAILED

@@ -162,17 +162,18 @@ def matrix_rank(field: PrimeField, m: Matrix) -> int:
 
 @dataclass(frozen=True)
 class Solution:
-    """Result of solving M x = b over F_q.
+    """Result of solving M x = b_c over F_q for each right-hand side b_c.
 
-    When the solution is unique, ``vector`` holds it.  Otherwise ``vector``
-    is None and the affine solution set is ``particular`` plus the span of
-    ``nullspace`` (one basis vector per free column, in column order).
+    The matrix fixes ``rank``, ``free_cols`` and ``nullspace`` (one basis
+    vector per free column, in column order), so they are shared by every
+    column.  ``particular`` holds one solution per right-hand side, in
+    input order; column c's affine solution set is ``particular[c]`` plus
+    the span of ``nullspace``.
     """
 
     rank: int
     free_dims: int
-    vector: tuple[int, ...] | None
-    particular: tuple[int, ...]
+    particular: tuple[tuple[int, ...], ...]
     free_cols: tuple[int, ...]
     nullspace: tuple[tuple[int, ...], ...]
 
@@ -180,18 +181,30 @@ class Solution:
     def unique(self) -> bool:
         return self.free_dims == 0
 
+    @property
+    def vectors(self) -> tuple[tuple[int, ...], ...] | None:
+        """The solution of each column when it is unique, else None."""
+        return self.particular if self.unique else None
 
-def solve_linear(field: PrimeField, m: Matrix, b: Sequence[int]) -> Solution:
-    """Solve M x = b exactly; raises Inconsistent when no solution exists.
 
-    Column order is preserved during elimination so free variables are
-    identifiable by index (used by the sub-threshold rank probe).
+def solve_linear(
+    field: PrimeField, m: Matrix, columns: Sequence[Sequence[int]]
+) -> Solution:
+    """Solve M x = b exactly for every right-hand side b in ``columns``.
+
+    One Gauss-Jordan elimination reduces all columns together; raises
+    Inconsistent when any column has no solution.  Column order of M is
+    preserved during elimination so free variables are identifiable by
+    index (used by the sub-threshold rank probe).
     """
-    if len(b) != m.rows:
-        raise DimMismatch(f"matrix has {m.rows} rows, rhs has {len(b)}")
+    for b in columns:
+        if len(b) != m.rows:
+            raise DimMismatch(f"matrix has {m.rows} rows, rhs has {len(b)}")
     q = field.q
     ncols = m.cols
-    rows = [list(m.row(i)) + [b[i] % q] for i in range(m.rows)]
+    rows = [
+        list(m.row(i)) + [b[i] % q for b in columns] for i in range(m.rows)
+    ]
     pivot_cols: list[int] = []
     pr = 0
     for col in range(ncols):
@@ -200,28 +213,32 @@ def solve_linear(field: PrimeField, m: Matrix, b: Sequence[int]) -> Solution:
             continue
         rows[pr], rows[pivot] = rows[pivot], rows[pr]
         inv_p = field.inv(rows[pr][col])
-        prow = [v * inv_p % q for v in rows[pr]]
-        rows[pr] = prow
+        # left of col the pivot row is zero mod q, so row operations start at col
+        prow = [v * inv_p % q for v in rows[pr][col:]]
+        rows[pr][col:] = prow
         for r in range(len(rows)):
             if r == pr:
                 continue
-            f = rows[r][col] % q
+            row = rows[r]
+            f = row[col] % q
             if f:
-                rows[r] = [(a - f * p) % q for a, p in zip(rows[r], prow)]
+                row[col:] = [(a - f * p) % q for a, p in zip(row[col:], prow)]
         pivot_cols.append(col)
         pr += 1
         if pr == len(rows):
             break
     for r in range(pr, len(rows)):
-        if rows[r][ncols] % q:
+        if any(v % q for v in rows[r][ncols:]):
             raise Inconsistent("system has no solution")
-    rank = pr
     pivot_set = set(pivot_cols)
     free_cols = tuple(c for c in range(ncols) if c not in pivot_set)
 
-    particular = [0] * ncols
-    for r, col in enumerate(pivot_cols):
-        particular[col] = rows[r][ncols]
+    particular = []
+    for c in range(ncols, ncols + len(columns)):
+        x = [0] * ncols
+        for r, col in enumerate(pivot_cols):
+            x[col] = rows[r][c]
+        particular.append(tuple(x))
 
     nullspace = []
     for fc in free_cols:
@@ -231,11 +248,9 @@ def solve_linear(field: PrimeField, m: Matrix, b: Sequence[int]) -> Solution:
             vec[col] = -rows[r][fc] % q
         nullspace.append(tuple(vec))
 
-    vector = tuple(particular) if not free_cols else None
     return Solution(
-        rank=rank,
+        rank=pr,
         free_dims=len(free_cols),
-        vector=vector,
         particular=tuple(particular),
         free_cols=free_cols,
         nullspace=tuple(nullspace),
@@ -258,31 +273,49 @@ def vandermonde(field: PrimeField, xs: Sequence[int], width: int) -> Matrix:
 
 
 def lagrange_at_zero(
-    field: PrimeField, points: Sequence[tuple[int, int]]
-) -> int:
-    """Value at 0 of the unique polynomial through the given points.
+    field: PrimeField, nodes: Sequence[int], columns: Sequence[Sequence[int]]
+) -> tuple[int, ...]:
+    """Value at 0 of the interpolating polynomial of each value column.
 
-    Computes sum_j y_j * prod_{x != x_j} x / (x - x_j).  All nodes must be
-    distinct and nonzero.
+    Column c holds the values at the given nodes, in node order; the result
+    holds one value per column.  The weights
+    w_j = prod_{i != j} x_i / (x_i - x_j) depend on the nodes only, so they
+    are computed once, with one inversion for all nodes (Montgomery's
+    batch trick), and each column's value is sum_j w_j * y_j.  All nodes
+    must be distinct and nonzero.
     """
     q = field.q
-    xs = [x % q for x, _ in points]
+    xs = [x % q for x in nodes]
     if len(set(xs)) != len(xs):
         raise DuplicateNode("interpolation nodes must be distinct")
     if any(x == 0 for x in xs):
         raise InvalidNode("node at x = 0 is not allowed")
-    total = 0
-    for j, (_, yj) in enumerate(points):
+    for ys in columns:
+        if len(ys) != len(xs):
+            raise DimMismatch(f"{len(xs)} nodes, value column has {len(ys)}")
+    nums = []
+    dens = []
+    for j, xj in enumerate(xs):
         num = 1
         den = 1
-        xj = xs[j]
         for i, xi in enumerate(xs):
-            if i == j:
-                continue
-            num = num * xi % q
-            den = den * (xi - xj) % q
-        total = (total + yj * num % q * field.inv(den)) % q
-    return total
+            if i != j:
+                num = num * xi % q
+                den = den * (xi - xj) % q
+        nums.append(num)
+        dens.append(den)
+    # prefix[j] = dens[0] * ... * dens[j-1]; walk back from one inverse
+    prefix = [1]
+    for den in dens:
+        prefix.append(prefix[-1] * den % q)
+    acc = field.inv(prefix[-1])
+    weights = [0] * len(xs)
+    for j in range(len(xs) - 1, -1, -1):
+        weights[j] = nums[j] * acc % q * prefix[j] % q
+        acc = acc * dens[j] % q
+    return tuple(
+        sum(w * y for w, y in zip(weights, ys)) % q for ys in columns
+    )
 
 
 def binom_mod(field: PrimeField, j: int, l: int) -> int:

@@ -190,17 +190,30 @@ def fold_value(spec: IlrSpec, x: int, value: int) -> int:
     return value % spec.field.q
 
 
+def fold_columns(
+    spec: IlrSpec, samples: Sequence[tuple[int, Sequence[int]]]
+) -> list[list[int]]:
+    """Polynomial samples per component: column s holds the folded s-th
+    entries of the sample vectors, in sample order (see fold_value)."""
+    q = spec.field.q
+    signs = [fold_value(spec, x, 1) for x, _ in samples]  # 1 or -1 mod q
+    return [
+        [sign * vec[s] % q for sign, (_, vec) in zip(signs, samples)]
+        for s in range(spec.dim)
+    ]
+
+
 def fit_general_term(
-    spec: IlrSpec, samples: Sequence[tuple[int, Sequence[int]]], component: int
-) -> tuple[int, ...]:
-    """Coefficients A_0..A_{t+2l-1} of the general-term polynomial.
+    spec: IlrSpec, samples: Sequence[tuple[int, Sequence[int]]]
+) -> tuple[tuple[int, ...], ...]:
+    """Coefficients A_0..A_{t+2l-1} of the general-term polynomial of each
+    component, one tuple per component.
 
     Takes exactly t+2l samples (index, vector) with distinct indices and
-    fits the chosen component; alternating-family signs are folded into the
-    samples before solving, so A_0 is always the index-0 value.
+    fits every component with one elimination of the shared Vandermonde
+    matrix; alternating-family signs are folded into the samples before
+    solving, so A_0 is always the index-0 value.
     """
-    if not 0 <= component < spec.dim:
-        raise ValueError(f"component {component} out of range")
     if len(samples) != spec.unknowns:
         raise ValueError(
             f"expected {spec.unknowns} samples, got {len(samples)}"
@@ -211,10 +224,9 @@ def fit_general_term(
     if len(set(xs)) != len(xs):
         raise DuplicateNode("sample indices must be distinct")
     matrix = vandermonde(spec.field, xs, spec.unknowns)
-    rhs = [fold_value(spec, x, vec[component]) for x, vec in samples]
-    solution = solve_linear(spec.field, matrix, rhs)
-    assert solution.vector is not None  # distinct nodes: always nonsingular
-    return solution.vector
+    solution = solve_linear(spec.field, matrix, fold_columns(spec, samples))
+    assert solution.vectors is not None  # distinct nodes: always nonsingular
+    return solution.vectors
 
 
 def to_homogeneous(field: PrimeField, coeffs: Sequence[int]) -> tuple[int, ...]:

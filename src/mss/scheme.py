@@ -47,7 +47,13 @@ from .field import (
     solve_linear,
     vandermonde,
 )
-from .ilr import IlrSpec, backward_recover, fit_general_term, fold_value, forward_extend
+from .ilr import (
+    IlrSpec,
+    backward_recover,
+    fit_general_term,
+    fold_columns,
+    forward_extend,
+)
 
 
 class Variant(str, enum.Enum):
@@ -433,10 +439,8 @@ def recover_way1_vandermonde(
     """
     _check_quorum_size(bulletin, i, subshadows)
     samples = _checked_group(bulletin, i, subshadows) + list(bulletin.extra_points(i))
-    spec = bulletin.ilr_spec(i)
-    return tuple(
-        fit_general_term(spec, samples, s)[0] for s in range(spec.dim)
-    )
+    coeffs = fit_general_term(bulletin.ilr_spec(i), samples)
+    return tuple(component[0] for component in coeffs)
 
 
 def recover_way1_lagrange(
@@ -449,11 +453,8 @@ def recover_way1_lagrange(
     _check_quorum_size(bulletin, i, subshadows)
     samples = _checked_group(bulletin, i, subshadows) + list(bulletin.extra_points(i))
     spec = bulletin.ilr_spec(i)
-    out = []
-    for s in range(spec.dim):
-        points = [(x, fold_value(spec, x, vec[s])) for x, vec in samples]
-        out.append(lagrange_at_zero(spec.field, points))
-    return tuple(out)
+    nodes = [x for x, _ in samples]
+    return lagrange_at_zero(spec.field, nodes, fold_columns(spec, samples))
 
 
 def recover_way2(
@@ -477,9 +478,17 @@ def recover_way2(
 
 
 def verify_secret(bulletin: Bulletin, i: int, candidate: Sequence[int]) -> bool:
-    """True iff the candidate hashes to the published digest for secret i."""
-    bulletin._check_secret_index(i)
-    return secret_hash(bulletin.params.q, candidate) == bulletin.secret_hashes[i - 1]
+    """True iff the candidate equals the dealt secret i.
+
+    The candidate must have t_i components, each reduced into [0, q), and
+    hash to the published digest; a congruent but unreduced candidate such
+    as (5 + q, 7) does not verify.
+    """
+    t_i = bulletin.threshold(i)
+    q = bulletin.params.q
+    if len(candidate) != t_i or any(not 0 <= x < q for x in candidate):
+        return False
+    return secret_hash(q, candidate) == bulletin.secret_hashes[i - 1]
 
 
 @dataclass(frozen=True)
@@ -514,25 +523,9 @@ def privacy_rank_probe(
     spec = bulletin.ilr_spec(i)
     samples = _checked_group(bulletin, i, subshadows) + list(bulletin.extra_points(i))
     matrix = vandermonde(field, [x for x, _ in samples], spec.unknowns)
-    rank = None
-    free_dims = None
-    witnesses = []
-    for s in range(spec.dim):
-        rhs = [fold_value(spec, x, vec[s]) for x, vec in samples]
-        sol = solve_linear(field, matrix, rhs)
-        rank = sol.rank
-        free_dims = sol.free_dims
-        a0 = sol.particular[0]
-        if sol.free_dims == 0:
-            witnesses.append((a0, a0))
-        else:
-            shift = next((v for v in sol.nullspace if v[0] != 0), None)
-            if shift is None:
-                # cannot happen: the nullspace polynomial vanishes at the
-                # sample points, all nonzero, so its value at 0 is nonzero
-                witnesses.append((a0, a0))
-            else:
-                witnesses.append((a0, (a0 + shift[0]) % field.q))
-    return ProbeResult(
-        rank=rank, free_dims=free_dims, a0_witnesses=tuple(witnesses)
-    )
+    sol = solve_linear(field, matrix, fold_columns(spec, samples))
+    # with free dims, a nullspace vector moves A_0: the nullspace polynomial
+    # vanishes at the sample points, all nonzero, so its value at 0 is not 0
+    shift = next((v[0] for v in sol.nullspace if v[0] != 0), 0)
+    witnesses = tuple((x[0], (x[0] + shift) % field.q) for x in sol.particular)
+    return ProbeResult(rank=sol.rank, free_dims=sol.free_dims, a0_witnesses=witnesses)

@@ -131,8 +131,9 @@ def test_criterion_2_general_term_property(verdict):
                     initial = [field.rand_vec(rng, 2) for _ in range(spec.order)]
                     seq = forward_extend(spec, initial, 49)
                     samples = [(j, seq.term(j)) for j in range(spec.unknowns)]
+                    fits = fit_general_term(spec, samples)
                     for comp in range(2):
-                        coeffs = fit_general_term(spec, samples, comp)
+                        coeffs = fits[comp]
                         for j in range(50):
                             expected = fold_value(spec, j, seq.term(j)[comp])
                             if poly_eval(field, coeffs, j) != expected:
@@ -223,7 +224,8 @@ def test_criterion_6_tamper_detection(verdict, tmp_path, capsys):
 
     Runs through the command-line surfaces: `verify-share` on a share file
     with one flipped bit, `verify-secret` on a report with one altered
-    component.  Honest counterparts must keep exiting 0.
+    component and on one with a component raised by q (congruent to the
+    secret, but not equal to it).  Honest counterparts must keep exiting 0.
     """
     from mss.bulletin import (
         deal_id,
@@ -280,6 +282,12 @@ def test_criterion_6_tamper_detection(verdict, tmp_path, capsys):
             "--recovered",
             str(report_path),
         ]
+        if cli_main(args) != 1:
+            false_accepts += 1
+        # congruent to the secret but unreduced: one component moved by q
+        unreduced = list(secrets[0])
+        unreduced[pos] += params.q
+        write_atomic(str(report_path), encode_recovered(1, unreduced, True, digest))
         if cli_main(args) != 1:
             false_accepts += 1
         write_atomic(

@@ -206,14 +206,21 @@ class TestShareFiles:
         shares_b, board_b = make_board(seed="deal-b")
         blob = encode_share(shares_a[0], deal=deal_id(board_a))
         share_file = decode_share(blob)
-        assert bind_share(share_file, board_a) == shares_a[0]
+        assert bind_share(share_file, board_a, deal_id(board_a)) == shares_a[0]
         with pytest.raises(WrongDeal):
-            bind_share(share_file, board_b)
+            bind_share(share_file, board_b, deal_id(board_b))
+
+    def test_other_deals_digest_rejected_at_binding(self):
+        shares_a, board_a = make_board(seed="deal-a")
+        _, board_b = make_board(seed="deal-b")
+        share_file = decode_share(encode_share(shares_a[0], deal=deal_id(board_a)))
+        with pytest.raises(WrongDeal):
+            bind_share(share_file, board_a, deal_id(board_b))
 
     def test_unbound_share_binds_anywhere(self):
         shares, board = make_board()
         share_file = decode_share(encode_share(shares[0]))
-        assert bind_share(share_file, board) == shares[0]
+        assert bind_share(share_file, board, deal_id(board)) == shares[0]
 
     def test_wrong_length_rejected_at_binding(self):
         from mss.ajtai import Share
@@ -221,7 +228,7 @@ class TestShareFiles:
         shares, board = make_board()
         short = decode_share(encode_share(Share(owner=1, bits=(1, 0, 1, 0))))
         with pytest.raises(ValidationError):
-            bind_share(short, board)
+            bind_share(short, board, deal_id(board))
 
     def test_owner_out_of_range_rejected_at_binding(self):
         from mss.ajtai import Share
@@ -231,7 +238,7 @@ class TestShareFiles:
             encode_share(Share(owner=9, bits=shares[0].bits))
         )
         with pytest.raises(ValidationError):
-            bind_share(stray, board)
+            bind_share(stray, board, deal_id(board))
 
 
 class TestSecretsAndRecoveredFiles:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from mss import bulletin as bio
 from mss import cli
 from mss.bulletin import encode_secrets
 from mss.counts import public_value_counts
@@ -258,6 +259,26 @@ class TestRecover:
         result = self.recover(dealt, "vandermonde", 2, [1, 2, 3, 4, 5], "r4.json")
         assert result.returncode == 0
 
+    def test_one_deal_id_per_recover(self, dealt, monkeypatch, capsys):
+        # every share file is bound through the one digest of the deal
+        calls = []
+        real = bio.deal_id
+
+        def counting_deal_id(board):
+            calls.append(board)
+            return real(board)
+
+        monkeypatch.setattr(bio, "deal_id", counting_deal_id)
+        code = cli.main([
+            "recover", "--bulletin", str(dealt / "bulletin.json"), "--secret", "2",
+            "--method", "lagrange", "--out", str(dealt / "r_once.json"),
+            *[str(dealt / f"share_{j}.json") for j in range(1, 6)],
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert len(calls) == 1
+        report = json.loads((dealt / "r_once.json").read_text())
+        assert report["deal"] == real(bio.decode_bulletin((dealt / "bulletin.json").read_bytes()))
+
     def test_default_output_path(self, dealt):
         result = run_cli(
             "recover",
@@ -303,6 +324,25 @@ class TestVerifySecret:
             str(path),
         )
         assert result.returncode == 1
+
+    def test_unreduced_candidate_fails(self, dealt):
+        # 7 + 97 is congruent to the dealt 7 but is not the dealt secret
+        result = TestRecover().recover(dealt, "backward", 1, [1, 2], "r8.json")
+        assert result.returncode == 0
+        path = dealt / "r8.json"
+        obj = json.loads(path.read_text())
+        assert obj["candidate"] == ["7", "9"]
+        obj["candidate"][0] = "104"
+        path.write_text(json.dumps(obj))
+        result = run_cli(
+            "verify-secret",
+            "--bulletin",
+            str(dealt / "bulletin.json"),
+            "--recovered",
+            str(path),
+        )
+        assert result.returncode == 1
+        assert result.stderr == "secret 1: FAIL\n"
 
     def test_report_from_another_deal_exits_one(self, dealt, other_deal):
         result = TestRecover().recover(dealt, "backward", 1, [1, 2], "r7.json")

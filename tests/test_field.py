@@ -1,6 +1,7 @@
 """Field arithmetic, linear solving, and interpolation primitives."""
 
 import math
+import random
 
 import pytest
 
@@ -103,12 +104,12 @@ class TestMatrix:
 class TestSolveLinear:
     def test_identity_system(self):
         m = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        sol = solve_linear(F97, m, (4, 5, 6))
-        assert sol.unique and sol.vector == (4, 5, 6)
+        sol = solve_linear(F97, m, [(4, 5, 6)])
+        assert sol.unique and sol.vectors == ((4, 5, 6),)
 
     def test_zero_matrix_rank_report(self):
         m = Matrix(2, 3, (0,) * 6)
-        sol = solve_linear(F97, m, (0, 0))
+        sol = solve_linear(F97, m, [(0, 0)])
         assert not sol.unique
         assert (sol.rank, sol.free_dims) == (0, 3)
 
@@ -119,8 +120,8 @@ class TestSolveLinear:
         values = [poly_eval(F97, coeffs, x) for x in points]
         assert values == [6, 15, 36, 75]
         m = vandermonde(F97, points, 4)
-        sol = solve_linear(F97, m, values)
-        assert sol.vector == coeffs
+        sol = solve_linear(F97, m, [values])
+        assert sol.vectors == (coeffs,)
 
     def test_solution_reproduces_rhs(self):
         rng = Drbg(2024)
@@ -132,58 +133,124 @@ class TestSolveLinear:
                 )
                 x = field.rand_vec(rng, size)
                 b = mat_vec(field, m, x)
-                sol = solve_linear(field, m, b)
-                assert mat_vec(field, m, sol.particular) == b
+                sol = solve_linear(field, m, [b])
+                assert mat_vec(field, m, sol.particular[0]) == b
 
     def test_inconsistent_raises(self):
         m = Matrix.from_rows([[1, 1], [1, 1]])
         with pytest.raises(Inconsistent):
-            solve_linear(F97, m, (1, 2))
+            solve_linear(F97, m, [(1, 2)])
 
     def test_underdetermined_affine_space(self):
         m = Matrix.from_rows([[1, 1, 0], [0, 1, 1]])
         b = (5, 7)
-        sol = solve_linear(F97, m, b)
+        sol = solve_linear(F97, m, [b])
         assert sol.rank == 2 and sol.free_dims == 1
-        assert mat_vec(F97, m, sol.particular) == b
-        shifted = F97.vec_add(sol.particular, sol.nullspace[0])
+        assert mat_vec(F97, m, sol.particular[0]) == b
+        shifted = F97.vec_add(sol.particular[0], sol.nullspace[0])
         assert mat_vec(F97, m, shifted) == b
 
     def test_rhs_length_checked(self):
         m = Matrix.from_rows([[1, 0], [0, 1]])
         with pytest.raises(DimMismatch):
-            solve_linear(F97, m, (1,))
+            solve_linear(F97, m, [(1,)])
+
+
+class TestManyColumns:
+    """A multi-column call returns, column for column, what a one-column
+    call returns, on random square, singular and inconsistent systems."""
+
+    @staticmethod
+    def random_system(rng, kind):
+        size = 3 + rng.randbelow(4)
+        rows = [F97.rand_vec(rng, size) for _ in range(size)]
+        if kind != "square":
+            # the last row is the sum of the first two: rank < size
+            rows[-1] = F97.vec_add(rows[0], rows[1])
+        m = Matrix.from_rows(rows)
+        columns = [
+            list(mat_vec(F97, m, F97.rand_vec(rng, size)))
+            for _ in range(1 + rng.randbelow(4))
+        ]
+        if kind == "inconsistent":
+            bad = rng.randbelow(len(columns))
+            columns[bad][-1] = (columns[bad][-1] + 1) % 97
+        return m, columns
+
+    @pytest.mark.parametrize("kind", ["square", "singular", "inconsistent"])
+    def test_solve_linear_matches_column_by_column(self, kind):
+        rng = Drbg(f"many-columns-{kind}")
+        for _ in range(30):
+            m, columns = self.random_system(rng, kind)
+            reference = []
+            for b in columns:
+                try:
+                    reference.append(solve_linear(F97, m, [b]))
+                except Inconsistent:
+                    reference.append(None)
+            if None in reference:
+                assert kind == "inconsistent"
+                with pytest.raises(Inconsistent):
+                    solve_linear(F97, m, columns)
+                continue
+            sol = solve_linear(F97, m, columns)
+            for c, (b, ref) in enumerate(zip(columns, reference)):
+                assert (sol.rank, sol.free_dims) == (ref.rank, ref.free_dims)
+                assert (sol.free_cols, sol.nullspace) == (ref.free_cols, ref.nullspace)
+                assert sol.particular[c] == ref.particular[0]
+                assert mat_vec(F97, m, sol.particular[c]) == tuple(b)
+            for vec in sol.nullspace:
+                assert mat_vec(F97, m, vec) == (0,) * m.rows
+            if kind == "singular":
+                assert sol.vectors is None
+
+    def test_lagrange_matches_column_by_column(self):
+        rng = random.Random("many-columns-lagrange")
+        for _ in range(30):
+            size = rng.randint(1, 8)
+            nodes = rng.sample(range(1, 97), size)
+            polys = [[rng.randrange(97) for _ in range(size)] for _ in range(rng.randint(1, 4))]
+            columns = [[poly_eval(F97, p, x) for x in nodes] for p in polys]
+            got = lagrange_at_zero(F97, nodes, columns)
+            assert got == tuple(lagrange_at_zero(F97, nodes, [ys])[0] for ys in columns)
+            assert got == tuple(p[0] for p in polys)
+
+    def test_column_lengths_checked(self):
+        m = Matrix.from_rows([[1, 0], [0, 1]])
+        with pytest.raises(DimMismatch):
+            solve_linear(F97, m, [(1, 2), (1,)])
+        with pytest.raises(DimMismatch):
+            lagrange_at_zero(F97, [1, 2], [[1, 2], [3]])
 
 
 class TestLagrangeAtZero:
     def test_constant_polynomial(self):
-        assert lagrange_at_zero(F97, [(1, 5), (2, 5)]) == 5
+        assert lagrange_at_zero(F97, [1, 2], [[5, 5]]) == (5,)
 
     def test_linear_through_origin(self):
-        assert lagrange_at_zero(F97, [(1, 1), (2, 2), (3, 3)]) == 0
+        assert lagrange_at_zero(F97, [1, 2, 3], [[1, 2, 3]]) == (0,)
 
     def test_cubic_example(self):
         coeffs = (3, 2, 0, 1)
-        points = [(x, poly_eval(F97, coeffs, x)) for x in range(1, 5)]
-        assert lagrange_at_zero(F97, points) == 3
+        values = [poly_eval(F97, coeffs, x) for x in range(1, 5)]
+        assert lagrange_at_zero(F97, range(1, 5), [values]) == (3,)
 
     def test_matches_p0_random_polynomials(self):
         rng = Drbg(55)
         for field in (F97, FBIG):
             for degree in range(9):
                 coeffs = field.rand_vec(rng, degree + 1)
-                points = [
-                    (x, poly_eval(field, coeffs, x)) for x in range(1, degree + 2)
-                ]
-                assert lagrange_at_zero(field, points) == coeffs[0]
+                nodes = range(1, degree + 2)
+                values = [poly_eval(field, coeffs, x) for x in nodes]
+                assert lagrange_at_zero(field, nodes, [values]) == (coeffs[0],)
 
     def test_duplicate_node_raises(self):
         with pytest.raises(DuplicateNode):
-            lagrange_at_zero(F97, [(1, 5), (1, 6)])
+            lagrange_at_zero(F97, [1, 1], [[5, 6]])
 
     def test_zero_node_raises(self):
         with pytest.raises(InvalidNode):
-            lagrange_at_zero(F97, [(0, 5), (1, 6)])
+            lagrange_at_zero(F97, [0, 1], [[5, 6]])
 
 
 class TestBinomMod:

@@ -1,0 +1,68 @@
+"""Golden hashes of seeded command-line output.
+
+For each variant and modulus, `mss deal --seed 7` runs, then `mss recover`
+with each method for each secret on a fixed quorum, then `mss
+verify-secret` on each report.  The SHA-256 of every written file and of
+every command's stdout is pinned in tests/data/golden_sha256.json, so any
+change to a seeded output byte fails here.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from mss import cli
+from mss.bulletin import encode_secrets
+from mss.scheme import Variant
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden_sha256.json"
+MODULI = (97, (1 << 61) - 1)
+N = 5
+THRESHOLDS = (2, 3)
+SECRETS = ((7, 9), (1, 2, 3))
+METHODS = ("vandermonde", "lagrange", "backward")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def seeded_hashes(variant: str, q: int, capsys) -> dict[str, str]:
+    """Run the command battery in the current directory; name -> SHA-256."""
+    out: dict[str, str] = {}
+
+    def run(name: str, argv: list[str]) -> None:
+        assert cli.main(argv) == 0, argv
+        out[f"{name}.stdout"] = _sha(capsys.readouterr().out.encode())
+
+    Path("secrets.json").write_bytes(encode_secrets(q, SECRETS))
+    run("deal", [
+        "deal", "--variant", variant, "--n", str(N), "--k", str(len(THRESHOLDS)),
+        "--thresholds", ",".join(map(str, THRESHOLDS)), "--q", str(q),
+        "--seed", "7", "--secrets", "secrets.json", "--out-dir", "deal",
+    ])
+    for name in ["bulletin.json"] + [f"share_{j}.json" for j in range(1, N + 1)]:
+        out[name] = _sha(Path("deal", name).read_bytes())
+    for i, t_i in enumerate(THRESHOLDS, start=1):
+        quorum = [f"deal/share_{j}.json" for j in range(2, t_i + 2)]
+        for method in METHODS:
+            report = f"recovered_{i}_{method}.json"
+            run(f"recover_{i}_{method}", [
+                "recover", "--bulletin", "deal/bulletin.json", "--secret", str(i),
+                "--method", method, "--out", report, *quorum,
+            ])
+            out[report] = _sha(Path(report).read_bytes())
+            run(f"verify_secret_{i}_{method}", [
+                "verify-secret", "--bulletin", "deal/bulletin.json", "--recovered", report,
+            ])
+    return out
+
+
+@pytest.mark.parametrize("q", MODULI)
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_seeded_output_matches_golden_hashes(variant, q, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(GOLDEN.read_text())[f"{variant}-q{q}"]
+    assert seeded_hashes(variant, q, capsys) == golden

@@ -380,6 +380,18 @@ class TestVerifySecret:
         )
         assert not verify_secret(board, 1, secrets[0][:2])
 
+    def test_unreduced_candidate_fails(self):
+        # congruent to the dealt secret, but not equal to it
+        params, secrets, shares, board = make_deal(
+            Variant.S2, n=6, k=1, thresholds=(3,), seed="v4"
+        )
+        assert verify_secret(board, 1, secrets[0])
+        for pos in range(3):
+            for delta in (97, -97):
+                candidate = list(secrets[0])
+                candidate[pos] += delta
+                assert not verify_secret(board, 1, candidate)
+
     def test_hash_includes_modulus(self):
         assert secret_hash(97, (1, 2)) != secret_hash(101, (1, 2))
 
@@ -403,8 +415,9 @@ class TestPrivacyRankProbe:
         full_samples = [(j, seq.term(j)) for j in range(spec.unknowns)]
         from mss.ilr import fit_general_term
 
+        fits = fit_general_term(spec, full_samples)
         for s in range(spec.dim):
-            coeffs = fit_general_term(spec, full_samples, s)
+            coeffs = fits[s]
             assert coeffs[0] == secrets[0][s]
             expected = tuple(
                 fold_value(spec, x, seq.term(x)[s]) for x in points
