@@ -29,8 +29,11 @@ from .scheme import Bulletin, SchemeParams, Variant
 
 FORMAT_VERSION = 1
 
-_DECIMAL = re.compile(r"^(0|[1-9][0-9]*)$")
-_HEX_DIGEST = re.compile(r"^[0-9a-f]{64}$")
+# Matched with fullmatch: "$" would also accept a value ending in "\n".
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")
+_DECIMAL_ARRAY = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
+_HEX = re.compile(r"[0-9a-f]+")
+_HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 def _canonical_bytes(obj) -> bytes:
@@ -56,7 +59,7 @@ def _expect_kind(obj: dict, kind: str) -> None:
     if obj.get("kind") != kind:
         raise ParseError(f"expected kind {kind!r}, got {obj.get('kind')!r}")
     version = obj.get("format_version")
-    if not isinstance(version, int):
+    if not isinstance(version, int) or isinstance(version, bool):
         raise ParseError("format_version must be an integer")
     if version != FORMAT_VERSION:
         raise UnsupportedVersion(f"unsupported format_version {version}")
@@ -75,7 +78,7 @@ def _parse_uint(value, what: str) -> int:
 
 
 def _parse_decimal(value, what: str) -> int:
-    if not isinstance(value, str) or not _DECIMAL.match(value):
+    if not isinstance(value, str) or not _DECIMAL.fullmatch(value):
         raise ParseError(f"{what} must be a canonical decimal string")
     return int(value)
 
@@ -97,7 +100,23 @@ def _array(value, length: int, what: str) -> list:
 
 
 def _parse_vector(value, q: int, length: int, what: str) -> tuple[int, ...]:
-    return tuple(_parse_residue(v, q, what) for v in _array(value, length, what))
+    """The array's residues, checked and converted in one pass.
+
+    Joined with commas, an array of canonical decimals has exactly
+    length - 1 commas and matches _DECIMAL_ARRAY.  When any check fails,
+    the per-element loop runs instead, only to raise the first bad
+    element's error; it accepts nothing the one-pass check rejects.
+    """
+    arr = _array(value, length, what)
+    try:
+        joined = ",".join(arr)  # TypeError on a non-string
+        if joined.count(",") == length - 1 and _DECIMAL_ARRAY.fullmatch(joined):
+            values = tuple(map(int, arr))  # ValueError past int's digit limit
+            if max(values) < q:
+                return values
+    except (TypeError, ValueError):
+        pass
+    return tuple(_parse_residue(v, q, what) for v in arr)
 
 
 def _matrix_obj(m: Matrix) -> dict:
@@ -216,7 +235,7 @@ def decode_bulletin(data: bytes | str) -> Bulletin:
 
     raw_hashes = _array(_get(obj, "secret_hashes"), k, "secret_hashes")
     for h in raw_hashes:
-        if not isinstance(h, str) or not _HEX_DIGEST.match(h):
+        if not isinstance(h, str) or not _HEX_DIGEST.fullmatch(h):
             raise ValidationError("secret hash must be 64 lowercase hex digits")
 
     dims = (t_max,) if params.variant.shared_constant else params.thresholds
@@ -282,7 +301,7 @@ def decode_share(data: bytes | str) -> ShareFile:
         raise ValidationError("r must be positive")
     raw_bits = _get(obj, "bits")
     nibbles = (r + 3) // 4
-    if not isinstance(raw_bits, str) or not re.match(r"^[0-9a-f]+$", raw_bits):
+    if not isinstance(raw_bits, str) or not _HEX.fullmatch(raw_bits):
         raise ParseError("bits must be a lowercase hex string")
     if len(raw_bits) != nibbles:
         raise ValidationError(f"bits must be {nibbles} hex digits for r={r}")
@@ -291,7 +310,7 @@ def decode_share(data: bytes | str) -> ShareFile:
         raise ValidationError("bit string longer than r")
     bits = tuple((value >> (r - 1 - i)) & 1 for i in range(r))
     deal = obj.get("deal")
-    if deal is not None and (not isinstance(deal, str) or not _HEX_DIGEST.match(deal)):
+    if deal is not None and (not isinstance(deal, str) or not _HEX_DIGEST.fullmatch(deal)):
         raise ValidationError("deal must be a 64-digit hex digest")
     return ShareFile(share=Share(owner=owner, bits=bits), r=r, deal=deal)
 
@@ -376,7 +395,7 @@ def decode_recovered(data: bytes | str) -> RecoveredFile:
     if not isinstance(verified, bool):
         raise ParseError("verified must be a boolean")
     deal = _get(obj, "deal")
-    if not isinstance(deal, str) or not _HEX_DIGEST.match(deal):
+    if not isinstance(deal, str) or not _HEX_DIGEST.fullmatch(deal):
         raise ValidationError("deal must be a 64-digit hex digest")
     return RecoveredFile(
         secret_index=index, candidate=candidate, verified=verified, deal=deal

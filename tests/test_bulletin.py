@@ -100,6 +100,12 @@ class TestBulletinValidation:
         with pytest.raises(UnsupportedVersion):
             decode_bulletin(mutate(board, ["format_version"], 2))
 
+    @pytest.mark.parametrize("version", [True, False])
+    def test_boolean_version_is_parse_error(self, version):
+        _, board = make_board()
+        with pytest.raises(ParseError, match="format_version must be an integer"):
+            decode_bulletin(mutate(board, ["format_version"], version))
+
     def test_unknown_variant_rejected(self):
         _, board = make_board()
         with pytest.raises(ValidationError):
@@ -138,6 +144,46 @@ class TestBulletinValidation:
         _, board = make_board()
         with pytest.raises(ValidationError):
             decode_bulletin(mutate(board, ["secret_hashes", 0], "ABC"))
+        with pytest.raises(ValidationError):
+            decode_bulletin(
+                mutate(board, ["secret_hashes", 0], board.secret_hashes[0] + "\n")
+            )
+
+    # Every decimal array of a 5-owner s1 deal with thresholds (2, 3), named
+    # as the decoder names it, with the JSON path to it.
+    ARRAYS = {
+        "mask_matrices[0].data": ["mask_matrices", 0, "data"],
+        "mask_matrices[1].data": ["mask_matrices", 1, "data"],
+        "commit_matrix.data": ["commit_matrix", "data"],
+        "commitments[4]": ["commitments", 4],
+        "constants[1]": ["constants", 1],
+        "offsets[0][3]": ["offsets", 0, 3],
+        "extras[1][0]": ["extras", 1, 0],
+    }
+    MALFORMED = {"non-string": 5, "leading zero": "05", "embedded comma": "1,2",
+                 "trailing newline": "5\n"}
+
+    @pytest.mark.parametrize("fault", [*MALFORMED, "unreduced"])
+    @pytest.mark.parametrize("where", [0, -1])
+    @pytest.mark.parametrize("what", ARRAYS)
+    def test_bad_residue_in_every_array(self, what, where, fault):
+        _, board = make_board()
+        if fault == "unreduced":
+            bad = str(board.params.q)
+            expected = (ValidationError, f"{what} is not reduced mod q")
+        else:
+            bad = self.MALFORMED[fault]
+            expected = (ParseError, f"{what} must be a canonical decimal string")
+        with pytest.raises(expected[0]) as excinfo:
+            decode_bulletin(mutate(board, [*self.ARRAYS[what], where], bad))
+        assert str(excinfo.value) == expected[1]
+
+    @pytest.mark.parametrize("bad", [97, "097", "97,1", "97\n"])
+    def test_bad_modulus_string(self, bad):
+        _, board = make_board()
+        with pytest.raises(ParseError) as excinfo:
+            decode_bulletin(mutate(board, ["params", "q"], bad))
+        assert str(excinfo.value) == "params.q must be a canonical decimal string"
 
     def test_offset_vector_wrong_length_rejected(self):
         _, board = make_board()
@@ -201,6 +247,22 @@ class TestShareFiles:
         with pytest.raises(ValidationError):
             decode_share(json.dumps(obj).encode())
 
+    def test_trailing_newline_rejected(self):
+        shares, board = make_board()
+        obj = json.loads(encode_share(shares[0], deal=deal_id(board)))
+        with pytest.raises(ParseError, match="bits must be a lowercase hex string"):
+            decode_share(json.dumps({**obj, "bits": obj["bits"] + "\n"}).encode())
+        with pytest.raises(ValidationError, match="deal must be a 64-digit hex digest"):
+            decode_share(json.dumps({**obj, "deal": obj["deal"] + "\n"}).encode())
+
+    @pytest.mark.parametrize("version", [True, False])
+    def test_boolean_version_is_parse_error(self, version):
+        shares, _ = make_board()
+        obj = json.loads(encode_share(shares[0]))
+        obj["format_version"] = version
+        with pytest.raises(ParseError, match="format_version must be an integer"):
+            decode_share(json.dumps(obj).encode())
+
     def test_wrong_deal_rejected_at_binding(self):
         shares_a, board_a = make_board(seed="deal-a")
         shares_b, board_b = make_board(seed="deal-b")
@@ -260,6 +322,12 @@ class TestSecretsAndRecoveredFiles:
         assert report.candidate == (5, 6, 7)
         assert report.verified is True
         assert report.deal == digest
+
+    def test_recovered_deal_with_trailing_newline_rejected(self):
+        obj = json.loads(encode_recovered(1, (5,), True, "ab" * 32))
+        obj["deal"] += "\n"
+        with pytest.raises(ValidationError, match="deal must be a 64-digit hex digest"):
+            decode_recovered(json.dumps(obj).encode())
 
     def test_recovered_requires_boolean_verdict(self):
         blob = encode_recovered(1, (5,), True, "ab" * 32)

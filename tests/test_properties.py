@@ -2,21 +2,24 @@
 
 For a random variant, modulus, participant count n <= 12, thresholds,
 secrets and DRBG seed, every recovery path returns the dealt secret exactly
-from a random quorum, and decoding an encoded bulletin gives it back.
-Examples are derived from the test itself (derandomized), so every run
-checks the same deals.
+from a random quorum, and decoding an encoded bulletin gives it back.  The
+bulletin's one-pass residue-array parser agrees with a per-element reference
+parser on hostile arrays, errors included.  Examples are derived from the
+test itself (derandomized), so every run checks the same inputs.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mss.bulletin import (
+    _parse_vector,
     deal_id,
     decode_bulletin,
     decode_share,
     encode_bulletin,
     encode_share,
 )
+from mss.errors import MssError, ParseError, ValidationError
 from mss.rng import Drbg
 from mss.scheme import (
     SchemeParams,
@@ -80,3 +83,63 @@ def test_decode_encode_is_the_identity(dealt):
     for share in shares:
         share_file = decode_share(encode_share(share, deal=digest))
         assert (share_file.share, share_file.deal) == (share, digest)
+
+
+def reference_vector(value, q, what):
+    """Parse a residue array element by element; the first bad one decides."""
+    out = []
+    for v in value:
+        canonical = (
+            isinstance(v, str) and v.isascii() and v.isdigit() and (v == "0" or v[0] != "0")
+        )
+        if not canonical:
+            raise ParseError(f"{what} must be a canonical decimal string")
+        if int(v) >= q:
+            raise ValidationError(f"{what} is not reduced mod q")
+        out.append(int(v))
+    return tuple(out)
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args)
+    except MssError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def residue_arrays(draw):
+    """(q, array): canonical residues with one or two hostile elements."""
+    q = draw(st.sampled_from(MODULI))
+    affix = st.sampled_from(["0", ",", "\n", " ", "-", "+", "\u0663"])
+    number = st.integers(0, q).map(str)
+    hostile = st.one_of(
+        st.builds(str.__add__, affix, number),
+        st.builds(str.__add__, number, affix),
+        st.text(alphabet="0123456789,\n -+\u0663", max_size=4),
+        st.sampled_from([str(q), str(q + 1), "007", ""]),
+        st.integers(),
+        st.none(),
+    )
+    arr = draw(st.lists(st.integers(0, q - 1).map(str), min_size=1, max_size=8))
+    for _ in range(draw(st.integers(1, 2))):
+        arr[draw(st.integers(0, len(arr) - 1))] = draw(hostile)
+    return q, arr
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=residue_arrays())
+def test_vector_parser_matches_per_element_reference(case):
+    q, arr = case
+    assert outcome(_parse_vector, arr, q, len(arr), "v") == outcome(
+        reference_vector, arr, q, "v"
+    )
+
+
+def test_first_bad_element_decides_the_error():
+    assert outcome(_parse_vector, ["97", "03"], 97, 2, "v") == (
+        ValidationError, "v is not reduced mod q"
+    )
+    assert outcome(_parse_vector, ["03", "97"], 97, 2, "v") == (
+        ParseError, "v must be a canonical decimal string"
+    )
