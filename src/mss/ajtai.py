@@ -9,6 +9,7 @@ which is what makes the published commitments h_j = F*sh_j binding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .errors import DimMismatch, NotBinary, RngSuspect, ShareSpaceExhausted
@@ -100,18 +101,22 @@ def sample_matrix_full_rank(
     if rows > cols:
         raise DimMismatch("full row rank needs rows <= cols")
     for _attempt in range(MAX_RANK_RESAMPLES):
-        m = Matrix(rows, cols, tuple(field.rand(rng) for _ in range(rows * cols)))
+        m = Matrix(rows, cols, field.rand_vec(rng, rows * cols))
         if matrix_rank(field, m) == rows:
             return m
     raise RngSuspect(f"{MAX_RANK_RESAMPLES} rank-deficient draws in a row")
 
 
-def ajtai_hash(field: PrimeField, a: Matrix, x: Sequence[int]) -> tuple[int, ...]:
-    """A * x mod q for binary x: the subset sum of A's columns picked by x."""
+def _check_binary(a: Matrix, x: Sequence[int]) -> None:
     if len(x) != a.cols:
         raise DimMismatch(f"matrix has {a.cols} columns, vector has {len(x)}")
     if any(b not in (0, 1) for b in x):
         raise NotBinary("input vector must be binary")
+
+
+def ajtai_hash(field: PrimeField, a: Matrix, x: Sequence[int]) -> tuple[int, ...]:
+    """A * x mod q for binary x: the subset sum of A's columns picked by x."""
+    _check_binary(a, x)
     q = field.q
     picked = [j for j, b in enumerate(x) if b]
     data = a.data
@@ -123,6 +128,36 @@ def ajtai_hash(field: PrimeField, a: Matrix, x: Sequence[int]) -> tuple[int, ...
             acc += data[base + j]
         out.append(acc % q)
     return tuple(out)
+
+
+def ajtai_hash_many(
+    field: PrimeField, a: Matrix, xs: Sequence[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """``ajtai_hash(field, a, x)`` for every x in xs, checked the same way.
+
+    Each column of A is packed once into one integer, entry i in the
+    w-bit slot i, with w = bits(q) + bits(cols): a sum of at most cols
+    residues below q fits in a slot, so slots never carry into each other.
+    A vector's hash is then one sum of the packed columns it picks,
+    unpacked slot by slot and reduced mod q.  Packing costs more than one
+    hash, so single vectors go through ``ajtai_hash``.
+    """
+    for x in xs:
+        _check_binary(a, x)
+    q, rows, cols, data = field.q, a.rows, a.cols, a.data
+    w = q.bit_length() + cols.bit_length()
+    packed = []
+    for j in range(cols):
+        acc = 0
+        for i in range(rows - 1, -1, -1):
+            acc = (acc << w) | data[i * cols + j]
+        packed.append(acc)
+    mask = (1 << w) - 1
+    out = []
+    for x in xs:
+        total = sum(compress(packed, x))
+        out.append(tuple(((total >> (i * w)) & mask) % q for i in range(rows)))
+    return out
 
 
 def verify_commitment(

@@ -80,7 +80,10 @@ def _parse_uint(value, what: str) -> int:
 def _parse_decimal(value, what: str) -> int:
     if not isinstance(value, str) or not _DECIMAL.fullmatch(value):
         raise ParseError(f"{what} must be a canonical decimal string")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:  # past the interpreter's integer-string digit limit
+        raise ParseError(f"{what} has too many digits ({len(value)})") from None
 
 
 def _parse_residue(value, q: int, what: str) -> int:

@@ -68,11 +68,9 @@ class PrimeField:
             raise ZeroDivisionError("0 has no inverse")
         return pow(a, -1, self.q)
 
-    def rand(self, rng) -> int:
-        return rng.randbelow(self.q)
-
     def rand_vec(self, rng, dim: int) -> tuple[int, ...]:
-        return tuple(rng.randbelow(self.q) for _ in range(dim))
+        """``dim`` uniform residues, in the order single draws give them."""
+        return rng.randbelow_many(self.q, dim)
 
     # vectors are plain tuples of residues
     def vec(self, xs: Sequence[int]) -> tuple[int, ...]:
@@ -138,22 +136,37 @@ def mat_vec(field: PrimeField, m: Matrix, x: Sequence[int]) -> tuple[int, ...]:
 
 
 def matrix_rank(field: PrimeField, m: Matrix) -> int:
-    """Row rank by Gaussian elimination (first-nonzero pivoting)."""
+    """Row rank by Gaussian elimination (first-nonzero pivoting).
+
+    A wide matrix is ranked on its leading rows x rows block first: when
+    that block is nonsingular the matrix has full row rank, and the other
+    columns are never touched.  Only a singular block sends the whole
+    matrix through elimination.
+    """
+    if m.rows < m.cols:
+        block = [list(m.data[i * m.cols : i * m.cols + m.rows]) for i in range(m.rows)]
+        if _eliminate(field, block) == m.rows:
+            return m.rows
+    return _eliminate(field, [list(m.row(i)) for i in range(m.rows)])
+
+
+def _eliminate(field: PrimeField, rows: list[list[int]]) -> int:
+    """Rank of the given rows, which it reduces in place."""
     q = field.q
-    rows = [list(m.row(i)) for i in range(m.rows)]
     rank = 0
-    for col in range(m.cols):
+    for col in range(len(rows[0])):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % q), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv_p = field.inv(rows[rank][col])
-        prow = [v * inv_p % q for v in rows[rank]]
-        rows[rank] = prow
+        # left of col every row below the pivot is zero mod q
+        prow = [v * inv_p % q for v in rows[rank][col:]]
         for r in range(rank + 1, len(rows)):
-            f = rows[r][col] % q
+            row = rows[r]
+            f = row[col] % q
             if f:
-                rows[r] = [(a - f * b) % q for a, b in zip(rows[r], prow)]
+                row[col:] = [(a - f * p) % q for a, p in zip(row[col:], prow)]
         rank += 1
         if rank == len(rows):
             break

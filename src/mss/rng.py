@@ -3,6 +3,11 @@
 SHA-256 in counter mode: the same seed produces the same byte stream on
 every platform and Python version, which is what makes seeded deals
 reproducible bit for bit.  Without a seed, 32 bytes of OS entropy are used.
+
+Every draw consumes that one stream in order.  A refill hashes all the
+counter blocks a request needs at once, and ``randbelow_many`` takes the
+bytes of many candidates in one pull, so batched draws return the same
+values, and leave the same stream behind, as the single draws they replace.
 """
 
 from __future__ import annotations
@@ -40,20 +45,25 @@ class Drbg:
         self._pos = 0
 
     def randbytes(self, n: int) -> bytes:
-        out = bytearray()
-        while n > 0:
-            if self._pos == len(self._pool):
-                block = hashlib.sha256(
-                    self._key + self._counter.to_bytes(8, "big")
-                ).digest()
-                self._counter += 1
-                self._pool = block
-                self._pos = 0
-            take = min(n, len(self._pool) - self._pos)
-            out += self._pool[self._pos : self._pos + take]
-            self._pos += take
-            n -= take
-        return bytes(out)
+        if n <= 0:
+            return b""
+        pool, pos = self._pool, self._pos
+        end = pos + n
+        if end <= len(pool):
+            self._pos = end
+            return pool[pos:end]
+        # one refill of every counter block the rest of the request needs
+        need = end - len(pool)
+        blocks = -(-need // 32)
+        key, counter = self._key, self._counter
+        fresh = b"".join(
+            hashlib.sha256(key + (counter + b).to_bytes(8, "big")).digest()
+            for b in range(blocks)
+        )
+        self._counter = counter + blocks
+        self._pool = fresh
+        self._pos = need
+        return pool[pos:] + fresh[:need]
 
     def getrandbits(self, k: int) -> int:
         if k <= 0:
@@ -71,6 +81,29 @@ class Drbg:
             value = self.getrandbits(k)
             if value < n:
                 return value
+
+    def randbelow_many(self, n: int, count: int) -> tuple[int, ...]:
+        """``count`` uniform integers in [0, n): the values, and the stream
+        left behind, of ``count`` calls of ``randbelow(n)``.
+
+        Each pull takes the bytes of as many candidates as values are still
+        missing, since every one of them would be consumed by single draws.
+        """
+        if n <= 0:
+            raise ValueError("bound must be positive")
+        k = n.bit_length()
+        nbytes = (k + 7) // 8
+        shift = 8 * nbytes - k
+        out: list[int] = []
+        missing = count
+        while missing > 0:
+            data = self.randbytes(missing * nbytes)
+            for i in range(0, len(data), nbytes):
+                value = int.from_bytes(data[i : i + nbytes], "big") >> shift
+                if value < n:
+                    out.append(value)
+            missing = count - len(out)
+        return tuple(out)
 
     def bit_vector(self, r: int) -> tuple[int, ...]:
         """Uniform binary vector of length r, most significant bit first."""

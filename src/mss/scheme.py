@@ -28,6 +28,7 @@ from .ajtai import (
     Commitment,
     Share,
     ajtai_hash,
+    ajtai_hash_many,
     sample_distinct_shares,
     sample_matrix_full_rank,
     share_length,
@@ -255,8 +256,10 @@ def setup(params: SchemeParams, rng) -> SetupResult:
         field, params.max_threshold, params.r, rng
     )
     commitments = tuple(
-        Commitment(owner=share.owner, values=ajtai_hash(field, commit_matrix, share.bits))
-        for share in shares
+        Commitment(owner=share.owner, values=values)
+        for share, values in zip(
+            shares, ajtai_hash_many(field, commit_matrix, bit_vectors)
+        )
     )
     return SetupResult(
         shares=shares,
@@ -318,6 +321,7 @@ def construct(
         if len(share.bits) != params.r:
             raise BadShares(f"share {j} has wrong bit-length")
     field = params.field()
+    bit_vectors = [share.bits for share in setup_result.shares]
     constants = _draw_constants(params, rng)
     offsets = []
     extras = []
@@ -325,19 +329,17 @@ def construct(
     for i in range(1, params.k + 1):
         t_i = params.thresholds[i - 1]
         g_i = setup_result.mask_matrices[i - 1]
-        shadows = {
-            share.owner: ajtai_hash(field, g_i, share.bits)
-            for share in setup_result.shares
-        }
+        # shadows[j - 1] is owner j's, as the shares are ordered by owner
+        shadows = ajtai_hash_many(field, g_i, bit_vectors)
         constant = constants[0] if params.variant.shared_constant else constants[i - 1]
         spec = ilr_spec_for(params, i, constant)
         initial = [field.vec(secrets[i - 1])]
-        initial.extend(shadows[j] for j in range(1, t_i))
+        initial.extend(shadows[: t_i - 1])
         e_i = params.variant.extras_count(t_i)
         seq = forward_extend(spec, initial, params.n + e_i)
         offsets.append(
             tuple(
-                field.vec_sub(seq.term(j), shadows[j])
+                field.vec_sub(seq.term(j), shadows[j - 1])
                 for j in range(t_i, params.n + 1)
             )
         )

@@ -3,20 +3,54 @@
 import pytest
 
 from mss.ajtai import (
+    MAX_RANK_RESAMPLES,
     Commitment,
     Share,
     ajtai_hash,
+    ajtai_hash_many,
     sample_binary_share,
     sample_distinct_shares,
     sample_matrix_full_rank,
     share_length,
     verify_commitment,
 )
-from mss.errors import DimMismatch, NotBinary, ShareSpaceExhausted
+from mss.errors import DimMismatch, NotBinary, RngSuspect, ShareSpaceExhausted
 from mss.field import Matrix, PrimeField, matrix_rank
 from mss.rng import Drbg
 
 F97 = PrimeField(97)
+
+
+def reference_rank(field, m):
+    """Row rank by elimination over the whole matrix, every column."""
+    q = field.q
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    rank = 0
+    for col in range(m.cols):
+        pivot = next((r for r in range(rank, m.rows) if rows[r][col] % q), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv_p = pow(rows[rank][col], -1, q)
+        prow = [v * inv_p % q for v in rows[rank]]
+        for r in range(rank + 1, m.rows):
+            f = rows[r][col] % q
+            rows[r] = [(a - f * b) % q for a, b in zip(rows[r], prow)]
+        rank += 1
+    return rank
+
+
+def reference_full_rank_sample(field, rows, cols, rng):
+    """The sampler drawn one residue at a time and ranked in full on every draw."""
+    for _ in range(MAX_RANK_RESAMPLES):
+        m = Matrix(rows, cols, tuple(rng.randbelow(field.q) for _ in range(rows * cols)))
+        if reference_rank(field, m) == rows:
+            return m
+    raise RngSuspect("reference sampler gave up")
+
+
+def leading_block(m):
+    return Matrix(m.rows, m.rows, tuple(v for i in range(m.rows) for v in m.row(i)[: m.rows]))
 
 
 class TestShareLength:
@@ -101,6 +135,23 @@ class TestAjtaiHash:
         assert ajtai_hash(F97, a, x) == ajtai_hash(F97, a, x)
 
 
+class TestMatrixRank:
+    """The rank the sampler decides by, against elimination of every column."""
+
+    @pytest.mark.parametrize("q", [2, 5, 97])
+    def test_matches_full_elimination(self, q):
+        field = PrimeField(q)
+        rng = Drbg(f"rank-{q}")
+        singular_blocks = 0
+        for rows, cols in [(1, 3), (2, 3), (2, 5), (3, 4), (3, 3), (4, 2), (4, 7)]:
+            for _ in range(60):
+                m = Matrix(rows, cols, field.rand_vec(rng, rows * cols))
+                if rows < cols and reference_rank(field, leading_block(m)) < rows:
+                    singular_blocks += 1
+                assert matrix_rank(field, m) == reference_rank(field, m)
+        assert singular_blocks > 0
+
+
 class TestMatrixSampling:
     def test_single_row_is_nonzero(self):
         m = sample_matrix_full_rank(F97, 1, 4, Drbg(5))
@@ -118,6 +169,71 @@ class TestMatrixSampling:
     def test_rows_exceeding_cols_rejected(self):
         with pytest.raises(DimMismatch):
             sample_matrix_full_rank(F97, 5, 4, Drbg(8))
+
+    # Seeds whose first 2x3 draw at q = 97 has a singular leading 2x2 block:
+    # 67's has full row rank anyway, 245's is rank-deficient and is redrawn.
+    @pytest.mark.parametrize("seed, first_rank", [(67, 2), (245, 1)])
+    def test_singular_leading_block_matches_full_ranking(self, seed, first_rank):
+        draws = Drbg(seed)
+        first = Matrix(2, 3, tuple(draws.randbelow(97) for _ in range(6)))
+        assert reference_rank(F97, leading_block(first)) < 2
+        assert reference_rank(F97, first) == first_rank
+        rng, ref_rng = Drbg(seed), Drbg(seed)
+        m = sample_matrix_full_rank(F97, 2, 3, rng)
+        assert m == reference_full_rank_sample(F97, 2, 3, ref_rng)
+        assert (m == first) == (first_rank == 2)
+        assert rng.randbytes(32) == ref_rng.randbytes(32)
+
+    def test_constant_randomness_raises_rng_suspect(self):
+        class ZeroDrbg(Drbg):
+            """Every byte it returns is zero, so every matrix is zero."""
+
+            def __init__(self):
+                super().__init__(0)
+                self.drawn = 0
+
+            def randbytes(self, n):
+                self.drawn += n
+                return bytes(n)
+
+        rng = ZeroDrbg()
+        with pytest.raises(RngSuspect):
+            sample_matrix_full_rank(F97, 2, 6, rng)
+        assert rng.drawn == MAX_RANK_RESAMPLES * 2 * 6  # one byte per residue below 97
+
+
+# A prime above 2^64, so the packed slots of the batch hash are wider than
+# a machine word.
+BIG_PRIME = (1 << 64) + 13
+
+
+class TestAjtaiHashMany:
+    @pytest.mark.parametrize("q", [97, (1 << 61) - 1, BIG_PRIME])
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 17), (8, 255), (32, 160)])
+    def test_matches_single_hash(self, q, rows, cols):
+        field = PrimeField(q)
+        rng = Drbg(f"many-{q}-{rows}-{cols}")
+        vectors = [(0,) * cols, (1,) * cols] + [rng.bit_vector(cols) for _ in range(6)]
+        for a in (
+            Matrix(rows, cols, field.rand_vec(rng, rows * cols)),
+            Matrix(rows, cols, (q - 1,) * (rows * cols)),  # largest slot sums
+        ):
+            assert ajtai_hash_many(field, a, vectors) == [
+                ajtai_hash(field, a, x) for x in vectors
+            ]
+
+    def test_no_vectors(self):
+        a = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        assert ajtai_hash_many(F97, a, []) == []
+
+    @pytest.mark.parametrize("bad", [(1, 0), (1, 0, 1, 1), (1, 0, 2), (1, -1, 0), (0, 0.5, 1)])
+    def test_bad_vector_raises_like_single_hash(self, bad):
+        a = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises((DimMismatch, NotBinary)) as single:
+            ajtai_hash(F97, a, bad)
+        with pytest.raises(single.type) as many:
+            ajtai_hash_many(F97, a, [(1, 1, 0), bad])
+        assert str(many.value) == str(single.value)
 
 
 class TestVerifyCommitment:
@@ -157,6 +273,6 @@ class TestVerifyCommitment:
         rng = Drbg(1000)
         field = F97
         for _ in range(1000):
-            f = Matrix(4, 16, tuple(field.rand(rng) for _ in range(64)))
+            f = Matrix(4, 16, field.rand_vec(rng, 64))
             a, b = sample_distinct_shares(2, 16, rng)
             assert ajtai_hash(field, f, a) != ajtai_hash(field, f, b)

@@ -1,6 +1,7 @@
 """Serialization: canonical encoding, round trips, and strict decoding."""
 
 import json
+import sys
 
 import pytest
 
@@ -26,6 +27,14 @@ from mss.errors import (
 from mss.field import DEFAULT_PRIME
 from mss.rng import Drbg
 from mss.scheme import SchemeParams, Variant, deal
+
+
+#: The interpreter's digit limit for int(str); 0 where it has none.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "1" * (DIGIT_LIMIT + 1)
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this interpreter converts decimal strings of any length"
+)
 
 
 def make_board(variant=Variant.S1, n=5, k=2, thresholds=(2, 3), q=97, seed="ser"):
@@ -185,6 +194,15 @@ class TestBulletinValidation:
             decode_bulletin(mutate(board, ["params", "q"], bad))
         assert str(excinfo.value) == "params.q must be a canonical decimal string"
 
+    @needs_digit_limit
+    @pytest.mark.parametrize("what", [*ARRAYS, "params.q"])
+    def test_decimal_past_digit_limit_is_parse_error(self, what):
+        _, board = make_board()
+        path = ["params", "q"] if what == "params.q" else [*self.ARRAYS[what], -1]
+        with pytest.raises(ParseError) as excinfo:
+            decode_bulletin(mutate(board, path, TOO_LONG))
+        assert str(excinfo.value) == f"{what} has too many digits ({len(TOO_LONG)})"
+
     def test_offset_vector_wrong_length_rejected(self):
         _, board = make_board()
         obj = json.loads(encode_bulletin(board))
@@ -313,6 +331,22 @@ class TestSecretsAndRecoveredFiles:
         blob = encode_secrets(101, ((99,),))
         with pytest.raises(ValidationError):
             decode_secrets(blob, 97)
+
+    @needs_digit_limit
+    def test_secret_past_digit_limit_is_parse_error(self):
+        obj = json.loads(encode_secrets(97, ((1, 2), (3,))))
+        obj["secrets"][1][0] = TOO_LONG
+        with pytest.raises(ParseError) as excinfo:
+            decode_secrets(json.dumps(obj).encode(), 97)
+        assert str(excinfo.value) == f"secrets[1] has too many digits ({len(TOO_LONG)})"
+
+    @needs_digit_limit
+    def test_candidate_past_digit_limit_is_parse_error(self):
+        obj = json.loads(encode_recovered(1, (5, 6), True, "ab" * 32))
+        obj["candidate"][1] = TOO_LONG
+        with pytest.raises(ParseError) as excinfo:
+            decode_recovered(json.dumps(obj).encode())
+        assert str(excinfo.value) == f"candidate has too many digits ({len(TOO_LONG)})"
 
     def test_recovered_round_trip(self):
         digest = "ab" * 32

@@ -132,6 +132,23 @@ class TestDeal:
         assert result.returncode == 2
         assert not (tmp_path / "bulletin.json").exists()
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter converts decimal strings of any length",
+    )
+    def test_secret_past_digit_limit_exits_two(self, tmp_path):
+        digits = sys.get_int_max_str_digits() + 1
+        bad = tmp_path / "secrets.json"
+        obj = json.loads(encode_secrets(97, ((7, 9), (1, 2, 3))))
+        obj["secrets"][0][1] = "1" * digits
+        bad.write_text(json.dumps(obj))
+        result = run_cli(
+            *DEAL_ARGS, "--secrets", str(bad), "--out-dir", str(tmp_path)
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"error: ParseError: secrets[0] has too many digits ({digits})\n"
+        assert not (tmp_path / "bulletin.json").exists()
+
     def test_wrong_secret_shape(self, tmp_path):
         bad = tmp_path / "secrets.json"
         bad.write_bytes(encode_secrets(97, ((7, 9),)))

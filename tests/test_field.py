@@ -128,9 +128,7 @@ class TestSolveLinear:
         for field in (F97, FBIG):
             for _ in range(20):
                 size = 2 + rng.randbelow(4)
-                m = Matrix(
-                    size, size, tuple(field.rand(rng) for _ in range(size * size))
-                )
+                m = Matrix(size, size, field.rand_vec(rng, size * size))
                 x = field.rand_vec(rng, size)
                 b = mat_vec(field, m, x)
                 sol = solve_linear(field, m, [b])

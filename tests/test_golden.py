@@ -4,7 +4,9 @@ For each variant and modulus, `mss deal --seed 7` runs, then `mss recover`
 with each method for each secret on a fixed quorum, then `mss
 verify-secret` on each report.  The SHA-256 of every written file and of
 every command's stdout is pinned in tests/data/golden_sha256.json, so any
-change to a seeded output byte fails here.
+change to a seeded output byte fails here.  Two deals at the benchmark's
+scale (n = 64 and n = 40, thresholds 8,16,24,32) pin the bulletin and every
+share file in tests/data/golden_workload_sha256.json.
 """
 
 import hashlib
@@ -66,3 +68,38 @@ def test_seeded_output_matches_golden_hashes(variant, q, tmp_path, monkeypatch, 
     monkeypatch.chdir(tmp_path)
     golden = json.loads(GOLDEN.read_text())[f"{variant}-q{q}"]
     assert seeded_hashes(variant, q, capsys) == golden
+
+
+#: Deals at the benchmark's scale: the ``deal`` workload's shape, and s3 at
+#: q = 97, where n = 64 is too many owners for the modulus and n = 40 deals.
+WORKLOAD_GOLDEN = Path(__file__).resolve().parent / "data" / "golden_workload_sha256.json"
+WORKLOAD_DEALS = {
+    "s2-q2305843009213693951-n64": ("s2", (1 << 61) - 1, 64),
+    "s3-q97-n40": ("s3", 97, 40),
+}
+WORKLOAD_THRESHOLDS = (8, 16, 24, 32)
+
+
+def seeded_deal_hashes(variant: str, q: int, n: int, capsys) -> dict[str, str]:
+    """`mss deal --seed 7` in the current directory; file name -> SHA-256."""
+    secrets = tuple(
+        tuple((1000 * i + 7 * j) % q for j in range(t))
+        for i, t in enumerate(WORKLOAD_THRESHOLDS, start=1)
+    )
+    Path("secrets.json").write_bytes(encode_secrets(q, secrets))
+    assert cli.main([
+        "deal", "--variant", variant, "--n", str(n), "--k", str(len(WORKLOAD_THRESHOLDS)),
+        "--thresholds", ",".join(map(str, WORKLOAD_THRESHOLDS)), "--q", str(q),
+        "--seed", "7", "--secrets", "secrets.json", "--out-dir", "deal",
+    ]) == 0
+    out = {"deal.stdout": _sha(capsys.readouterr().out.encode())}
+    for name in ["bulletin.json"] + [f"share_{j}.json" for j in range(1, n + 1)]:
+        out[name] = _sha(Path("deal", name).read_bytes())
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(WORKLOAD_DEALS))
+def test_workload_scale_deal_matches_golden_hashes(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(WORKLOAD_GOLDEN.read_text())[case]
+    assert seeded_deal_hashes(*WORKLOAD_DEALS[case], capsys) == golden

@@ -4,10 +4,16 @@ For a random variant, modulus, participant count n <= 12, thresholds,
 secrets and DRBG seed, every recovery path returns the dealt secret exactly
 from a random quorum, and decoding an encoded bulletin gives it back.  The
 bulletin's one-pass residue-array parser agrees with a per-element reference
-parser on hostile arrays, errors included.  Examples are derived from the
-test itself (derandomized), so every run checks the same inputs.
+parser on hostile arrays, errors included.  The generator's byte stream is
+SHA-256 in counter mode however it is split, and a batch draw gives the
+values, and leaves the stream, of the single draws it replaces.  Examples
+are derived from the test itself (derandomized), so every run checks the
+same inputs.
 """
 
+import hashlib
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -143,3 +149,52 @@ def test_first_bad_element_decides_the_error():
     assert outcome(_parse_vector, ["03", "97"], 97, 2, "v") == (
         ParseError, "v must be a canonical decimal string"
     )
+
+
+def reference_stream(seed: int, size: int) -> bytes:
+    """The first ``size`` bytes of SHA-256 in counter mode under the seed's key."""
+    material = seed.to_bytes(max(1, (seed.bit_length() + 7) // 8), "big")
+    key = hashlib.sha256(b"mss.drbg.v1:" + material).digest()
+    blocks = (size + 31) // 32
+    stream = b"".join(hashlib.sha256(key + c.to_bytes(8, "big")).digest() for c in range(blocks))
+    return stream[:size]
+
+
+#: Draw sizes that leave the pool at any position, across block boundaries.
+SPLITS = st.lists(st.integers(0, 100), max_size=6)
+
+#: Bounds of one candidate byte (1, 2, 97), eight (2^61 - 1), nine and
+#: twenty.  About half the candidates are rejected for 1, 2, 2^64 + 1 and
+#: the 160-bit bound, a quarter for 97 and almost none for 2^61 - 1.
+BOUNDS = (1, 2, 97, (1 << 61) - 1, (1 << 64) + 1, (1 << 159) + 1)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**64), splits=SPLITS)
+def test_randbytes_is_one_counter_mode_stream(seed, splits):
+    rng = Drbg(seed)
+    drawn = b"".join(rng.randbytes(size) for size in splits)
+    assert drawn == reference_stream(seed, sum(splits))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**64),
+    n=st.sampled_from(BOUNDS),
+    count=st.integers(0, 70),
+    before=SPLITS,
+)
+def test_randbelow_many_equals_single_draws(seed, n, count, before):
+    batch, single = Drbg(seed), Drbg(seed)
+    for size in before:
+        assert batch.randbytes(size) == single.randbytes(size)
+    assert batch.randbelow_many(n, count) == tuple(single.randbelow(n) for _ in range(count))
+    assert batch.randbytes(32) == single.randbytes(32)
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_randbelow_many_rejects_bounds_like_randbelow(n):
+    with pytest.raises(ValueError, match="bound must be positive"):
+        Drbg(1).randbelow(n)
+    with pytest.raises(ValueError, match="bound must be positive"):
+        Drbg(1).randbelow_many(n, 3)
