@@ -140,7 +140,7 @@ def ajtai_hash_many(
     residues below q fits in a slot, so slots never carry into each other.
     A vector's hash is then one sum of the packed columns it picks,
     unpacked slot by slot and reduced mod q.  Packing costs more than one
-    hash, so single vectors go through ``ajtai_hash``.
+    hash, so it pays when several vectors are hashed under the same A.
     """
     for x in xs:
         _check_binary(a, x)

@@ -126,7 +126,8 @@ def _matrix_obj(m: Matrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "data": [str(v) for v in m.data]}
 
 
-def _parse_matrix(value, q: int, rows: int, cols: int, what: str) -> Matrix:
+def _parse_matrix(value, q: int, rows: int, cols: int, what: str) -> tuple[Matrix, dict]:
+    """The matrix, and its ``_matrix_obj`` rebuilt from the checked strings."""
     if not isinstance(value, dict):
         raise ParseError(f"{what} must be an object")
     got_rows = _parse_uint(_get(value, "rows"), f"{what}.rows")
@@ -135,8 +136,9 @@ def _parse_matrix(value, q: int, rows: int, cols: int, what: str) -> Matrix:
         raise ValidationError(
             f"{what} must be {rows}x{cols}, got {got_rows}x{got_cols}"
         )
-    data = _parse_vector(_get(value, "data"), q, rows * cols, f"{what}.data")
-    return Matrix(rows, cols, data)
+    raw = _get(value, "data")
+    data = _parse_vector(raw, q, rows * cols, f"{what}.data")
+    return Matrix(rows, cols, data), {"rows": rows, "cols": cols, "data": raw}
 
 
 def _params_obj(params: SchemeParams) -> dict:
@@ -182,13 +184,29 @@ def _setup_section(bulletin: Bulletin) -> dict:
     }
 
 
+def _digest(setup: dict) -> str:
+    return hashlib.sha256(_canonical_bytes(setup)).hexdigest()
+
+
 def deal_id(bulletin: Bulletin) -> str:
     """Digest binding shares to one deal: the hash of the setup section."""
-    return hashlib.sha256(_canonical_bytes(_setup_section(bulletin))).hexdigest()
+    return _digest(_setup_section(bulletin))
 
 
 def encode_bulletin(bulletin: Bulletin) -> bytes:
-    obj = _setup_section(bulletin)
+    return _canonical_bytes(_bulletin_obj(bulletin, _setup_section(bulletin)))
+
+
+def encode_bulletin_and_id(bulletin: Bulletin) -> tuple[bytes, str]:
+    """``encode_bulletin(bulletin)`` and ``deal_id(bulletin)``, with the
+    setup section turned into strings once for both."""
+    setup = _setup_section(bulletin)
+    return _canonical_bytes(_bulletin_obj(bulletin, setup)), _digest(setup)
+
+
+def _bulletin_obj(bulletin: Bulletin, setup: dict) -> dict:
+    """The whole bulletin as a JSON object, around its setup section."""
+    obj = dict(setup)
     obj["kind"] = "bulletin"
     obj["secret_hashes"] = list(bulletin.secret_hashes)
     obj["constants"] = [[str(v) for v in c] for c in bulletin.constants]
@@ -200,7 +218,7 @@ def encode_bulletin(bulletin: Bulletin) -> bytes:
         [[str(v) for v in vec] for vec in per_secret]
         for per_secret in bulletin.extras
     ]
-    return _canonical_bytes(obj)
+    return obj
 
 
 def _parse_per_secret(value, params: SchemeParams, count, what: str):
@@ -216,7 +234,14 @@ def _parse_per_secret(value, params: SchemeParams, count, what: str):
     )
 
 
-def decode_bulletin(data: bytes | str) -> Bulletin:
+def _decode_bulletin(data: bytes | str) -> tuple[Bulletin, dict]:
+    """The bulletin, and its setup section rebuilt from the checked fields.
+
+    The rebuilt section holds the file's own residue strings, which decode
+    has checked to be canonical decimals, so each equals ``str`` of its
+    value and the section equals ``_setup_section`` of the bulletin.  Keys
+    that decode ignores never reach it.
+    """
     obj = _load_json(data)
     _expect_kind(obj, "bulletin")
     params = _parse_params(_get(obj, "params"))
@@ -224,16 +249,17 @@ def decode_bulletin(data: bytes | str) -> Bulletin:
     n, k = params.n, params.k
     t_max = params.max_threshold
 
-    mask_matrices = tuple(
+    masks = [
         _parse_matrix(m, q, params.thresholds[i], params.r, f"mask_matrices[{i}]")
         for i, m in enumerate(_array(_get(obj, "mask_matrices"), k, "mask_matrices"))
-    )
-    commit_matrix = _parse_matrix(
+    ]
+    commit_matrix, commit_obj = _parse_matrix(
         _get(obj, "commit_matrix"), q, t_max, params.r, "commit_matrix"
     )
+    raw_commitments = _array(_get(obj, "commitments"), n, "commitments")
     commitments = tuple(
         Commitment(owner=j + 1, values=_parse_vector(c, q, t_max, f"commitments[{j}]"))
-        for j, c in enumerate(_array(_get(obj, "commitments"), n, "commitments"))
+        for j, c in enumerate(raw_commitments)
     )
 
     raw_hashes = _array(_get(obj, "secret_hashes"), k, "secret_hashes")
@@ -254,9 +280,9 @@ def decode_bulletin(data: bytes | str) -> Bulletin:
         _get(obj, "extras"), params, params.variant.extras_count, "extras"
     )
 
-    return Bulletin(
+    bulletin = Bulletin(
         params=params,
-        mask_matrices=mask_matrices,
+        mask_matrices=tuple(m for m, _ in masks),
         commit_matrix=commit_matrix,
         commitments=commitments,
         secret_hashes=tuple(raw_hashes),
@@ -264,6 +290,28 @@ def decode_bulletin(data: bytes | str) -> Bulletin:
         offsets=offsets,
         extras=extras,
     )
+    setup = {
+        "format_version": FORMAT_VERSION,
+        "params": _params_obj(params),
+        "mask_matrices": [m_obj for _, m_obj in masks],
+        "commit_matrix": commit_obj,
+        "commitments": raw_commitments,
+    }
+    return bulletin, setup
+
+
+def decode_bulletin(data: bytes | str) -> Bulletin:
+    return _decode_bulletin(data)[0]
+
+
+def read_bulletin(data: bytes | str) -> tuple[Bulletin, str]:
+    """``decode_bulletin(data)`` and its ``deal_id``, in one pass.
+
+    The digest is hashed from the residue strings decode has checked, not
+    from the bulletin's values turned back into strings.
+    """
+    bulletin, setup = _decode_bulletin(data)
+    return bulletin, _digest(setup)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .scheme import (
     recover_way2,
     verify_secret,
 )
-from .ajtai import verify_commitment
+from .ajtai import ajtai_hash_many, verify_commitment
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -67,10 +67,10 @@ def cmd_deal(args) -> int:
     )
     secrets = bio.decode_secrets(_read(args.secrets), params.q)
     shares, board = deal(params, secrets, _rng_for(args))
-    deal_digest = bio.deal_id(board)
+    board_bytes, deal_digest = bio.encode_bulletin_and_id(board)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    outputs = [(os.path.join(args.out_dir, "bulletin.json"), bio.encode_bulletin(board))]
+    outputs = [(os.path.join(args.out_dir, "bulletin.json"), board_bytes)]
     for share in shares:
         outputs.append(
             (
@@ -103,9 +103,9 @@ def cmd_deal(args) -> int:
 
 
 def cmd_verify_share(args) -> int:
-    board = bio.decode_bulletin(_read(args.bulletin))
+    board, digest = bio.read_bulletin(_read(args.bulletin))
     share_file = bio.decode_share(_read(args.share))
-    share = bio.bind_share(share_file, board, bio.deal_id(board))
+    share = bio.bind_share(share_file, board, digest)
     field = board.params.field()
     commitment = board.commitments[share.owner - 1]
     if verify_commitment(field, board.commit_matrix, share, commitment):
@@ -138,12 +138,9 @@ def _quorum(shares: list, t_i: int, method: str) -> list:
 
 
 def cmd_recover(args) -> int:
-    board = bio.decode_bulletin(_read(args.bulletin))
-    params = board.params
+    board, digest = bio.read_bulletin(_read(args.bulletin))
     i = args.secret
     t_i = board.threshold(i)
-    field = params.field()
-    digest = bio.deal_id(board)
 
     shares = []
     seen_owners = set()
@@ -154,9 +151,12 @@ def cmd_recover(args) -> int:
         seen_owners.add(share.owner)
         shares.append(share)
 
-    for share in shares:
-        commitment = board.commitments[share.owner - 1]
-        if not verify_commitment(field, board.commit_matrix, share, commitment):
+    # one batch hash; the first failure in the order given is reported
+    hashes = ajtai_hash_many(
+        board.params.field(), board.commit_matrix, [share.bits for share in shares]
+    )
+    for share, values in zip(shares, hashes):
+        if values != board.commitments[share.owner - 1].values:
             print(f"share {share.owner}: FAIL", file=sys.stderr)
             return EXIT_VERIFY_FAILED
 
@@ -175,9 +175,9 @@ def cmd_recover(args) -> int:
 
 
 def cmd_verify_secret(args) -> int:
-    board = bio.decode_bulletin(_read(args.bulletin))
+    board, digest = bio.read_bulletin(_read(args.bulletin))
     report = bio.decode_recovered(_read(args.recovered))
-    if report.deal != bio.deal_id(board):
+    if report.deal != digest:
         raise WrongDeal("report belongs to another deal")
     if verify_secret(board, report.secret_index, report.candidate):
         print(f"secret {report.secret_index}: verified")

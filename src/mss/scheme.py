@@ -77,6 +77,11 @@ class Variant(str, enum.Enum):
         return threshold + 1 if self.shared_constant else 2
 
 
+#: Largest participant count a deal may have.  Thresholds are at most n,
+#: so this also bounds the t**t that deriving r computes exactly.
+MAX_PARTICIPANTS = 4096
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Validated deal parameters.
@@ -97,6 +102,9 @@ class SchemeParams:
         object.__setattr__(self, "thresholds", tuple(self.thresholds))
         if self.n < 2:
             raise ValueError("need at least 2 participants")
+        if self.n > MAX_PARTICIPANTS:
+            # before share_length runs: parameters come from files and flags
+            raise ValueError(f"at most {MAX_PARTICIPANTS} participants, got {self.n}")
         if self.k < 1:
             raise ValueError("need at least 1 secret")
         if len(self.thresholds) != self.k:
@@ -417,8 +425,18 @@ def assemble_subshadows(
 def participant_subshadows(
     bulletin: Bulletin, i: int, shares: Iterable[Share]
 ) -> dict[int, tuple[int, ...]]:
-    """Subshadows of secret i computed straight from a group's shares."""
-    shadows = {share.owner: compute_shadow(bulletin, i, share) for share in shares}
+    """Subshadows of secret i computed straight from a group's shares.
+
+    All shadows come from one ``ajtai_hash_many`` call under G_i; they equal
+    ``compute_shadow`` of each share.
+    """
+    bulletin._check_secret_index(i)
+    shares = list(shares)
+    field = bulletin.params.field()
+    hashes = ajtai_hash_many(
+        field, bulletin.mask_matrices[i - 1], [share.bits for share in shares]
+    )
+    shadows = {share.owner: values for share, values in zip(shares, hashes)}
     return assemble_subshadows(bulletin, i, shadows)
 
 

@@ -1,7 +1,9 @@
 """Serialization: canonical encoding, round trips, and strict decoding."""
 
 import json
+import random
 import sys
+import time
 
 import pytest
 
@@ -16,6 +18,7 @@ from mss.bulletin import (
     encode_recovered,
     encode_secrets,
     encode_share,
+    read_bulletin,
     write_atomic,
 )
 from mss.errors import (
@@ -88,6 +91,34 @@ class TestBulletinRoundTrip:
         )
         assert all(len(per_secret) == 1 for per_secret in board.offsets)
         assert decode_bulletin(encode_bulletin(board)) == board
+
+
+def reordered(value, rnd):
+    """The JSON value with the keys of every object in a random order."""
+    if isinstance(value, dict):
+        items = list(value.items())
+        rnd.shuffle(items)
+        return {key: reordered(v, rnd) for key, v in items}
+    if isinstance(value, list):
+        return [reordered(v, rnd) for v in value]
+    return value
+
+
+class TestReadBulletin:
+    def test_digest_ignores_what_decode_ignores(self):
+        # an accepted file that is not canonical: unknown keys at three
+        # levels, indentation and shuffled key order
+        _, board = make_board(variant=Variant.S3, q=DEFAULT_PRIME, seed="loose")
+        obj = json.loads(encode_bulletin(board))
+        obj["comment"] = "dealt by hand"
+        obj["params"]["note"] = ["x", 1]
+        obj["mask_matrices"][1]["label"] = {"rows": 7}
+        obj["commit_matrix"]["data_sha"] = "0"
+        blob = json.dumps(reordered(obj, random.Random(5)), indent=2).encode()
+        assert blob != encode_bulletin(board)
+        decoded, digest = read_bulletin(blob)
+        assert decoded == decode_bulletin(blob) == board
+        assert digest == deal_id(decode_bulletin(blob)) == deal_id(board)
 
 
 class TestBulletinValidation:
@@ -202,6 +233,21 @@ class TestBulletinValidation:
         with pytest.raises(ParseError) as excinfo:
             decode_bulletin(mutate(board, path, TOO_LONG))
         assert str(excinfo.value) == f"{what} has too many digits ({len(TOO_LONG)})"
+
+    def test_huge_n_rejected_before_share_length(self):
+        # 281 bytes that would make SchemeParams compute t**t for t = 10**6
+        params = {"variant": "s1", "n": 10**6, "k": 1, "thresholds": [10**6],
+                  "q": str(DEFAULT_PRIME), "r": 0}
+        blob = json.dumps({
+            "kind": "bulletin", "format_version": 1, "params": params,
+            "mask_matrices": [], "commit_matrix": {}, "commitments": [],
+            "secret_hashes": [], "constants": [], "offsets": [], "extras": [],
+        }).encode()
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as excinfo:
+            decode_bulletin(blob)
+        assert time.perf_counter() - start < 0.1
+        assert str(excinfo.value) == "at most 4096 participants, got 1000000"
 
     def test_offset_vector_wrong_length_rejected(self):
         _, board = make_board()

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,22 @@ class TestDeal:
         label = "os34" if variant in ("s3", "s4") else "os12"
         assert line.endswith(f" total={public_value_counts(t, k, n)[label]}")
 
+    def test_huge_n_exits_two_quickly(self, tmp_path, capsys):
+        secrets_path = tmp_path / "secrets.json"
+        secrets_path.write_bytes(encode_secrets(97, ((7, 9),)))
+        start = time.perf_counter()
+        code = cli.main([
+            "deal", "--variant", "s1", "--n", "1000000", "--k", "1",
+            "--thresholds", "1000000", "--secrets", str(secrets_path),
+            "--out-dir", str(tmp_path),
+        ])
+        assert time.perf_counter() - start < 0.1
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: ValueError: at most 4096 participants, got 1000000\n"
+        )
+        assert not (tmp_path / "bulletin.json").exists()
+
     def test_threshold_one_rejected(self, tmp_path):
         secrets_path = tmp_path / "secrets.json"
         secrets_path.write_bytes(encode_secrets(97, ((7,), (1, 2, 3))))
@@ -276,25 +293,43 @@ class TestRecover:
         result = self.recover(dealt, "vandermonde", 2, [1, 2, 3, 4, 5], "r4.json")
         assert result.returncode == 0
 
-    def test_one_deal_id_per_recover(self, dealt, monkeypatch, capsys):
-        # every share file is bound through the one digest of the deal
-        calls = []
-        real = bio.deal_id
+    def test_read_paths_never_stringify_the_setup(self, dealt, monkeypatch, capsys):
+        # recover, verify-share and verify-secret take the digest from
+        # read_bulletin, hashed from the strings decode checked
+        bulletin = str(dealt / "bulletin.json")
+        expected = bio.deal_id(bio.decode_bulletin((dealt / "bulletin.json").read_bytes()))
 
-        def counting_deal_id(board):
-            calls.append(board)
-            return real(board)
+        def forbidden(*args):
+            raise AssertionError("the setup section was stringified")
 
-        monkeypatch.setattr(bio, "deal_id", counting_deal_id)
+        monkeypatch.setattr(bio, "_setup_section", forbidden)
+        monkeypatch.setattr(bio, "deal_id", forbidden)
+        report = str(dealt / "r_once.json")
+        assert cli.main([
+            "recover", "--bulletin", bulletin, "--secret", "2", "--method", "lagrange",
+            "--out", report, *[str(dealt / f"share_{j}.json") for j in range(1, 6)],
+        ]) == 0, capsys.readouterr().err
+        assert cli.main([
+            "verify-share", "--bulletin", bulletin, "--share", str(dealt / "share_3.json"),
+        ]) == 0, capsys.readouterr().err
+        assert cli.main(["verify-secret", "--bulletin", bulletin, "--recovered", report]) == 0
+        assert json.loads((dealt / "r_once.json").read_text())["deal"] == expected
+
+    @pytest.mark.parametrize("order", [(5, 2), (2, 5)])
+    def test_first_failing_share_given_is_reported(self, dealt, order, capsys):
+        for j in (2, 5):
+            path = dealt / f"share_{j}.json"
+            obj = json.loads(path.read_text())
+            obj["bits"] = obj["bits"][:-1] + format(int(obj["bits"][-1], 16) ^ 1, "x")
+            path.write_text(json.dumps(obj))
         code = cli.main([
-            "recover", "--bulletin", str(dealt / "bulletin.json"), "--secret", "2",
-            "--method", "lagrange", "--out", str(dealt / "r_once.json"),
-            *[str(dealt / f"share_{j}.json") for j in range(1, 6)],
+            "recover", "--bulletin", str(dealt / "bulletin.json"), "--secret", "1",
+            "--method", "lagrange", "--out", str(dealt / "r_bad.json"),
+            *[str(dealt / f"share_{j}.json") for j in (1, *order, 3)],
         ])
-        assert code == 0, capsys.readouterr().err
-        assert len(calls) == 1
-        report = json.loads((dealt / "r_once.json").read_text())
-        assert report["deal"] == real(bio.decode_bulletin((dealt / "bulletin.json").read_bytes()))
+        assert code == 1
+        assert capsys.readouterr().err == f"share {order[0]}: FAIL\n"
+        assert not (dealt / "r_bad.json").exists()
 
     def test_default_output_path(self, dealt):
         result = run_cli(

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from mss import cli
-from mss.bulletin import encode_secrets
+from mss.bulletin import deal_id, decode_bulletin, encode_secrets, read_bulletin
 from mss.scheme import Variant
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_sha256.json"
@@ -31,6 +31,15 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def deal_argv(variant: str, q: int, n: int, thresholds) -> list[str]:
+    """`mss deal --seed 7` of secrets.json into the directory deal."""
+    return [
+        "deal", "--variant", variant, "--n", str(n), "--k", str(len(thresholds)),
+        "--thresholds", ",".join(map(str, thresholds)), "--q", str(q),
+        "--seed", "7", "--secrets", "secrets.json", "--out-dir", "deal",
+    ]
+
+
 def seeded_hashes(variant: str, q: int, capsys) -> dict[str, str]:
     """Run the command battery in the current directory; name -> SHA-256."""
     out: dict[str, str] = {}
@@ -40,11 +49,7 @@ def seeded_hashes(variant: str, q: int, capsys) -> dict[str, str]:
         out[f"{name}.stdout"] = _sha(capsys.readouterr().out.encode())
 
     Path("secrets.json").write_bytes(encode_secrets(q, SECRETS))
-    run("deal", [
-        "deal", "--variant", variant, "--n", str(N), "--k", str(len(THRESHOLDS)),
-        "--thresholds", ",".join(map(str, THRESHOLDS)), "--q", str(q),
-        "--seed", "7", "--secrets", "secrets.json", "--out-dir", "deal",
-    ])
+    run("deal", deal_argv(variant, q, N, THRESHOLDS))
     for name in ["bulletin.json"] + [f"share_{j}.json" for j in range(1, N + 1)]:
         out[name] = _sha(Path("deal", name).read_bytes())
     for i, t_i in enumerate(THRESHOLDS, start=1):
@@ -87,11 +92,7 @@ def seeded_deal_hashes(variant: str, q: int, n: int, capsys) -> dict[str, str]:
         for i, t in enumerate(WORKLOAD_THRESHOLDS, start=1)
     )
     Path("secrets.json").write_bytes(encode_secrets(q, secrets))
-    assert cli.main([
-        "deal", "--variant", variant, "--n", str(n), "--k", str(len(WORKLOAD_THRESHOLDS)),
-        "--thresholds", ",".join(map(str, WORKLOAD_THRESHOLDS)), "--q", str(q),
-        "--seed", "7", "--secrets", "secrets.json", "--out-dir", "deal",
-    ]) == 0
+    assert cli.main(deal_argv(variant, q, n, WORKLOAD_THRESHOLDS)) == 0
     out = {"deal.stdout": _sha(capsys.readouterr().out.encode())}
     for name in ["bulletin.json"] + [f"share_{j}.json" for j in range(1, n + 1)]:
         out[name] = _sha(Path("deal", name).read_bytes())
@@ -103,3 +104,25 @@ def test_workload_scale_deal_matches_golden_hashes(case, tmp_path, monkeypatch, 
     monkeypatch.chdir(tmp_path)
     golden = json.loads(WORKLOAD_GOLDEN.read_text())[case]
     assert seeded_deal_hashes(*WORKLOAD_DEALS[case], capsys) == golden
+
+
+@pytest.mark.parametrize("case", sorted(WORKLOAD_DEALS) + [
+    f"{variant.value}-q{q}" for variant in Variant for q in MODULI
+])
+def test_read_bulletin_on_every_golden_deal(case, tmp_path, monkeypatch, capsys):
+    # the digest read_bulletin hashes from the checked strings is deal_id
+    monkeypatch.chdir(tmp_path)
+    if case in WORKLOAD_DEALS:
+        golden = json.loads(WORKLOAD_GOLDEN.read_text())[case]
+        seeded_deal_hashes(*WORKLOAD_DEALS[case], capsys)
+    else:
+        golden = json.loads(GOLDEN.read_text())[case]
+        variant, q = case.split("-q")
+        Path("secrets.json").write_bytes(encode_secrets(int(q), SECRETS))
+        assert cli.main(deal_argv(variant, int(q), N, THRESHOLDS)) == 0
+    blob = Path("deal", "bulletin.json").read_bytes()
+    assert _sha(blob) == golden["bulletin.json"]
+    board = decode_bulletin(blob)
+    assert read_bulletin(blob) == (board, deal_id(board))
+    share = json.loads(Path("deal", "share_1.json").read_bytes())
+    assert share["deal"] == deal_id(board)

@@ -2,7 +2,9 @@
 
 For a random variant, modulus, participant count n <= 12, thresholds,
 secrets and DRBG seed, every recovery path returns the dealt secret exactly
-from a random quorum, and decoding an encoded bulletin gives it back.  The
+from a random quorum, and decoding an encoded bulletin gives it back.
+``read_bulletin`` gives ``deal_id`` of the decoded bulletin even for a file
+with unknown keys, indentation and shuffled key order.  The
 bulletin's one-pass residue-array parser agrees with a per-element reference
 parser on hostile arrays, errors included.  The generator's byte stream is
 SHA-256 in counter mode however it is split, and a batch draw gives the
@@ -12,6 +14,7 @@ same inputs.
 """
 
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from mss.bulletin import (
     decode_share,
     encode_bulletin,
     encode_share,
+    read_bulletin,
 )
 from mss.errors import MssError, ParseError, ValidationError
 from mss.rng import Drbg
@@ -89,6 +93,37 @@ def test_decode_encode_is_the_identity(dealt):
     for share in shares:
         share_file = decode_share(encode_share(share, deal=digest))
         assert (share_file.share, share_file.deal) == (share, digest)
+
+
+#: Values of unknown keys, which decode ignores.
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def loosened(value, draw):
+    """The JSON value with unknown keys added to objects and keys shuffled."""
+    if isinstance(value, list):
+        return [loosened(v, draw) for v in value]
+    if not isinstance(value, dict):
+        return value
+    items = [(key, loosened(v, draw)) for key, v in value.items()]
+    extra = draw(st.lists(st.text(max_size=3), max_size=2, unique=True))
+    items += [(f"x-{key}", draw(JUNK)) for key in extra]
+    return dict(draw(st.permutations(items)))
+
+
+@PROPERTY
+@given(dealt=deals(), data=st.data())
+def test_read_bulletin_digest_is_deal_id_of_the_decoded(dealt, data):
+    _, _, board = dealt
+    obj = loosened(json.loads(encode_bulletin(board)), data.draw)
+    blob = json.dumps(obj, indent=data.draw(st.sampled_from([None, 0, 2, "\t"]))).encode()
+    decoded = decode_bulletin(blob)
+    assert decoded == board
+    assert read_bulletin(blob) == (decoded, deal_id(decoded)) == (board, deal_id(board))
 
 
 def reference_vector(value, q, what):

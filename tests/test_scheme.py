@@ -1,6 +1,7 @@
 """The four-phase protocol: dealing, recovery, verification, privacy probe."""
 
 import dataclasses
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from mss.field import mat_vec, vandermonde
 from mss.ilr import fold_value, forward_extend
 from mss.rng import Drbg
 from mss.scheme import (
+    MAX_PARTICIPANTS,
     SchemeParams,
     Variant,
     assemble_subshadows,
@@ -92,6 +94,19 @@ class TestSchemeParams:
     def test_variant_accepts_strings(self):
         p = SchemeParams(variant="s3", n=5, k=1, thresholds=(2,), q=97)
         assert p.variant is Variant.S3
+
+    def test_participant_count_capped(self):
+        p = SchemeParams(variant=Variant.S1, n=MAX_PARTICIPANTS, k=1, thresholds=(2,))
+        assert p.n == MAX_PARTICIPANTS
+        with pytest.raises(ValueError, match=f"at most {MAX_PARTICIPANTS} participants"):
+            SchemeParams(variant=Variant.S1, n=MAX_PARTICIPANTS + 1, k=1, thresholds=(2,))
+
+    def test_huge_n_rejected_before_share_length(self):
+        # share_length(10**6, 10**6) alone takes seconds: t**t has 2e7 bits
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="at most"):
+            SchemeParams(variant=Variant.S1, n=10**6, k=1, thresholds=(10**6,))
+        assert time.perf_counter() - start < 0.1
 
 
 class TestIlrSpecFor:
@@ -239,6 +254,31 @@ class TestShadows:
         sub = participant_subshadows(board, 1, shares)
         for j in range(1, params.n + 1):
             assert sub[j] == seq.term(j)
+
+    def test_participant_subshadows_equal_shadow_plus_offset(self):
+        params, _, shares, board = make_deal(
+            Variant.S3, n=7, k=2, thresholds=(3, 4), seed="batch"
+        )
+        for i in (1, 2):
+            group = [shares[5], shares[1], shares[6], shares[2]]
+            shadows = {s.owner: compute_shadow(board, i, s) for s in group}
+            assert participant_subshadows(board, i, group) == assemble_subshadows(
+                board, i, shadows
+            )
+
+    @pytest.mark.parametrize("i", [0, 3])
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_participant_subshadows_bad_secret_index(self, i, count):
+        _, _, shares, board = make_deal(
+            Variant.S1, n=5, k=2, thresholds=(2, 3), seed="bad-i"
+        )
+        with pytest.raises(BadIndex, match=f"secret index {i} outside"):
+            participant_subshadows(board, i, shares[:count])
+
+    def test_participant_subshadows_of_no_shares(self):
+        _, _, _, board = make_deal(Variant.S1, n=5, k=2, thresholds=(2, 3), seed="empty")
+        assert participant_subshadows(board, 2, []) == {}
+        assert participant_subshadows(board, 2, iter(())) == {}
 
     def test_assemble_rejects_out_of_range_index(self):
         params, _, shares, board = make_deal(
