@@ -30,26 +30,26 @@ print("window coefficients:", recursion_coeffs(spec))
 print("right-hand sides   :", [rhs_term(spec, i)[0] for i in range(6)])
 
 seq = forward_extend(spec, [(0,), (0,)], 9)
-print("sequence           :", [v[0] for v in seq.terms], " (these are C(j,3))")
+print("sequence           :", [v[0] for v in seq], " (these are C(j,3))")
 
 # Any order-many consecutive terms walk back to the start.
-window = list(seq.terms[5:7])
+window = list(seq[5:7])
 print("backward from u_5, u_6:", [v[0] for v in backward_recover(spec, window, 5)])
 
 # t+2l samples pin the general-term polynomial; its constant term is u_0.
-samples = [(j, seq.term(j)) for j in (2, 5, 7, 9)]
+samples = [(j, seq[j]) for j in (2, 5, 7, 9)]
 (coeffs,) = fit_general_term(spec, samples)
 print("fitted general term:", coeffs, "-> u_0 =", coeffs[0])
-assert all(poly_eval(field, coeffs, j) == seq.term(j)[0] for j in range(10))
+assert all(poly_eval(field, coeffs, j) == seq[j][0] for j in range(10))
 print()
 
 # The alternating family hides the polynomial behind a sign flip.
 alt = IlrSpec(t=1, l=1, alternating=True, c=(3,), field=field)
 alt_seq = forward_extend(alt, [(5,)], 7)
-print("alternating sequence:", [v[0] for v in alt_seq.terms])
-folded = [fold_value(alt, j, alt_seq.term(j)[0]) for j in range(8)]
+print("alternating sequence:", [v[0] for v in alt_seq])
+folded = [fold_value(alt, j, alt_seq[j][0]) for j in range(8)]
 print("after sign folding  :", folded, " (polynomial values again)")
-(alt_fit,) = fit_general_term(alt, [(j, alt_seq.term(j)) for j in range(3)])
+(alt_fit,) = fit_general_term(alt, [(j, alt_seq[j]) for j in range(3)])
 print("fit recovers u_0 =", alt_fit[0])
 print()
 
@@ -62,9 +62,9 @@ print("constant-RHS trailing coefficients:", a)
 print("homogenized one order higher      :", b)
 cseq = forward_extend(const, [(1,), (4,)], 8)
 k = len(a)
-for i in range(len(cseq.terms) - k - 1):
-    acc = cseq.term(i + k + 1)[0]
+for i in range(len(cseq) - k - 1):
+    acc = cseq[i + k + 1][0]
     for j, bj in enumerate(b, start=1):
-        acc += bj * cseq.term(i + k + 1 - j)[0]
+        acc += bj * cseq[i + k + 1 - j][0]
     assert acc % field.q == 0
 print("homogenized relation holds at every index of the sequence")

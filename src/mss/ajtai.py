@@ -69,20 +69,14 @@ def share_length(max_threshold: int, n: int) -> int:
     return max(from_threshold, from_n, MIN_SHARE_BITS)
 
 
-def sample_binary_share(r: int, rng) -> tuple[int, ...]:
-    """Uniform binary vector of length r."""
-    if r < 1:
-        raise ValueError("share length must be positive")
-    return rng.bit_vector(r)
-
-
 def sample_distinct_shares(n: int, r: int, rng) -> list[tuple[int, ...]]:
-    """n pairwise-distinct binary vectors, resampling on collision."""
+    """n pairwise-distinct uniform binary vectors of length r, resampling
+    on collision."""
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
     for _ in range(n):
         for _attempt in range(MAX_SHARE_RESAMPLES):
-            bits = sample_binary_share(r, rng)
+            bits = rng.bit_vector(r)
             if bits not in seen:
                 seen.add(bits)
                 out.append(bits)

@@ -53,8 +53,10 @@ def bench_at(
 ) -> dict[str, list[float]]:
     """Per-phase timing samples for one threshold value.
 
-    Setup runs once (shares and matrices are reusable across deals); each
-    trial times a fresh construction, one share verification, and one
+    Setup runs once so that construction can be timed on its own; this
+    is a timing harness only, as reusing a setup across deals lets a quorum
+    that pooled its subshadows for one deal recover the next deal's secrets.
+    Each trial times a fresh construction, one share verification, and one
     recovery per method over freshly drawn quorums.
     """
     params = SchemeParams(variant=variant, n=n, k=k, thresholds=(t,) * k)
@@ -130,14 +132,3 @@ def bench_csv(rows: Sequence[BenchRow]) -> str:
         lines.append(f"{row.phase},{row.t},{row.trials},{row.median_seconds:.9f}")
     return "\n".join(lines) + "\n"
 
-
-def recovery_medians(
-    t: int, n: int, trials: int, seed: int | None = None, variant: Variant = Variant.S1
-) -> tuple[float, float]:
-    """(median linear-solve recovery, median backward recovery) at one t."""
-    rng = Drbg(seed)
-    times = bench_at(variant, n, 1, t, trials, rng)
-    return (
-        statistics.median(times["recover_vandermonde"]),
-        statistics.median(times["recover_backward"]),
-    )

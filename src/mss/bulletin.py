@@ -172,16 +172,30 @@ def _parse_params(value) -> SchemeParams:
         raise ValidationError(str(exc)) from exc
 
 
-def _setup_section(bulletin: Bulletin) -> dict:
+def _setup_obj(
+    params: SchemeParams, masks: list[dict], commit_matrix: dict, commitments: list
+) -> dict:
+    """The setup section, from matrix objects and commitment string lists.
+
+    Encode and decode both build it here, so the digest that binds share
+    files to a deal is taken over one layout.
+    """
     return {
         "format_version": FORMAT_VERSION,
-        "params": _params_obj(bulletin.params),
-        "mask_matrices": [_matrix_obj(m) for m in bulletin.mask_matrices],
-        "commit_matrix": _matrix_obj(bulletin.commit_matrix),
-        "commitments": [
-            [str(v) for v in c.values] for c in bulletin.commitments
-        ],
+        "params": _params_obj(params),
+        "mask_matrices": masks,
+        "commit_matrix": commit_matrix,
+        "commitments": commitments,
     }
+
+
+def _setup_section(bulletin: Bulletin) -> dict:
+    return _setup_obj(
+        bulletin.params,
+        [_matrix_obj(m) for m in bulletin.mask_matrices],
+        _matrix_obj(bulletin.commit_matrix),
+        [[str(v) for v in c.values] for c in bulletin.commitments],
+    )
 
 
 def _digest(setup: dict) -> str:
@@ -290,14 +304,9 @@ def _decode_bulletin(data: bytes | str) -> tuple[Bulletin, dict]:
         offsets=offsets,
         extras=extras,
     )
-    setup = {
-        "format_version": FORMAT_VERSION,
-        "params": _params_obj(params),
-        "mask_matrices": [m_obj for _, m_obj in masks],
-        "commit_matrix": commit_obj,
-        "commitments": raw_commitments,
-    }
-    return bulletin, setup
+    return bulletin, _setup_obj(
+        params, [m_obj for _, m_obj in masks], commit_obj, raw_commitments
+    )
 
 
 def decode_bulletin(data: bytes | str) -> Bulletin:

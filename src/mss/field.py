@@ -17,14 +17,25 @@ from .errors import DimMismatch, DuplicateNode, Inconsistent, InvalidNode
 #: evaluation point used by the schemes is a distinct nonzero residue.
 DEFAULT_PRIME = (1 << 61) - 1
 
-# Strong-pseudoprime bases; the test is deterministic for n < 3.3e24,
-# which covers every modulus these schemes are expected to run with.
+# Strong-pseudoprime bases: the primes up to 37.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The smallest strong pseudoprime to every base in _MR_BASES, equal to
+# 399165290221 * 798330580441 (Sorenson and Webster, Math. Comp. 2017):
+# below it the test is deterministic, at or above it it cannot decide.
+_MR_LIMIT = 318665857834031151167461
 
 
 @lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test with fixed bases."""
+    """Miller-Rabin primality test with fixed bases, exact below _MR_LIMIT.
+
+    Raises ValueError for n >= _MR_LIMIT rather than guess.
+    """
+    if n >= _MR_LIMIT:
+        raise ValueError(
+            f"cannot decide whether {n} is prime: moduli must be below {_MR_LIMIT}"
+        )
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -145,32 +156,41 @@ def matrix_rank(field: PrimeField, m: Matrix) -> int:
     """
     if m.rows < m.cols:
         block = [list(m.data[i * m.cols : i * m.cols + m.rows]) for i in range(m.rows)]
-        if _eliminate(field, block) == m.rows:
+        if len(_eliminate(field, block, m.rows)) == m.rows:
             return m.rows
-    return _eliminate(field, [list(m.row(i)) for i in range(m.rows)])
+    return len(_eliminate(field, [list(m.row(i)) for i in range(m.rows)], m.cols))
 
 
-def _eliminate(field: PrimeField, rows: list[list[int]]) -> int:
-    """Rank of the given rows, which it reduces in place."""
+def _eliminate(
+    field: PrimeField, rows: list[list[int]], ncols: int, above: bool = False
+) -> list[int]:
+    """Pivot columns among the first ``ncols``, reducing the rows in place.
+
+    Pivots are the first nonzero entry at or below the current rank; each
+    pivot row is scaled to a leading 1 and its column cleared in the rows
+    below it, and also above it when ``above`` is set (Gauss-Jordan form).
+    """
     q = field.q
-    rank = 0
-    for col in range(len(rows[0])):
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % q), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv_p = field.inv(rows[rank][col])
-        # left of col every row below the pivot is zero mod q
+        # left of col the pivot row is zero mod q, so row operations start at col
         prow = [v * inv_p % q for v in rows[rank][col:]]
-        for r in range(rank + 1, len(rows)):
+        rows[rank][col:] = prow
+        for r in range(0 if above else rank + 1, len(rows)):
             row = rows[r]
             f = row[col] % q
-            if f:
+            if f and r != rank:
                 row[col:] = [(a - f * p) % q for a, p in zip(row[col:], prow)]
-        rank += 1
-        if rank == len(rows):
+        pivots.append(col)
+        if rank + 1 == len(rows):
             break
-    return rank
+    return pivots
 
 
 @dataclass(frozen=True)
@@ -218,28 +238,8 @@ def solve_linear(
     rows = [
         list(m.row(i)) + [b[i] % q for b in columns] for i in range(m.rows)
     ]
-    pivot_cols: list[int] = []
-    pr = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(pr, len(rows)) if rows[r][col] % q), None)
-        if pivot is None:
-            continue
-        rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        inv_p = field.inv(rows[pr][col])
-        # left of col the pivot row is zero mod q, so row operations start at col
-        prow = [v * inv_p % q for v in rows[pr][col:]]
-        rows[pr][col:] = prow
-        for r in range(len(rows)):
-            if r == pr:
-                continue
-            row = rows[r]
-            f = row[col] % q
-            if f:
-                row[col:] = [(a - f * p) % q for a, p in zip(row[col:], prow)]
-        pivot_cols.append(col)
-        pr += 1
-        if pr == len(rows):
-            break
+    pivot_cols = _eliminate(field, rows, ncols, above=True)
+    pr = len(pivot_cols)
     for r in range(pr, len(rows)):
         if any(v % q for v in rows[r][ncols:]):
             raise Inconsistent("system has no solution")

@@ -72,20 +72,6 @@ class IlrSpec:
         return len(self.c)
 
 
-@dataclass(frozen=True)
-class IlrSequence:
-    """A prefix u_0..u_N of a sequence satisfying its spec."""
-
-    spec: IlrSpec
-    terms: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def term(self, i: int) -> tuple[int, ...]:
-        return self.terms[i]
-
-
 def recursion_coeffs(spec: IlrSpec) -> tuple[int, ...]:
     """Coefficient of u_{i+t+l-1-v} for v = 0..t+l-1; the leading one is 1."""
     field = spec.field
@@ -117,8 +103,8 @@ def _check_vectors(spec: IlrSpec, vecs: Sequence[Sequence[int]], err) -> None:
 
 def forward_extend(
     spec: IlrSpec, initial: Sequence[Sequence[int]], upto: int
-) -> IlrSequence:
-    """Extend initial values u_0..u_{t+l-2} forward through index `upto`.
+) -> tuple[tuple[int, ...], ...]:
+    """Extend initial values u_0..u_{t+l-2} forward: the terms u_0..u_upto.
 
     The leading coefficient is 1, so each new term is solved directly:
     u_{i+t+l-1} = rhs(i) - sum_{v>=1} coeff_v * u_{i+t+l-1-v}.
@@ -142,7 +128,7 @@ def forward_extend(
                 for s in range(spec.dim):
                     acc[s] -= cv * prev[s]
         terms.append(tuple(a % q for a in acc))
-    return IlrSequence(spec=spec, terms=tuple(terms))
+    return tuple(terms)
 
 
 def backward_recover(

@@ -166,9 +166,6 @@ class Bulletin:
         self._check_secret_index(i)
         return self.params.thresholds[i - 1]
 
-    def extras_count(self, i: int) -> int:
-        return self.params.variant.extras_count(self.threshold(i))
-
     def constant_for(self, i: int) -> tuple[int, ...]:
         """Raw constant vector for secret i (untruncated for s3/s4)."""
         self._check_secret_index(i)
@@ -347,11 +344,11 @@ def construct(
         seq = forward_extend(spec, initial, params.n + e_i)
         offsets.append(
             tuple(
-                field.vec_sub(seq.term(j), shadows[j - 1])
+                field.vec_sub(seq[j], shadows[j - 1])
                 for j in range(t_i, params.n + 1)
             )
         )
-        extras.append(tuple(seq.term(params.n + m) for m in range(1, e_i + 1)))
+        extras.append(seq[params.n + 1 :])
         hashes.append(secret_hash(params.q, secrets[i - 1]))
     return Bulletin(
         params=params,
@@ -440,10 +437,14 @@ def participant_subshadows(
     return assemble_subshadows(bulletin, i, shadows)
 
 
-def _check_quorum_size(bulletin: Bulletin, i: int, group: Mapping) -> None:
+def _checked_quorum(
+    bulletin: Bulletin, i: int, subshadows: Mapping[int, Sequence[int]]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The checked pairs of a recovery quorum, which has exactly t_i members."""
     t_i = bulletin.threshold(i)
-    if len(group) != t_i:
-        raise BadQuorum(f"need exactly {t_i} subshadows, got {len(group)}")
+    if len(subshadows) != t_i:
+        raise BadQuorum(f"need exactly {t_i} subshadows, got {len(subshadows)}")
+    return _checked_group(bulletin, i, subshadows)
 
 
 def recover_way1_vandermonde(
@@ -457,8 +458,7 @@ def recover_way1_vandermonde(
     out of range, BadQuorum unless exactly t_i subshadows are given, and
     DimMismatch for a subshadow whose length is not t_i.
     """
-    _check_quorum_size(bulletin, i, subshadows)
-    samples = _checked_group(bulletin, i, subshadows) + list(bulletin.extra_points(i))
+    samples = _checked_quorum(bulletin, i, subshadows) + list(bulletin.extra_points(i))
     coeffs = fit_general_term(bulletin.ilr_spec(i), samples)
     return tuple(component[0] for component in coeffs)
 
@@ -470,8 +470,7 @@ def recover_way1_lagrange(
 
     Raises the same errors as recover_way1_vandermonde.
     """
-    _check_quorum_size(bulletin, i, subshadows)
-    samples = _checked_group(bulletin, i, subshadows) + list(bulletin.extra_points(i))
+    samples = _checked_quorum(bulletin, i, subshadows) + list(bulletin.extra_points(i))
     spec = bulletin.ilr_spec(i)
     nodes = [x for x, _ in samples]
     return lagrange_at_zero(spec.field, nodes, fold_columns(spec, samples))
@@ -487,8 +486,7 @@ def recover_way2(
     same errors as recover_way1_vandermonde, and NotConsecutive when the
     indices do not form one window.
     """
-    _check_quorum_size(bulletin, i, subshadows)
-    group = _checked_group(bulletin, i, subshadows)
+    group = _checked_quorum(bulletin, i, subshadows)
     start = group[0][0]
     if group[-1][0] - start != len(group) - 1:
         raise NotConsecutive("backward recovery needs consecutive participant indices")

@@ -4,12 +4,13 @@ Every tolerance is exact residue equality unless stated otherwise.
 """
 
 import json
+import statistics
 import time
 from pathlib import Path
 
 import pytest
 
-from mss.bench import recovery_medians
+from mss.bench import bench_at
 from mss.bulletin import (
     decode_bulletin,
     decode_share,
@@ -130,12 +131,12 @@ def test_criterion_2_general_term_property(verdict):
                     )
                     initial = [field.rand_vec(rng, 2) for _ in range(spec.order)]
                     seq = forward_extend(spec, initial, 49)
-                    samples = [(j, seq.term(j)) for j in range(spec.unknowns)]
+                    samples = [(j, seq[j]) for j in range(spec.unknowns)]
                     fits = fit_general_term(spec, samples)
                     for comp in range(2):
                         coeffs = fits[comp]
                         for j in range(50):
-                            expected = fold_value(spec, j, seq.term(j)[comp])
+                            expected = fold_value(spec, j, seq[j][comp])
                             if poly_eval(field, coeffs, j) != expected:
                                 failures += 1
                     checked += 1
@@ -163,11 +164,11 @@ def test_criterion_3_homogenization(verdict):
             a = recursion_coeffs(spec)[1:]
             b = to_homogeneous(field, a)
             k = len(a)
-            for i in range(len(seq.terms) - (k + 2) + 1):
+            for i in range(len(seq) - (k + 2) + 1):
                 for comp in range(2):
-                    acc = seq.term(i + k + 1)[comp]
+                    acc = seq[i + k + 1][comp]
                     for j, bj in enumerate(b, start=1):
-                        acc += bj * seq.term(i + k + 1 - j)[comp]
+                        acc += bj * seq[i + k + 1 - j][comp]
                     if acc % q != 0:
                         failures += 1
             checked += 1
@@ -306,7 +307,9 @@ def test_criterion_6_tamper_detection(verdict, tmp_path, capsys):
 
 def test_criterion_7_recovery_timing_order(verdict):
     """Backward recovery beats the linear-solve path at t=32, n=64."""
-    way1, way2 = recovery_medians(t=32, n=64, trials=30, seed=2024)
+    times = bench_at(Variant.S1, 64, 1, 32, 30, Drbg(2024))
+    way1 = statistics.median(times["recover_vandermonde"])
+    way2 = statistics.median(times["recover_backward"])
     verdict(
         7,
         way2 < way1,

@@ -8,7 +8,6 @@ from mss.ajtai import (
     Share,
     ajtai_hash,
     ajtai_hash_many,
-    sample_binary_share,
     sample_distinct_shares,
     sample_matrix_full_rank,
     share_length,
@@ -82,7 +81,7 @@ class TestShareSampling:
 
     def test_seeded_sampling_reproducible(self):
         assert Drbg(1).bit_vector(8) == (1, 1, 1, 0, 0, 1, 1, 0)
-        assert sample_binary_share(8, Drbg(1)) == sample_binary_share(8, Drbg(1))
+        assert Drbg(1).bit_vector(8) == Drbg(1).bit_vector(8)
 
     def test_exhaustion_by_pigeonhole(self):
         with pytest.raises(ShareSpaceExhausted):
@@ -240,7 +239,7 @@ class TestVerifyCommitment:
     def _setup(self, seed=9):
         rng = Drbg(seed)
         f = sample_matrix_full_rank(F97, 4, 16, rng)
-        bits = sample_binary_share(16, rng)
+        bits = rng.bit_vector(16)
         share = Share(owner=1, bits=bits)
         commitment = Commitment(owner=1, values=ajtai_hash(F97, f, bits))
         return f, share, commitment

@@ -225,6 +225,11 @@ class TestBulletinValidation:
             decode_bulletin(mutate(board, ["params", "q"], bad))
         assert str(excinfo.value) == "params.q must be a canonical decimal string"
 
+    def test_undecidable_modulus_rejected(self):
+        _, board = make_board()
+        with pytest.raises(ValidationError, match="cannot decide"):
+            decode_bulletin(mutate(board, ["params", "q"], "318665857834031151167461"))
+
     @needs_digit_limit
     @pytest.mark.parametrize("what", [*ARRAYS, "params.q"])
     def test_decimal_past_digit_limit_is_parse_error(self, what):

@@ -188,6 +188,17 @@ class TestDeal:
         )
         assert not (tmp_path / "bulletin.json").exists()
 
+    def test_undecidable_modulus_exits_two(self, tmp_path, capsys):
+        # a strong pseudoprime to every base the primality test uses
+        secrets_path = tmp_path / "secrets.json"
+        secrets_path.write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
+        args = list(DEAL_ARGS)
+        args[args.index("97")] = "318665857834031151167461"
+        code = cli.main([*args, "--secrets", str(secrets_path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "error: ValueError: cannot decide whether" in capsys.readouterr().err
+        assert not (tmp_path / "bulletin.json").exists()
+
     def test_threshold_one_rejected(self, tmp_path):
         secrets_path = tmp_path / "secrets.json"
         secrets_path.write_bytes(encode_secrets(97, ((7,), (1, 2, 3))))

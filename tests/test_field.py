@@ -49,6 +49,25 @@ class TestPrimeField:
         assert is_prime(DEFAULT_PRIME)
         assert not is_prime(1) and not is_prime(91) and not is_prime(2**61 - 2)
 
+    @pytest.mark.parametrize(
+        "n",
+        [
+            # the smallest strong pseudoprime to every base 2..37
+            399165290221 * 798330580441,
+            # the smallest to every base 2..41
+            3317044064679887385961981,
+        ],
+    )
+    def test_undecidable_modulus_rejected(self, n):
+        with pytest.raises(ValueError, match="cannot decide"):
+            is_prime(n)
+        with pytest.raises(ValueError, match="cannot decide"):
+            PrimeField(n)
+
+    def test_large_primes_below_the_bound_accepted(self):
+        assert PrimeField(2**61 - 1).q == 2**61 - 1
+        assert PrimeField(2**64 + 13).q == 2**64 + 13
+
     def test_inverse_identity(self):
         assert F97.inv(1) == 1
 
@@ -219,6 +238,47 @@ class TestManyColumns:
             solve_linear(F97, m, [(1, 2), (1,)])
         with pytest.raises(DimMismatch):
             lagrange_at_zero(F97, [1, 2], [[1, 2], [3]])
+
+
+class TestSharedElimination:
+    """matrix_rank and solve_linear run the same elimination: on random
+    matrices of mixed shapes and ranks they agree on the rank, and the
+    solve's particular and nullspace vectors check out under mat_vec."""
+
+    @staticmethod
+    def random_matrix(rng, field):
+        rows = 2 + rng.randbelow(6)
+        cols = 2 + rng.randbelow(6)
+        rank = max(0, min(rows, cols) - rng.randbelow(3))
+        # `rank` random rows, then random combinations of them, shuffled
+        out = [field.rand_vec(rng, cols) for _ in range(rank)]
+        while len(out) < rows:
+            row = (0,) * cols
+            for vec in out[:rank]:
+                row = field.vec_add(row, field.vec_scale(rng.randbelow(field.q), vec))
+            out.append(row)
+        for i in range(rows - 1, 0, -1):
+            j = rng.randbelow(i + 1)
+            out[i], out[j] = out[j], out[i]
+        return Matrix.from_rows(out)
+
+    @pytest.mark.parametrize("q", [2, 97])
+    def test_solve_rank_matches_matrix_rank(self, q):
+        field = PrimeField(q)
+        rng = Drbg(f"shared-elimination-{q}")
+        for _ in range(200):
+            m = self.random_matrix(rng, field)
+            columns = [
+                mat_vec(field, m, field.rand_vec(rng, m.cols))
+                for _ in range(1 + rng.randbelow(3))
+            ]
+            sol = solve_linear(field, m, columns)
+            assert sol.rank == matrix_rank(field, m)
+            assert sol.free_dims == m.cols - sol.rank == len(sol.nullspace)
+            for b, x in zip(columns, sol.particular):
+                assert mat_vec(field, m, x) == b
+            for vec in sol.nullspace:
+                assert mat_vec(field, m, vec) == (0,) * m.rows
 
 
 class TestLagrangeAtZero:

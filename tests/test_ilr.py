@@ -99,19 +99,19 @@ class TestForwardExtend:
     def test_arithmetic_progression_when_c_zero(self):
         s = spec97(2, 1, c=(0,))
         seq = forward_extend(s, [(0,), (1,)], 4)
-        assert [v[0] for v in seq.terms] == [0, 1, 2, 3, 4]
+        assert [v[0] for v in seq] == [0, 1, 2, 3, 4]
 
     def test_binomial_closed_form(self):
         s = spec97(2, 1, c=(1,))
         oracle = step_oracle(s, [(0,), (0,)], 5)
         assert [v[0] for v in oracle] == [0, 0, 0, 1, 4, 10]  # C(j, 3)
         seq = forward_extend(s, [(0,), (0,)], 5)
-        assert list(seq.terms) == oracle
+        assert list(seq) == oracle
 
     def test_alternating_flips_sign(self):
         s = spec97(1, 1, alternating=True, c=(0,))
         seq = forward_extend(s, [(5,)], 3)
-        assert [v[0] for v in seq.terms] == [5, 92, 5, 92]
+        assert [v[0] for v in seq] == [5, 92, 5, 92]
 
     def test_every_window_satisfies_recursion(self):
         rng = Drbg(9)
@@ -120,12 +120,12 @@ class TestForwardExtend:
                 s = IlrSpec(t=t, l=l, alternating=alt, c=F97.rand_vec(rng, 2), field=F97)
                 initial = [F97.rand_vec(rng, 2) for _ in range(s.order)]
                 seq = forward_extend(s, initial, 20)
-                assert satisfies(s, seq.terms)
+                assert satisfies(s, seq)
 
     def test_no_new_terms_when_upto_covers_initial(self):
         s = spec97(2, 1)
         seq = forward_extend(s, [(3,), (4,)], upto=1)
-        assert list(seq.terms) == [(3,), (4,)]
+        assert list(seq) == [(3,), (4,)]
         with pytest.raises(ValueError):
             forward_extend(s, [(3,), (4,)], upto=0)
 
@@ -160,10 +160,10 @@ class TestBackwardRecover:
                     initial = [F97.rand_vec(rng, 2) for _ in range(s.order)]
                     seq = forward_extend(s, initial, s.order + 8)
                     for drop in (1, 3, 5):
-                        window = list(seq.terms[drop : drop + s.order])
+                        window = list(seq[drop : drop + s.order])
                         recovered = backward_recover(s, window, start=drop)
                         # returned newest-first: u_{drop-1}, ..., u_0
-                        assert recovered == list(seq.terms[:drop])[::-1]
+                        assert recovered == list(seq[:drop])[::-1]
 
     def test_bad_window_rejected(self):
         s = spec97(2, 1)
@@ -177,7 +177,7 @@ class TestFitGeneralTerm:
     def test_binomial_sequence_coefficients(self):
         s = spec97(2, 1, c=(1,))
         seq = forward_extend(s, [(0,), (0,)], 5)
-        samples = [(j, seq.term(j)) for j in (1, 2, 3, 4)]
+        samples = [(j, seq[j]) for j in (1, 2, 3, 4)]
         (coeffs,) = fit_general_term(s, samples)
         # oracle: the fitted polynomial must reproduce the samples and the
         # whole sequence; C(j,3) expands to (2j - 3j^2 + j^3) / 6
@@ -186,7 +186,7 @@ class TestFitGeneralTerm:
         assert expected == (0, 65, 48, 81)
         assert coeffs == expected
         for j in range(6):
-            assert poly_eval(F97, coeffs, j) == seq.term(j)[0]
+            assert poly_eval(F97, coeffs, j) == seq[j][0]
 
     def test_constant_sequence(self):
         s = spec97(1, 1, c=(0,))
@@ -196,7 +196,7 @@ class TestFitGeneralTerm:
     def test_alternating_fold(self):
         s = spec97(1, 1, alternating=True, c=(0,))
         seq = forward_extend(s, [(5,)], 2)
-        samples = [(j, seq.term(j)) for j in (0, 1, 2)]
+        samples = [(j, seq[j]) for j in (0, 1, 2)]
         assert fit_general_term(s, samples) == ((5, 0, 0),)
 
     def test_duplicate_indices_rejected(self):
@@ -225,7 +225,7 @@ class TestFitGeneralTerm:
             seq = forward_extend(s, initial, width)
             xs = list(range(width))
             m = vandermonde(F97, xs, width)
-            rhs = [fold_value(s, x, seq.term(x)[0]) for x in xs]
+            rhs = [fold_value(s, x, seq[x][0]) for x in xs]
             sol = solve_linear(F97, m, [rhs])
             assert sol.vectors is not None
             assert all(c == 0 for c in sol.vectors[0][s.unknowns :])
@@ -242,12 +242,12 @@ class TestGeneralTermTheorem:
                 )
                 initial = [field.rand_vec(rng, 2) for _ in range(s.order)]
                 seq = forward_extend(s, initial, 30)
-                samples = [(j, seq.term(j)) for j in range(s.unknowns)]
+                samples = [(j, seq[j]) for j in range(s.unknowns)]
                 fits = fit_general_term(s, samples)
                 for comp in range(2):
                     coeffs = fits[comp]
                     for j in range(31):
-                        expected = fold_value(s, j, seq.term(j)[comp])
+                        expected = fold_value(s, j, seq[j][comp])
                         assert poly_eval(field, coeffs, j) == expected
 
 
@@ -269,9 +269,9 @@ class TestToHomogeneous:
             a = recursion_coeffs(s)[1:]
             b = to_homogeneous(F97, a)
             k = len(a)
-            for i in range(len(seq.terms) - (k + 2) + 1):
+            for i in range(len(seq) - (k + 2) + 1):
                 for comp in range(2):
-                    acc = seq.term(i + k + 1)[comp]
+                    acc = seq[i + k + 1][comp]
                     for j, bj in enumerate(b, start=1):
-                        acc += bj * seq.term(i + k + 1 - j)[comp]
+                        acc += bj * seq[i + k + 1 - j][comp]
                     assert acc % 97 == 0

@@ -62,7 +62,7 @@ def dealer_sequence(board, i, shares):
     )
     spec = board.ilr_spec(i)
     initial = [secret] + [shadows[j] for j in range(1, t_i)]
-    return forward_extend(spec, initial, params.n + board.extras_count(i))
+    return forward_extend(spec, initial, params.n + params.variant.extras_count(t_i))
 
 
 class TestSchemeParams:
@@ -166,18 +166,18 @@ class TestConstruct:
             for i in (1, 2):
                 t_i = board.threshold(i)
                 seq = dealer_sequence(board, i, shares)
-                assert seq.term(0) == tuple(secrets[i - 1])
+                assert seq[0] == tuple(secrets[i - 1])
                 for j in range(1, params.n + 1):
                     d_j = compute_shadow(board, i, shares[j - 1])
                     if j <= t_i - 1:
-                        assert seq.term(j) == d_j
+                        assert seq[j] == d_j
                     else:
-                        assert seq.term(j) == field.vec_add(
+                        assert seq[j] == field.vec_add(
                             d_j, board.offset_for(i, j)
                         )
                 # published extras are the sequence just past the participants
                 for x, vec in board.extra_points(i):
-                    assert seq.term(x) == vec
+                    assert seq[x] == vec
 
     def test_secret_shape_validation(self):
         p = SchemeParams(variant=Variant.S1, n=5, k=2, thresholds=(2, 3), q=97)
@@ -253,7 +253,7 @@ class TestShadows:
         seq = dealer_sequence(board, 1, shares)
         sub = participant_subshadows(board, 1, shares)
         for j in range(1, params.n + 1):
-            assert sub[j] == seq.term(j)
+            assert sub[j] == seq[j]
 
     def test_participant_subshadows_equal_shadow_plus_offset(self):
         params, _, shares, board = make_deal(
@@ -452,7 +452,7 @@ class TestPrivacyRankProbe:
         seq = dealer_sequence(board, 1, shares)
         points = [1, 2] + [x for x, _ in board.extra_points(1)]
         matrix = vandermonde(params.field(), points, spec.unknowns)
-        full_samples = [(j, seq.term(j)) for j in range(spec.unknowns)]
+        full_samples = [(j, seq[j]) for j in range(spec.unknowns)]
         from mss.ilr import fit_general_term
 
         fits = fit_general_term(spec, full_samples)
@@ -460,7 +460,7 @@ class TestPrivacyRankProbe:
             coeffs = fits[s]
             assert coeffs[0] == secrets[0][s]
             expected = tuple(
-                fold_value(spec, x, seq.term(x)[s]) for x in points
+                fold_value(spec, x, seq[x][s]) for x in points
             )
             assert mat_vec(params.field(), matrix, coeffs) == expected
 
