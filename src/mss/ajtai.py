@@ -43,18 +43,6 @@ class Share:
             raise ValueError("share must be nonempty")
 
 
-@dataclass(frozen=True)
-class Commitment:
-    """Published image h = F * share bits, used to verify a share."""
-
-    owner: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.owner < 1:
-            raise ValueError("owner index is 1-based")
-
-
 def share_length(max_threshold: int, n: int) -> int:
     """Share bit-length: max(ceil(t*log2 t), ceil(log2 n), 16).
 
@@ -101,16 +89,16 @@ def sample_matrix_full_rank(
     raise RngSuspect(f"{MAX_RANK_RESAMPLES} rank-deficient draws in a row")
 
 
-def _check_binary(a: Matrix, x: Sequence[int]) -> None:
+def _check_length(a: Matrix, x: Sequence[int]) -> None:
     if len(x) != a.cols:
         raise DimMismatch(f"matrix has {a.cols} columns, vector has {len(x)}")
-    if any(b not in (0, 1) for b in x):
-        raise NotBinary("input vector must be binary")
 
 
 def ajtai_hash(field: PrimeField, a: Matrix, x: Sequence[int]) -> tuple[int, ...]:
     """A * x mod q for binary x: the subset sum of A's columns picked by x."""
-    _check_binary(a, x)
+    _check_length(a, x)
+    if any(b not in (0, 1) for b in x):
+        raise NotBinary("input vector must be binary")
     q = field.q
     picked = [j for j, b in enumerate(x) if b]
     data = a.data
@@ -125,9 +113,12 @@ def ajtai_hash(field: PrimeField, a: Matrix, x: Sequence[int]) -> tuple[int, ...
 
 
 def ajtai_hash_many(
-    field: PrimeField, a: Matrix, xs: Sequence[Sequence[int]]
+    field: PrimeField, a: Matrix, shares: Sequence[Share]
 ) -> list[tuple[int, ...]]:
-    """``ajtai_hash(field, a, x)`` for every x in xs, checked the same way.
+    """``ajtai_hash(field, a, share.bits)`` for every share.
+
+    A ``Share`` has binary bits by construction, so only their length is
+    checked here.
 
     Each column of A is packed once into one integer, entry i in the
     w-bit slot i, with w = bits(q) + bits(cols): a sum of at most cols
@@ -136,8 +127,8 @@ def ajtai_hash_many(
     unpacked slot by slot and reduced mod q.  Packing costs more than one
     hash, so it pays when several vectors are hashed under the same A.
     """
-    for x in xs:
-        _check_binary(a, x)
+    for share in shares:
+        _check_length(a, share.bits)
     q, rows, cols, data = field.q, a.rows, a.cols, a.data
     w = q.bit_length() + cols.bit_length()
     packed = []
@@ -148,18 +139,17 @@ def ajtai_hash_many(
         packed.append(acc)
     mask = (1 << w) - 1
     out = []
-    for x in xs:
-        total = sum(compress(packed, x))
+    for share in shares:
+        total = sum(compress(packed, share.bits))
         out.append(tuple(((total >> (i * w)) & mask) % q for i in range(rows)))
     return out
 
 
 def verify_commitment(
-    field: PrimeField, f: Matrix, share: Share, commitment: Commitment
+    field: PrimeField, f: Matrix, share: Share, commitment: Sequence[int]
 ) -> bool:
-    """True iff hashing the share under f reproduces the commitment exactly."""
-    if len(commitment.values) != f.rows:
-        raise DimMismatch(
-            f"commitment has {len(commitment.values)} entries, matrix {f.rows} rows"
-        )
-    return ajtai_hash(field, f, share.bits) == tuple(commitment.values)
+    """True iff hashing the share under f reproduces the commitment, the
+    published residues h = F * share bits, exactly."""
+    if len(commitment) != f.rows:
+        raise DimMismatch(f"commitment has {len(commitment)} entries, matrix {f.rows} rows")
+    return ajtai_hash(field, f, share.bits) == tuple(commitment)

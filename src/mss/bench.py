@@ -42,10 +42,12 @@ class BenchRow:
     median_seconds: float
 
 
-def _timed(fn) -> float:
+def _timed(samples: list[float], fn, *args):
+    """``fn(*args)``, with its wall time appended to samples."""
     start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+    result = fn(*args)
+    samples.append(time.perf_counter() - start)
+    return result
 
 
 def bench_at(
@@ -65,19 +67,12 @@ def bench_at(
     secrets = [field.rand_vec(rng, t) for _ in range(k)]
     times: dict[str, list[float]] = {phase: [] for phase in PHASES}
     for _ in range(trials):
-        holder: dict = {}
-        times["construct"].append(
-            _timed(lambda: holder.update(b=construct(params, secrets, setup_result, rng)))
-        )
-        bulletin = holder["b"]
+        bulletin = _timed(times["construct"], construct, params, secrets, setup_result, rng)
         share = setup_result.shares[rng.randbelow(n)]
         commitment = bulletin.commitments[share.owner - 1]
-        times["verify_share"].append(
-            _timed(
-                lambda: verify_commitment(
-                    field, bulletin.commit_matrix, share, commitment
-                )
-            )
+        _timed(
+            times["verify_share"],
+            verify_commitment, field, bulletin.commit_matrix, share, commitment,
         )
         # random quorum for the interpolating methods
         owners = list(range(1, n + 1))
@@ -86,19 +81,13 @@ def bench_at(
             quorum.append(owners.pop(rng.randbelow(len(owners))))
         group = [setup_result.shares[j - 1] for j in quorum]
         subshadows = participant_subshadows(bulletin, 1, group)
-        times["recover_vandermonde"].append(
-            _timed(lambda: recover_way1_vandermonde(bulletin, 1, subshadows))
-        )
-        times["recover_lagrange"].append(
-            _timed(lambda: recover_way1_lagrange(bulletin, 1, subshadows))
-        )
+        _timed(times["recover_vandermonde"], recover_way1_vandermonde, bulletin, 1, subshadows)
+        _timed(times["recover_lagrange"], recover_way1_lagrange, bulletin, 1, subshadows)
         # random consecutive window for backward recovery
         start = 1 + rng.randbelow(n - t + 1)
         window_group = [setup_result.shares[j - 1] for j in range(start, start + t)]
         window = participant_subshadows(bulletin, 1, window_group)
-        times["recover_backward"].append(
-            _timed(lambda: recover_way2(bulletin, 1, window))
-        )
+        _timed(times["recover_backward"], recover_way2, bulletin, 1, window)
     return times
 
 

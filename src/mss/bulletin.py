@@ -17,7 +17,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ajtai import Commitment, Share
+from .ajtai import Share
 from .errors import (
     ParseError,
     UnsupportedVersion,
@@ -48,7 +48,8 @@ def _load_json(data: bytes | str) -> dict:
             raise ParseError(f"not valid UTF-8: {exc}") from exc
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also an integer past the interpreter's digit limit, or deep nesting
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top-level value must be an object")
@@ -194,7 +195,7 @@ def _setup_section(bulletin: Bulletin) -> dict:
         bulletin.params,
         [_matrix_obj(m) for m in bulletin.mask_matrices],
         _matrix_obj(bulletin.commit_matrix),
-        [[str(v) for v in c.values] for c in bulletin.commitments],
+        [[str(v) for v in c] for c in bulletin.commitments],
     )
 
 
@@ -207,13 +208,9 @@ def deal_id(bulletin: Bulletin) -> str:
     return _digest(_setup_section(bulletin))
 
 
-def encode_bulletin(bulletin: Bulletin) -> bytes:
-    return _canonical_bytes(_bulletin_obj(bulletin, _setup_section(bulletin)))
-
-
-def encode_bulletin_and_id(bulletin: Bulletin) -> tuple[bytes, str]:
-    """``encode_bulletin(bulletin)`` and ``deal_id(bulletin)``, with the
-    setup section turned into strings once for both."""
+def encode_bulletin(bulletin: Bulletin) -> tuple[bytes, str]:
+    """The bulletin's bytes and its ``deal_id``, with the setup section
+    turned into strings once for both; ``read_bulletin`` undoes it."""
     setup = _setup_section(bulletin)
     return _canonical_bytes(_bulletin_obj(bulletin, setup)), _digest(setup)
 
@@ -272,7 +269,7 @@ def _decode_bulletin(data: bytes | str) -> tuple[Bulletin, dict]:
     )
     raw_commitments = _array(_get(obj, "commitments"), n, "commitments")
     commitments = tuple(
-        Commitment(owner=j + 1, values=_parse_vector(c, q, t_max, f"commitments[{j}]"))
+        _parse_vector(c, q, t_max, f"commitments[{j}]")
         for j, c in enumerate(raw_commitments)
     )
 
@@ -328,7 +325,6 @@ class ShareFile:
     """Decoded share file: the share plus its optional deal binding."""
 
     share: Share
-    r: int
     deal: str | None
 
 
@@ -372,7 +368,7 @@ def decode_share(data: bytes | str) -> ShareFile:
     deal = obj.get("deal")
     if deal is not None and (not isinstance(deal, str) or not _HEX_DIGEST.fullmatch(deal)):
         raise ValidationError("deal must be a 64-digit hex digest")
-    return ShareFile(share=Share(owner=owner, bits=bits), r=r, deal=deal)
+    return ShareFile(share=Share(owner=owner, bits=bits), deal=deal)
 
 
 def bind_share(share_file: ShareFile, bulletin: Bulletin, deal: str) -> Share:
@@ -383,15 +379,16 @@ def bind_share(share_file: ShareFile, bulletin: Bulletin, deal: str) -> Share:
     another deal raises WrongDeal.
     """
     params = bulletin.params
+    share = share_file.share
     if share_file.deal is not None and share_file.deal != deal:
-        raise WrongDeal(f"share of owner {share_file.share.owner} belongs to another deal")
-    if share_file.r != params.r:
+        raise WrongDeal(f"share of owner {share.owner} belongs to another deal")
+    if len(share.bits) != params.r:
         raise ValidationError(
-            f"share length {share_file.r} does not match the deal's r={params.r}"
+            f"share length {len(share.bits)} does not match the deal's r={params.r}"
         )
-    if not 1 <= share_file.share.owner <= params.n:
-        raise ValidationError(f"owner {share_file.share.owner} outside [1, {params.n}]")
-    return share_file.share
+    if not 1 <= share.owner <= params.n:
+        raise ValidationError(f"owner {share.owner} outside [1, {params.n}]")
+    return share
 
 
 def encode_secrets(q: int, secrets: Sequence[Sequence[int]]) -> bytes:

@@ -67,7 +67,7 @@ def cmd_deal(args) -> int:
     )
     secrets = bio.decode_secrets(_read(args.secrets), params.q)
     shares, board = deal(params, secrets, _rng_for(args))
-    board_bytes, deal_digest = bio.encode_bulletin_and_id(board)
+    board_bytes, deal_digest = bio.encode_bulletin(board)
 
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = [(os.path.join(args.out_dir, "bulletin.json"), board_bytes)]
@@ -152,11 +152,9 @@ def cmd_recover(args) -> int:
         shares.append(share)
 
     # one batch hash; the first failure in the order given is reported
-    hashes = ajtai_hash_many(
-        board.params.field(), board.commit_matrix, [share.bits for share in shares]
-    )
+    hashes = ajtai_hash_many(board.params.field(), board.commit_matrix, shares)
     for share, values in zip(shares, hashes):
-        if values != board.commitments[share.owner - 1].values:
+        if values != board.commitments[share.owner - 1]:
             print(f"share {share.owner}: FAIL", file=sys.stderr)
             return EXIT_VERIFY_FAILED
 

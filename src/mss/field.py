@@ -7,6 +7,7 @@ reduction.  All functions are pure and all containers immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -332,26 +333,12 @@ def lagrange_at_zero(
 
 
 def binom_mod(field: PrimeField, j: int, l: int) -> int:
-    """Binomial coefficient C(j, l) mod q; zero when j < l.
-
-    Exact for any nonnegative j because C(j, l) * l! equals the falling
-    factorial j(j-1)...(j-l+1) as integers, and l! is invertible for l < q.
-    """
+    """Binomial coefficient C(j, l) mod q; zero when j < l."""
     if j < 0 or l < 0:
         raise ValueError("arguments must be nonnegative")
     if l >= field.q:
         raise ValueError("l must be smaller than the modulus")
-    if j < l:
-        return 0
-    if l == 0:
-        return 1
-    q = field.q
-    num = 1
-    fact = 1
-    for i in range(l):
-        num = num * ((j - i) % q) % q
-        fact = fact * (i + 1) % q
-    return num * field.inv(fact) % q
+    return math.comb(j, l) % field.q
 
 
 def poly_eval(field: PrimeField, coeffs: Sequence[int], x: int) -> int:

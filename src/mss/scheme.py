@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .ajtai import (
-    Commitment,
     Share,
     ajtai_hash,
     ajtai_hash_many,
@@ -132,27 +131,30 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class SetupResult:
-    """Dealer state after the setup phase: shares plus the public matrices."""
+    """Dealer state after the setup phase: shares plus the public matrices.
+
+    commitments[j - 1] is owner j's commitment F * sh_j, as residues.
+    """
 
     shares: tuple[Share, ...]
     mask_matrices: tuple[Matrix, ...]
     commit_matrix: Matrix
-    commitments: tuple[Commitment, ...]
+    commitments: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class Bulletin:
     """Every public value of one deal.
 
-    offsets[i-1][j - t_i] is the published offset for secret i and
-    participant j (t_i <= j <= n); extras[i-1][m-1] is the published
-    sequence term at index n + m.
+    commitments[j - 1] is owner j's commitment; offsets[i-1][j - t_i] is
+    the published offset for secret i and participant j (t_i <= j <= n);
+    extras[i-1][m-1] is the published sequence term at index n + m.
     """
 
     params: SchemeParams
     mask_matrices: tuple[Matrix, ...]
     commit_matrix: Matrix
-    commitments: tuple[Commitment, ...]
+    commitments: tuple[tuple[int, ...], ...]
     secret_hashes: tuple[str, ...]
     constants: tuple[tuple[int, ...], ...]
     offsets: tuple[tuple[tuple[int, ...], ...], ...]
@@ -166,15 +168,8 @@ class Bulletin:
         self._check_secret_index(i)
         return self.params.thresholds[i - 1]
 
-    def constant_for(self, i: int) -> tuple[int, ...]:
-        """Raw constant vector for secret i (untruncated for s3/s4)."""
-        self._check_secret_index(i)
-        if self.params.variant.shared_constant:
-            return self.constants[0]
-        return self.constants[i - 1]
-
     def ilr_spec(self, i: int) -> IlrSpec:
-        return ilr_spec_for(self.params, i, self.constant_for(i))
+        return ilr_spec_for(self.params, i, self.constants)
 
     def offset_for(self, i: int, j: int) -> tuple[int, ...]:
         t_i = self.threshold(i)
@@ -191,19 +186,21 @@ class Bulletin:
 
 
 def ilr_spec_for(
-    params: SchemeParams, i: int, constant: Sequence[int]
+    params: SchemeParams, i: int, constants: Sequence[Sequence[int]]
 ) -> IlrSpec:
     """Recursion parameters for secret i under the chosen variant.
 
-    s1/s2 tie the recursion's t to the threshold with l = 1; s3/s4 fix
-    t = 1 and tie l to the threshold, truncating the shared constant to its
-    first t_i components.
+    ``constants`` are as a bulletin holds them: one vector per secret for
+    s1/s2, one shared vector for s3/s4.  s1/s2 tie the recursion's t to the
+    threshold with l = 1; s3/s4 fix t = 1 and tie l to the threshold,
+    truncating the shared constant to its first t_i components.
     """
     if not 1 <= i <= params.k:
         raise BadIndex(f"secret index {i} outside [1, {params.k}]")
     t_i = params.thresholds[i - 1]
     field = params.field()
     if params.variant.shared_constant:
+        constant = constants[0]
         if len(constant) < t_i:
             raise DimMismatch("shared constant shorter than the threshold")
         return IlrSpec(
@@ -213,6 +210,7 @@ def ilr_spec_for(
             c=tuple(constant[:t_i]),
             field=field,
         )
+    constant = constants[i - 1]
     if len(constant) != t_i:
         raise DimMismatch("constant length must equal the threshold")
     return IlrSpec(
@@ -249,9 +247,9 @@ def setup(params: SchemeParams, rng) -> SetupResult:
     1..k, then the commitment matrix.
     """
     field = params.field()
-    bit_vectors = sample_distinct_shares(params.n, params.r, rng)
     shares = tuple(
-        Share(owner=j + 1, bits=bits) for j, bits in enumerate(bit_vectors)
+        Share(owner=j + 1, bits=bits)
+        for j, bits in enumerate(sample_distinct_shares(params.n, params.r, rng))
     )
     mask_matrices = tuple(
         sample_matrix_full_rank(field, t_i, params.r, rng)
@@ -260,17 +258,11 @@ def setup(params: SchemeParams, rng) -> SetupResult:
     commit_matrix = sample_matrix_full_rank(
         field, params.max_threshold, params.r, rng
     )
-    commitments = tuple(
-        Commitment(owner=share.owner, values=values)
-        for share, values in zip(
-            shares, ajtai_hash_many(field, commit_matrix, bit_vectors)
-        )
-    )
     return SetupResult(
         shares=shares,
         mask_matrices=mask_matrices,
         commit_matrix=commit_matrix,
-        commitments=commitments,
+        commitments=tuple(ajtai_hash_many(field, commit_matrix, shares)),
     )
 
 
@@ -326,7 +318,6 @@ def construct(
         if len(share.bits) != params.r:
             raise BadShares(f"share {j} has wrong bit-length")
     field = params.field()
-    bit_vectors = [share.bits for share in setup_result.shares]
     constants = _draw_constants(params, rng)
     offsets = []
     extras = []
@@ -335,9 +326,8 @@ def construct(
         t_i = params.thresholds[i - 1]
         g_i = setup_result.mask_matrices[i - 1]
         # shadows[j - 1] is owner j's, as the shares are ordered by owner
-        shadows = ajtai_hash_many(field, g_i, bit_vectors)
-        constant = constants[0] if params.variant.shared_constant else constants[i - 1]
-        spec = ilr_spec_for(params, i, constant)
+        shadows = ajtai_hash_many(field, g_i, setup_result.shares)
+        spec = ilr_spec_for(params, i, constants)
         initial = [field.vec(secrets[i - 1])]
         initial.extend(shadows[: t_i - 1])
         e_i = params.variant.extras_count(t_i)
@@ -430,9 +420,7 @@ def participant_subshadows(
     bulletin._check_secret_index(i)
     shares = list(shares)
     field = bulletin.params.field()
-    hashes = ajtai_hash_many(
-        field, bulletin.mask_matrices[i - 1], [share.bits for share in shares]
-    )
+    hashes = ajtai_hash_many(field, bulletin.mask_matrices[i - 1], shares)
     shadows = {share.owner: values for share, values in zip(shares, hashes)}
     return assemble_subshadows(bulletin, i, shadows)
 

@@ -229,7 +229,6 @@ def test_criterion_6_tamper_detection(verdict, tmp_path, capsys):
     secret, but not equal to it).  Honest counterparts must keep exiting 0.
     """
     from mss.bulletin import (
-        deal_id,
         encode_recovered,
         encode_share,
         write_atomic,
@@ -250,8 +249,8 @@ def test_criterion_6_tamper_detection(verdict, tmp_path, capsys):
         field = params.field()
         secrets = [field.rand_vec(rng, t_i)]
         shares, board = deal(params, secrets, rng)
-        digest = deal_id(board)
-        write_atomic(str(bulletin_path), encode_bulletin(board))
+        blob, digest = encode_bulletin(board)
+        write_atomic(str(bulletin_path), blob)
 
         victim = shares[rng.randbelow(n)]
         bits = list(victim.bits)
@@ -335,7 +334,7 @@ def test_criterion_8_serialization(verdict):
         field = params.field()
         secrets = [field.rand_vec(rng, t) for t in thresholds]
         shares, board = deal(params, secrets, rng)
-        blob = encode_bulletin(board)
+        blob = encode_bulletin(board)[0]
         if decode_bulletin(blob) != board:
             failures += 1
         objects += 1
@@ -348,7 +347,7 @@ def test_criterion_8_serialization(verdict):
 
     # one corrupted-field mutation per field class, each with its error
     board = boards[0]
-    base = json.loads(encode_bulletin(board))
+    base = json.loads(encode_bulletin(board)[0])
 
     def expect(mutator, error):
         nonlocal failures

@@ -51,7 +51,7 @@ def make_board(variant=Variant.S1, n=5, k=2, thresholds=(2, 3), q=97, seed="ser"
 
 def mutate(board, path, value):
     """Re-encode the bulletin with one JSON field replaced."""
-    obj = json.loads(encode_bulletin(board))
+    obj = json.loads(encode_bulletin(board)[0])
     target = obj
     for key in path[:-1]:
         target = target[key]
@@ -66,13 +66,13 @@ class TestBulletinRoundTrip:
                 shares, board = make_board(
                     variant=variant, q=q, seed=f"rt-{variant}-{q}"
                 )
-                blob = encode_bulletin(board)
+                blob = encode_bulletin(board)[0]
                 assert decode_bulletin(blob) == board
 
     def test_encoding_is_canonical(self):
         shares, board = make_board()
-        blob = encode_bulletin(board)
-        assert blob == encode_bulletin(decode_bulletin(blob))
+        blob = encode_bulletin(board)[0]
+        assert blob == encode_bulletin(decode_bulletin(blob))[0]
         # sorted keys, no whitespace variance
         reordered = json.dumps(
             json.loads(blob), sort_keys=True, separators=(",", ":")
@@ -84,13 +84,20 @@ class TestBulletinRoundTrip:
         b = make_board(seed="same")[1]
         assert encode_bulletin(a) == encode_bulletin(b)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_encode_gives_deal_id_and_read_gives_it_back(self, variant):
+        _, board = make_board(variant=variant, q=DEFAULT_PRIME, seed=f"pair-{variant}")
+        blob, digest = encode_bulletin(board)
+        assert digest == deal_id(board)
+        assert read_bulletin(blob) == (board, deal_id(board))
+
     def test_threshold_equal_to_n_edge(self):
         # a single offset vector per secret, longest extras for s4
         _, board = make_board(
             variant=Variant.S4, n=4, k=2, thresholds=(4, 4), seed="edge"
         )
         assert all(len(per_secret) == 1 for per_secret in board.offsets)
-        assert decode_bulletin(encode_bulletin(board)) == board
+        assert decode_bulletin(encode_bulletin(board)[0]) == board
 
 
 def reordered(value, rnd):
@@ -109,16 +116,38 @@ class TestReadBulletin:
         # an accepted file that is not canonical: unknown keys at three
         # levels, indentation and shuffled key order
         _, board = make_board(variant=Variant.S3, q=DEFAULT_PRIME, seed="loose")
-        obj = json.loads(encode_bulletin(board))
+        obj = json.loads(encode_bulletin(board)[0])
         obj["comment"] = "dealt by hand"
         obj["params"]["note"] = ["x", 1]
         obj["mask_matrices"][1]["label"] = {"rows": 7}
         obj["commit_matrix"]["data_sha"] = "0"
         blob = json.dumps(reordered(obj, random.Random(5)), indent=2).encode()
-        assert blob != encode_bulletin(board)
+        assert blob != encode_bulletin(board)[0]
         decoded, digest = read_bulletin(blob)
         assert decoded == decode_bulletin(blob) == board
         assert digest == deal_id(decode_bulletin(blob)) == deal_id(board)
+
+
+#: Files that json.loads itself cannot take.
+HOSTILE_JSON = [
+    pytest.param(b"[" * 400_000, id="nesting past the recursion limit"),
+    pytest.param(
+        b'{"kind": "share", "owner": ' + TOO_LONG.encode() + b"}",
+        id="integer past the digit limit",
+        marks=needs_digit_limit,
+    ),
+]
+
+
+@pytest.mark.parametrize("data", HOSTILE_JSON)
+@pytest.mark.parametrize(
+    "decoder",
+    [decode_bulletin, decode_share, decode_recovered, lambda data: decode_secrets(data, 97)],
+    ids=["bulletin", "share", "recovered", "secrets"],
+)
+def test_hostile_json_is_parse_error(decoder, data):
+    with pytest.raises(ParseError, match="not valid JSON"):
+        decoder(data)
 
 
 class TestBulletinValidation:
@@ -130,7 +159,7 @@ class TestBulletinValidation:
 
     def test_missing_key_is_parse_error(self):
         _, board = make_board()
-        obj = json.loads(encode_bulletin(board))
+        obj = json.loads(encode_bulletin(board)[0])
         del obj["extras"]
         with pytest.raises(ParseError):
             decode_bulletin(json.dumps(obj).encode())
@@ -175,7 +204,7 @@ class TestBulletinValidation:
 
     def test_commitment_count_checked(self):
         _, board = make_board()
-        obj = json.loads(encode_bulletin(board))
+        obj = json.loads(encode_bulletin(board)[0])
         obj["commitments"].pop()
         with pytest.raises(ValidationError):
             decode_bulletin(json.dumps(obj).encode())
@@ -256,28 +285,28 @@ class TestBulletinValidation:
 
     def test_offset_vector_wrong_length_rejected(self):
         _, board = make_board()
-        obj = json.loads(encode_bulletin(board))
+        obj = json.loads(encode_bulletin(board)[0])
         obj["offsets"][1][0].append("0")
         with pytest.raises(ValidationError):
             decode_bulletin(json.dumps(obj).encode())
 
     def test_offset_count_checked(self):
         _, board = make_board()
-        obj = json.loads(encode_bulletin(board))
+        obj = json.loads(encode_bulletin(board)[0])
         obj["offsets"][0].pop()
         with pytest.raises(ValidationError):
             decode_bulletin(json.dumps(obj).encode())
 
     def test_extras_count_checked(self):
         _, board = make_board()
-        obj = json.loads(encode_bulletin(board))
+        obj = json.loads(encode_bulletin(board)[0])
         obj["extras"][0].pop()
         with pytest.raises(ValidationError):
             decode_bulletin(json.dumps(obj).encode())
 
     def test_constants_count_checked(self):
         _, board = make_board(variant=Variant.S3, seed="cc")
-        obj = json.loads(encode_bulletin(board))
+        obj = json.loads(encode_bulletin(board)[0])
         obj["constants"].append(obj["constants"][0])
         with pytest.raises(ValidationError):
             decode_bulletin(json.dumps(obj).encode())

@@ -421,6 +421,41 @@ class TestVerifySecret:
         assert result.stderr == "FAIL: WrongDeal: report belongs to another deal\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("[" * 400_000, id="deep nesting"),
+        pytest.param(
+            '{"kind": "share", "owner": ' + "9" * 5000 + "}",
+            id="long integer",
+            marks=pytest.mark.skipif(
+                not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                reason="this interpreter converts decimal strings of any length",
+            ),
+        ),
+    ],
+)
+def test_hostile_json_exits_two_with_parse_error(dealt, text, capsys):
+    bad = str(dealt / "bad.json")
+    Path(bad).write_text(text)
+    bulletin, share = str(dealt / "bulletin.json"), str(dealt / "share_1.json")
+    for argv in (
+        ["verify-share", "--bulletin", bad, "--share", share],
+        ["verify-share", "--bulletin", bulletin, "--share", bad],
+        ["recover", "--bulletin", bulletin, "--secret", "1", "--method", "lagrange",
+         "--out", str(dealt / "r.json"), bad, str(dealt / "share_2.json")],
+        ["verify-secret", "--bulletin", bulletin, "--recovered", bad],
+    ):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: not valid JSON: ") and err.count("\n") == 1
+    # the same through the entry point: one line on stderr, no traceback
+    result = run_cli("verify-secret", "--bulletin", bulletin, "--recovered", bad)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ParseError: not valid JSON: ")
+    assert "Traceback" not in result.stderr
+
+
 class TestCounts:
     def test_table_output(self):
         result = run_cli("counts", "--t", "3", "--k", "4", "--n", "7")

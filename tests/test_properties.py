@@ -8,9 +8,10 @@ with unknown keys, indentation and shuffled key order.  The
 bulletin's one-pass residue-array parser agrees with a per-element reference
 parser on hostile arrays, errors included.  The generator's byte stream is
 SHA-256 in counter mode however it is split, and a batch draw gives the
-values, and leaves the stream, of the single draws it replaces.  Examples
-are derived from the test itself (derandomized), so every run checks the
-same inputs.
+values, and leaves the stream, of the single draws it replaces.  Share
+files and reports with any JSON value in any header field decode or raise
+an ``MssError``.  Examples are derived from the test itself (derandomized),
+so every run checks the same inputs.
 """
 
 import hashlib
@@ -24,6 +25,7 @@ from mss.bulletin import (
     _parse_vector,
     deal_id,
     decode_bulletin,
+    decode_recovered,
     decode_share,
     encode_bulletin,
     encode_share,
@@ -86,10 +88,9 @@ def test_every_recovery_returns_the_dealt_secret(dealt, data):
 @given(dealt=deals())
 def test_decode_encode_is_the_identity(dealt):
     _, shares, board = dealt
-    blob = encode_bulletin(board)
+    blob, digest = encode_bulletin(board)
     assert decode_bulletin(blob) == board
-    assert encode_bulletin(decode_bulletin(blob)) == blob
-    digest = deal_id(board)
+    assert encode_bulletin(decode_bulletin(blob)) == (blob, digest)
     for share in shares:
         share_file = decode_share(encode_share(share, deal=digest))
         assert (share_file.share, share_file.deal) == (share, digest)
@@ -119,7 +120,7 @@ def loosened(value, draw):
 @given(dealt=deals(), data=st.data())
 def test_read_bulletin_digest_is_deal_id_of_the_decoded(dealt, data):
     _, _, board = dealt
-    obj = loosened(json.loads(encode_bulletin(board)), data.draw)
+    obj = loosened(json.loads(encode_bulletin(board)[0]), data.draw)
     blob = json.dumps(obj, indent=data.draw(st.sampled_from([None, 0, 2, "\t"]))).encode()
     decoded = decode_bulletin(blob)
     assert decoded == board
@@ -184,6 +185,46 @@ def test_first_bad_element_decides_the_error():
     assert outcome(_parse_vector, ["03", "97"], 97, 2, "v") == (
         ParseError, "v must be a canonical decimal string"
     )
+
+
+#: Any JSON value, non-finite floats included.
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+SHARE_HEADER = {
+    "format_version": 1, "kind": "share", "owner": 3, "r": 16, "bits": "a5f0", "deal": "0" * 64,
+}
+REPORT_HEADER = {
+    "format_version": 1, "kind": "recovered", "secret_index": 2, "candidate": ["5", "7"],
+    "verified": True, "deal": "0" * 64,
+}
+
+
+def hostile(header, draw):
+    """The header as JSON bytes, each field kept, dropped or replaced by any value."""
+    obj = {}
+    for key, value in header.items():
+        how = draw(st.sampled_from(["keep", "drop", "replace"]))
+        if how != "drop":
+            obj[key] = value if how == "keep" else draw(ANY_JSON)
+    return json.dumps(obj).encode()
+
+
+@pytest.mark.parametrize(
+    "header, decode",
+    [(SHARE_HEADER, decode_share), (REPORT_HEADER, decode_recovered)],
+    ids=["share", "report"],
+)
+@PROPERTY
+@given(data=st.data())
+def test_hostile_headers_decode_or_raise_mss_error(header, decode, data):
+    try:
+        decode(hostile(header, data.draw))
+    except MssError:
+        pass
 
 
 def reference_stream(seed: int, size: int) -> bytes:

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from mss import ajtai, scheme
 from mss.ajtai import ajtai_hash, verify_commitment
 from mss.errors import (
     BadIndex,
@@ -112,22 +113,33 @@ class TestSchemeParams:
 class TestIlrSpecFor:
     def test_s1_ties_depth_to_threshold(self):
         p = SchemeParams(variant=Variant.S1, n=6, k=1, thresholds=(2,), q=97)
-        spec = ilr_spec_for(p, 1, (4, 5))
+        spec = ilr_spec_for(p, 1, ((4, 5),))
         assert (spec.t, spec.l, spec.alternating) == (2, 1, False)
         assert spec.c == (4, 5)
         assert spec.unknowns == 4
 
     def test_s3_truncates_shared_constant(self):
         p = SchemeParams(variant=Variant.S3, n=6, k=2, thresholds=(2, 3), q=97)
-        spec = ilr_spec_for(p, 1, (4, 5, 6))
+        spec = ilr_spec_for(p, 1, ((4, 5, 6),))
         assert (spec.t, spec.l, spec.alternating) == (1, 2, False)
         assert spec.c == (4, 5)
         assert spec.unknowns == 5
+        assert ilr_spec_for(p, 2, ((4, 5, 6),)).c == (4, 5, 6)
+
+    def test_picks_the_secrets_constant_after_the_index_check(self):
+        p = SchemeParams(variant=Variant.S1, n=6, k=2, thresholds=(2, 3), q=97)
+        constants = ((4, 5), (6, 7, 8))
+        assert ilr_spec_for(p, 2, constants).c == (6, 7, 8)
+        for i in (0, 3):
+            with pytest.raises(BadIndex):
+                ilr_spec_for(p, i, constants)
+        with pytest.raises(DimMismatch, match="must equal the threshold"):
+            ilr_spec_for(p, 2, ((4, 5), (6, 7)))
 
     def test_alternating_variants(self):
         for variant in (Variant.S2, Variant.S4):
             p = SchemeParams(variant=variant, n=6, k=1, thresholds=(3,), q=97)
-            assert ilr_spec_for(p, 1, (1, 2, 3)).alternating
+            assert ilr_spec_for(p, 1, ((1, 2, 3),)).alternating
 
     def test_extras_counts(self):
         assert Variant.S1.extras_count(4) == 2
@@ -154,6 +166,23 @@ class TestSetup:
     def test_seeded_setup_deterministic(self):
         p = SchemeParams(variant=Variant.S2, n=5, k=2, thresholds=(2, 3), q=97)
         assert setup(p, Drbg(42)) == setup(p, Drbg(42))
+
+    def test_dealer_never_rescans_share_bits(self, monkeypatch):
+        # Share checks its bits once; setup and construct hash them in
+        # batches that check only their length.  ajtai_hash keeps a binary
+        # scan, and _check_binary is patched too in case the scan is ever
+        # split out of it again.
+        p = SchemeParams(variant=Variant.S3, n=6, k=2, thresholds=(2, 3), q=97)
+        secrets = [(1, 2), (3, 4, 5)]
+        expected = deal(p, secrets, Drbg("scan"))
+
+        def scan(*args):
+            raise AssertionError("share bits scanned again")
+
+        monkeypatch.setattr(ajtai, "_check_binary", scan, raising=False)
+        monkeypatch.setattr(ajtai, "ajtai_hash", scan)
+        monkeypatch.setattr(scheme, "ajtai_hash", scan)
+        assert deal(p, secrets, Drbg("scan")) == expected
 
 
 class TestConstruct:

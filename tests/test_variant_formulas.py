@@ -157,7 +157,7 @@ class TestMultiUseShares:
     def test_same_shares_two_deals(self):
         import dataclasses
 
-        from mss.ajtai import Commitment, ajtai_hash
+        from mss.ajtai import ajtai_hash
         from mss.scheme import construct, recover_way1_lagrange, setup, verify_secret
 
         params = SchemeParams(variant=Variant.S1, n=6, k=2, thresholds=(2, 3), q=97)
@@ -171,10 +171,7 @@ class TestMultiUseShares:
             second_setup,
             shares=first_setup.shares,
             commitments=tuple(
-                Commitment(
-                    owner=share.owner,
-                    values=ajtai_hash(field, second_setup.commit_matrix, share.bits),
-                )
+                ajtai_hash(field, second_setup.commit_matrix, share.bits)
                 for share in first_setup.shares
             ),
         )
