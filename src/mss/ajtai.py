@@ -13,7 +13,7 @@ from itertools import compress
 from typing import Sequence
 
 from .errors import DimMismatch, NotBinary, RngSuspect, ShareSpaceExhausted
-from .field import Matrix, PrimeField, matrix_rank
+from .field import Matrix, PrimeField, _pack, _unpack, matrix_rank
 
 #: Keep the share space at >= 2^16 vectors even for tiny test parameters.
 MIN_SHARE_BITS = 16
@@ -37,7 +37,8 @@ class Share:
     def __post_init__(self):
         if self.owner < 1:
             raise ValueError("owner index is 1-based")
-        if any(b not in (0, 1) for b in self.bits):
+        # True and 1.0 compare equal to 1, so the type is checked first
+        if not (set(map(type, self.bits)) <= {int} and set(self.bits) <= {0, 1}):
             raise NotBinary("share bits must be 0 or 1")
         if not self.bits:
             raise ValueError("share must be nonempty")
@@ -121,28 +122,22 @@ def ajtai_hash_many(
     checked here.
 
     Each column of A is packed once into one integer, entry i in the
-    w-bit slot i, with w = bits(q) + bits(cols): a sum of at most cols
-    residues below q fits in a slot, so slots never carry into each other.
-    A vector's hash is then one sum of the packed columns it picks,
-    unpacked slot by slot and reduced mod q.  Packing costs more than one
-    hash, so it pays when several vectors are hashed under the same A.
+    w-bit slot i (see ``field._pack``), with w = bits(cols * (q - 1)): a
+    sum of at most cols residues fits in a slot, so slots never carry
+    into each other.  A vector's hash is then one sum of the packed
+    columns it picks, unpacked and reduced mod q.  Packing costs more
+    than one hash, so it pays when several vectors are hashed under the
+    same A.
     """
     for share in shares:
         _check_length(a, share.bits)
-    q, rows, cols, data = field.q, a.rows, a.cols, a.data
-    w = q.bit_length() + cols.bit_length()
-    packed = []
-    for j in range(cols):
-        acc = 0
-        for i in range(rows - 1, -1, -1):
-            acc = (acc << w) | data[i * cols + j]
-        packed.append(acc)
-    mask = (1 << w) - 1
-    out = []
-    for share in shares:
-        total = sum(compress(packed, share.bits))
-        out.append(tuple(((total >> (i * w)) & mask) % q for i in range(rows)))
-    return out
+    q, rows, cols = field.q, a.rows, a.cols
+    w = (cols * (q - 1)).bit_length()
+    packed = [_pack(a.data[j::cols], q, w) for j in range(cols)]
+    return [
+        tuple(_unpack(sum(compress(packed, share.bits)), rows, q, w))
+        for share in shares
+    ]
 
 
 def verify_commitment(

@@ -438,7 +438,9 @@ def encode_recovered(
     )
 
 
-def decode_recovered(data: bytes | str) -> RecoveredFile:
+def decode_recovered(data: bytes | str, q: int | None = None) -> RecoveredFile:
+    """The recovery report.  Given the bulletin's q, every candidate
+    component must be reduced into [0, q), else a ValidationError."""
     obj = _load_json(data)
     _expect_kind(obj, "recovered")
     index = _parse_uint(_get(obj, "secret_index"), "secret_index")
@@ -447,7 +449,10 @@ def decode_recovered(data: bytes | str) -> RecoveredFile:
     raw = _get(obj, "candidate")
     if not isinstance(raw, list):
         raise ParseError("candidate must be an array")
-    candidate = tuple(_parse_decimal(v, "candidate") for v in raw)
+    candidate = tuple(
+        _parse_decimal(v, "candidate") if q is None else _parse_residue(v, q, "candidate")
+        for v in raw
+    )
     verified = _get(obj, "verified")
     if not isinstance(verified, bool):
         raise ParseError("verified must be a boolean")

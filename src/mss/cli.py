@@ -174,7 +174,7 @@ def cmd_recover(args) -> int:
 
 def cmd_verify_secret(args) -> int:
     board, digest = bio.read_bulletin(_read(args.bulletin))
-    report = bio.decode_recovered(_read(args.recovered))
+    report = bio.decode_recovered(_read(args.recovered), board.params.q)
     if report.deal != digest:
         raise WrongDeal("report belongs to another deal")
     if verify_secret(board, report.secret_index, report.candidate):

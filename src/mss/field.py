@@ -162,6 +162,20 @@ def matrix_rank(field: PrimeField, m: Matrix) -> int:
     return len(_eliminate(field, [list(m.row(i)) for i in range(m.rows)], m.cols))
 
 
+def _pack(values: Sequence[int], q: int, w: int) -> int:
+    """The residues of ``values`` in one int: value j mod q in the w-bit slot j."""
+    packed = 0
+    for v in reversed(values):
+        packed = packed << w | v % q
+    return packed
+
+
+def _unpack(packed: int, n: int, q: int, w: int) -> list[int]:
+    """The first n w-bit slots of ``packed``, each reduced mod q."""
+    mask = (1 << w) - 1
+    return [(packed >> shift & mask) % q for shift in range(0, n * w, w)]
+
+
 def _eliminate(
     field: PrimeField, rows: list[list[int]], ncols: int, above: bool = False
 ) -> list[int]:
@@ -170,27 +184,43 @@ def _eliminate(
     Pivots are the first nonzero entry at or below the current rank; each
     pivot row is scaled to a leading 1 and its column cleared in the rows
     below it, and also above it when ``above`` is set (Gauss-Jordan form).
+
+    Each row is held as one int of w-bit slots (see ``_pack``), so a row
+    operation is one multiply-add, row += (q - f) * pivot_row, reduced
+    only at the end (delayed reduction).  The pivot row is reduced when it
+    is scaled, so every operation adds less than q^2 to a slot, and a row
+    takes at most rows - 1 operations between reductions: a slot never
+    exceeds (q - 1) + (rows - 1) * (q - 1)^2, and w is that bound's bit
+    length, so no slot carries into the next.
     """
     q = field.q
+    width = len(rows[0])
+    w = (q - 1 + (len(rows) - 1) * (q - 1) ** 2).bit_length()
+    mask = (1 << w) - 1
+    packed = [_pack(row, q, w) for row in rows]
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % q), None)
+        shift = col * w
+        pivot = next(
+            (r for r in range(rank, len(packed)) if (packed[r] >> shift & mask) % q),
+            None,
+        )
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv_p = field.inv(rows[rank][col])
-        # left of col the pivot row is zero mod q, so row operations start at col
-        prow = [v * inv_p % q for v in rows[rank][col:]]
-        rows[rank][col:] = prow
-        for r in range(0 if above else rank + 1, len(rows)):
-            row = rows[r]
-            f = row[col] % q
+        packed[rank], packed[pivot] = packed[pivot], packed[rank]
+        # left of col the pivot row is zero mod q: scale and repack the rest
+        row = _unpack(packed[rank] >> shift, width - col, q, w)
+        inv_p = field.inv(row[0])
+        prow = packed[rank] = _pack([v * inv_p for v in row], q, w) << shift
+        for r in range(0 if above else rank + 1, len(packed)):
+            f = (packed[r] >> shift & mask) % q
             if f and r != rank:
-                row[col:] = [(a - f * p) % q for a, p in zip(row[col:], prow)]
+                packed[r] += (q - f) * prow
         pivots.append(col)
-        if rank + 1 == len(rows):
+        if rank + 1 == len(packed):
             break
+    rows[:] = [_unpack(p, width, q, w) for p in packed]
     return pivots
 
 
@@ -236,13 +266,11 @@ def solve_linear(
             raise DimMismatch(f"matrix has {m.rows} rows, rhs has {len(b)}")
     q = field.q
     ncols = m.cols
-    rows = [
-        list(m.row(i)) + [b[i] % q for b in columns] for i in range(m.rows)
-    ]
+    rows = [list(m.row(i)) + [b[i] for b in columns] for i in range(m.rows)]
     pivot_cols = _eliminate(field, rows, ncols, above=True)
     pr = len(pivot_cols)
     for r in range(pr, len(rows)):
-        if any(v % q for v in rows[r][ncols:]):
+        if any(rows[r][ncols:]):
             raise Inconsistent("system has no solution")
     pivot_set = set(pivot_cols)
     free_cols = tuple(c for c in range(ncols) if c not in pivot_set)

@@ -18,10 +18,11 @@ value is p(0) = u_0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .errors import BadInitial, BadWindow, DuplicateNode
-from .field import PrimeField, binom_mod, solve_linear, vandermonde
+from .field import PrimeField, _pack, _unpack, binom_mod, solve_linear, vandermonde
 
 
 @dataclass(frozen=True)
@@ -84,15 +85,20 @@ def recursion_coeffs(spec: IlrSpec) -> tuple[int, ...]:
     return tuple(out)
 
 
-def rhs_term(spec: IlrSpec, i: int) -> tuple[int, ...]:
-    """Right-hand side g(i) * c of the recursion instance starting at i."""
-    if i < 0:
-        raise ValueError("index must be nonnegative")
+def _rhs_scalar(spec: IlrSpec, i: int) -> int:
+    """g(i): the right-hand side of the instance starting at i is g(i) * c."""
     field = spec.field
     g = binom_mod(field, i, spec.l)
     if spec.alternating and i % 2 == 1:
         g = field.neg(g)
-    return field.vec_scale(g, spec.c)
+    return g
+
+
+def rhs_term(spec: IlrSpec, i: int) -> tuple[int, ...]:
+    """Right-hand side g(i) * c of the recursion instance starting at i."""
+    if i < 0:
+        raise ValueError("index must be nonnegative")
+    return spec.field.vec_scale(_rhs_scalar(spec, i), spec.c)
 
 
 def _check_vectors(spec: IlrSpec, vecs: Sequence[Sequence[int]], err) -> None:
@@ -108,26 +114,32 @@ def forward_extend(
 
     The leading coefficient is 1, so each new term is solved directly:
     u_{i+t+l-1} = rhs(i) - sum_{v>=1} coeff_v * u_{i+t+l-1-v}.
+
+    Each term is also held as one int of w-bit slots (see ``field._pack``),
+    so a new term is g(i) * (packed c) plus one multiply-add
+    (-coeff_v mod q) * (packed term) per earlier term, unpacked and
+    reduced once.  Every addend is a product of two residues, t+l of them
+    per slot, so a slot never exceeds (t+l) * (q - 1)^2, and w is that
+    bound's bit length: no slot carries into the next.
     """
     if len(initial) != spec.order:
         raise BadInitial(f"expected {spec.order} initial terms, got {len(initial)}")
     _check_vectors(spec, initial, BadInitial)
     if upto < spec.order - 1:
         raise ValueError(f"upto must be at least {spec.order - 1}")
-    field = spec.field
-    q = field.q
-    coeffs = recursion_coeffs(spec)
-    terms: list[tuple[int, ...]] = [field.vec(v) for v in initial]
-    for new_idx in range(spec.order, upto + 1):
-        i = new_idx - spec.order
-        acc = list(rhs_term(spec, i))
-        for v in range(1, spec.window):
-            cv = coeffs[v]
-            if cv:
-                prev = terms[new_idx - v]
-                for s in range(spec.dim):
-                    acc[s] -= cv * prev[s]
-        terms.append(tuple(a % q for a in acc))
+    q, order = spec.field.q, spec.order
+    w = (spec.window * (q - 1) ** 2).bit_length()
+    # -coeff_v for v = t+l-1 down to 1, matching the terms u_i..u_{i+t+l-2}
+    weights = [-c % q for c in reversed(recursion_coeffs(spec)[1:])]
+    packed_c = _pack(spec.c, q, w)
+    terms = [spec.field.vec(v) for v in initial]
+    packed = [_pack(v, q, w) for v in terms]
+    for i in range(upto + 1 - order):
+        acc = _rhs_scalar(spec, i) * packed_c
+        acc += sum(map(mul, weights, packed[i : i + order]))
+        term = _unpack(acc, spec.dim, q, w)
+        terms.append(tuple(term))
+        packed.append(_pack(term, q, w))
     return tuple(terms)
 
 

@@ -226,7 +226,8 @@ def test_criterion_6_tamper_detection(verdict, tmp_path, capsys):
     Runs through the command-line surfaces: `verify-share` on a share file
     with one flipped bit, `verify-secret` on a report with one altered
     component and on one with a component raised by q (congruent to the
-    secret, but not equal to it).  Honest counterparts must keep exiting 0.
+    secret, but not equal to it, and refused as unreduced with exit 2).
+    Honest counterparts must keep exiting 0.
     """
     from mss.bulletin import (
         encode_recovered,
@@ -284,11 +285,12 @@ def test_criterion_6_tamper_detection(verdict, tmp_path, capsys):
         ]
         if cli_main(args) != 1:
             false_accepts += 1
-        # congruent to the secret but unreduced: one component moved by q
+        # congruent to the secret but unreduced: one component moved by q,
+        # so reading the report fails (exit 2) before anything is verified
         unreduced = list(secrets[0])
         unreduced[pos] += params.q
         write_atomic(str(report_path), encode_recovered(1, unreduced, True, digest))
-        if cli_main(args) != 1:
+        if cli_main(args) != 2:
             false_accepts += 1
         write_atomic(
             str(report_path), encode_recovered(1, secrets[0], True, digest)

@@ -87,7 +87,9 @@ class TestShareSampling:
             sample_distinct_shares(3, 1, Drbg(0))
 
     # the batch hash trusts these checks and scans no bits itself
-    @pytest.mark.parametrize("bits", [(0, 2), (1, 0, 2), (1, -1, 0), (0, 0.5, 1)])
+    @pytest.mark.parametrize(
+        "bits", [(0, 2), (1, 0, 2), (1, -1, 0), (0, 0.5, 1), (1.0, 0, True) + (0,) * 13]
+    )
     def test_share_validation(self, bits):
         with pytest.raises(NotBinary):
             Share(owner=1, bits=bits)

@@ -437,6 +437,13 @@ class TestSecretsAndRecoveredFiles:
         assert report.verified is True
         assert report.deal == digest
 
+    def test_recovered_candidate_reduced_mod_bulletin_q(self):
+        blob = encode_recovered(1, (5, 97), True, "ab" * 32)
+        assert decode_recovered(blob).candidate == (5, 97)
+        assert decode_recovered(blob, 101).candidate == (5, 97)
+        with pytest.raises(ValidationError, match="^candidate is not reduced mod q$"):
+            decode_recovered(blob, 97)
+
     def test_recovered_deal_with_trailing_newline_rejected(self):
         obj = json.loads(encode_recovered(1, (5,), True, "ab" * 32))
         obj["deal"] += "\n"

@@ -404,8 +404,8 @@ class TestVerifySecret:
             "--recovered",
             str(path),
         )
-        assert result.returncode == 1
-        assert result.stderr == "secret 1: FAIL\n"
+        assert result.returncode == 2
+        assert result.stderr == "error: ValidationError: candidate is not reduced mod q\n"
 
     def test_report_from_another_deal_exits_one(self, dealt, other_deal):
         result = TestRecover().recover(dealt, "backward", 1, [1, 2], "r7.json")
