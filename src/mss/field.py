@@ -156,10 +156,10 @@ def matrix_rank(field: PrimeField, m: Matrix) -> int:
     matrix through elimination.
     """
     if m.rows < m.cols:
-        block = [list(m.data[i * m.cols : i * m.cols + m.rows]) for i in range(m.rows)]
-        if len(_eliminate(field, block, m.rows)) == m.rows:
+        block = [m.data[i * m.cols : i * m.cols + m.rows] for i in range(m.rows)]
+        if len(_eliminate(field, block, m.rows)[0]) == m.rows:
             return m.rows
-    return len(_eliminate(field, [list(m.row(i)) for i in range(m.rows)], m.cols))
+    return len(_eliminate(field, [m.row(i) for i in range(m.rows)], m.cols)[0])
 
 
 def _pack(values: Sequence[int], q: int, w: int) -> int:
@@ -177,9 +177,10 @@ def _unpack(packed: int, n: int, q: int, w: int) -> list[int]:
 
 
 def _eliminate(
-    field: PrimeField, rows: list[list[int]], ncols: int, above: bool = False
-) -> list[int]:
-    """Pivot columns among the first ``ncols``, reducing the rows in place.
+    field: PrimeField, rows: Sequence[Sequence[int]], ncols: int, above: bool = False
+) -> tuple[list[int], list[int], int]:
+    """Pivot columns among the first ``ncols``, the reduced rows packed in
+    w-bit slots, and w: ``_unpack(row, len(rows[0]), q, w)`` reads one.
 
     Pivots are the first nonzero entry at or below the current rank; each
     pivot row is scaled to a leading 1 and its column cleared in the rows
@@ -187,7 +188,7 @@ def _eliminate(
 
     Each row is held as one int of w-bit slots (see ``_pack``), so a row
     operation is one multiply-add, row += (q - f) * pivot_row, reduced
-    only at the end (delayed reduction).  The pivot row is reduced when it
+    only when read (delayed reduction).  The pivot row is reduced when it
     is scaled, so every operation adds less than q^2 to a slot, and a row
     takes at most rows - 1 operations between reductions: a slot never
     exceeds (q - 1) + (rows - 1) * (q - 1)^2, and w is that bound's bit
@@ -220,8 +221,7 @@ def _eliminate(
         pivots.append(col)
         if rank + 1 == len(packed):
             break
-    rows[:] = [_unpack(p, width, q, w) for p in packed]
-    return pivots
+    return pivots, packed, w
 
 
 @dataclass(frozen=True)
@@ -266,8 +266,9 @@ def solve_linear(
             raise DimMismatch(f"matrix has {m.rows} rows, rhs has {len(b)}")
     q = field.q
     ncols = m.cols
-    rows = [list(m.row(i)) + [b[i] for b in columns] for i in range(m.rows)]
-    pivot_cols = _eliminate(field, rows, ncols, above=True)
+    rows = [m.row(i) + tuple(b[i] for b in columns) for i in range(m.rows)]
+    pivot_cols, packed, w = _eliminate(field, rows, ncols, above=True)
+    rows = [_unpack(p, ncols + len(columns), q, w) for p in packed]
     pr = len(pivot_cols)
     for r in range(pr, len(rows)):
         if any(rows[r][ncols:]):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import BadInitial, BadWindow, DuplicateNode
 from .field import PrimeField, _pack, _unpack, binom_mod, solve_linear, vandermonde
@@ -107,6 +107,30 @@ def _check_vectors(spec: IlrSpec, vecs: Sequence[Sequence[int]], err) -> None:
             raise err(f"expected vectors of dimension {spec.dim}, got {len(v)}")
 
 
+def _walk(
+    spec: IlrSpec, window: Sequence[Sequence[int]], weights: Sequence[int], gs: Iterable[int]
+) -> list[tuple[int, ...]]:
+    """One new term g * c + sum_v weights[v] * term_{j+v} per g_j in ``gs``,
+    where term_0, term_1, ... are the ``window`` terms and then the new ones.
+
+    Each term is held as one int of w-bit slots (see ``field._pack``), so a
+    step is one multiply-add per weight, unpacked and reduced once.  With g
+    and the weights reduced, every addend is a product of two residues, t+l
+    of them per slot, so a slot never exceeds (t+l) * (q - 1)^2, and w is
+    that bound's bit length: no slot carries into the next.
+    """
+    q, order = spec.field.q, len(weights)
+    w = (spec.window * (q - 1) ** 2).bit_length()
+    packed_c = _pack(spec.c, q, w)
+    packed = [_pack(v, q, w) for v in window]
+    out = []
+    for j, g in enumerate(gs):
+        acc = g * packed_c + sum(map(mul, weights, packed[j : j + order]))
+        out.append(tuple(_unpack(acc, spec.dim, q, w)))
+        packed.append(_pack(out[-1], q, w))
+    return out
+
+
 def forward_extend(
     spec: IlrSpec, initial: Sequence[Sequence[int]], upto: int
 ) -> tuple[tuple[int, ...], ...]:
@@ -114,33 +138,17 @@ def forward_extend(
 
     The leading coefficient is 1, so each new term is solved directly:
     u_{i+t+l-1} = rhs(i) - sum_{v>=1} coeff_v * u_{i+t+l-1-v}.
-
-    Each term is also held as one int of w-bit slots (see ``field._pack``),
-    so a new term is g(i) * (packed c) plus one multiply-add
-    (-coeff_v mod q) * (packed term) per earlier term, unpacked and
-    reduced once.  Every addend is a product of two residues, t+l of them
-    per slot, so a slot never exceeds (t+l) * (q - 1)^2, and w is that
-    bound's bit length: no slot carries into the next.
     """
     if len(initial) != spec.order:
         raise BadInitial(f"expected {spec.order} initial terms, got {len(initial)}")
     _check_vectors(spec, initial, BadInitial)
     if upto < spec.order - 1:
         raise ValueError(f"upto must be at least {spec.order - 1}")
-    q, order = spec.field.q, spec.order
-    w = (spec.window * (q - 1) ** 2).bit_length()
     # -coeff_v for v = t+l-1 down to 1, matching the terms u_i..u_{i+t+l-2}
-    weights = [-c % q for c in reversed(recursion_coeffs(spec)[1:])]
-    packed_c = _pack(spec.c, q, w)
+    weights = [-c % spec.field.q for c in reversed(recursion_coeffs(spec)[1:])]
+    gs = (_rhs_scalar(spec, i) for i in range(upto + 1 - spec.order))
     terms = [spec.field.vec(v) for v in initial]
-    packed = [_pack(v, q, w) for v in terms]
-    for i in range(upto + 1 - order):
-        acc = _rhs_scalar(spec, i) * packed_c
-        acc += sum(map(mul, weights, packed[i : i + order]))
-        term = _unpack(acc, spec.dim, q, w)
-        terms.append(tuple(term))
-        packed.append(_pack(term, q, w))
-    return tuple(terms)
+    return tuple(terms + _walk(spec, terms, weights, gs))
 
 
 def backward_recover(
@@ -149,32 +157,21 @@ def backward_recover(
     """Recover u_{start-1}, ..., u_0 from the terms u_start..u_{start+t+l-2}.
 
     Each recursion instance is solved for its lowest-index term:
-    u_m = coeff_{t+l-1}^{-1} * (rhs(m) - sum_{v<t+l-1} coeff_v * u_{m+t+l-1-v}).
+    u_m = coeff_{t+l-1}^{-1} * (rhs(m) - sum_{v<t+l-1} coeff_v * u_{m+t+l-1-v}),
+    which is a forward step on the reversed window.
     """
     if start < 1:
         raise BadWindow("start must be at least 1")
     if len(window) != spec.order:
         raise BadWindow(f"expected window of {spec.order} terms, got {len(window)}")
     _check_vectors(spec, window, BadWindow)
-    field = spec.field
-    q = field.q
+    q = spec.field.q
     coeffs = recursion_coeffs(spec)
-    inv_trailing = field.inv(coeffs[spec.window - 1])
-    # win holds u_{m+1}..u_{m+t+l-1}, ascending
-    win = [field.vec(v) for v in window]
-    out: list[tuple[int, ...]] = []
-    for m in range(start - 1, -1, -1):
-        acc = list(rhs_term(spec, m))
-        for v in range(spec.window - 1):
-            cv = coeffs[v]
-            if cv:
-                prev = win[spec.order - 1 - v]
-                for s in range(spec.dim):
-                    acc[s] -= cv * prev[s]
-        u_m = tuple(inv_trailing * (a % q) % q for a in acc)
-        out.append(u_m)
-        win = [u_m] + win[:-1]
-    return out
+    inv_trailing = spec.field.inv(coeffs[-1])
+    # -coeff_v / coeff_{t+l-1} for v = 0..t+l-2, matching u_{m+t+l-1}..u_{m+1}
+    weights = [-c * inv_trailing % q for c in coeffs[:-1]]
+    gs = (inv_trailing * _rhs_scalar(spec, m) % q for m in range(start - 1, -1, -1))
+    return _walk(spec, window[::-1], weights, gs)
 
 
 def fold_value(spec: IlrSpec, x: int, value: int) -> int:

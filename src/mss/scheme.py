@@ -179,6 +179,7 @@ class Bulletin:
 
     def extra_points(self, i: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Published samples (n+1, u_{n+1}), ..., beyond the participants."""
+        self._check_secret_index(i)
         n = self.params.n
         return tuple(
             (n + m, vec) for m, vec in enumerate(self.extras[i - 1], start=1)

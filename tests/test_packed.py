@@ -1,7 +1,8 @@
 """The packed kernels against the per-entry loops they replaced.
 
-``field._eliminate`` holds each row, and ``ilr.forward_extend`` each term,
-as one int of w-bit slots and reduces only once per pivot or term.  The
+``field._eliminate`` holds each row, and ``ilr._walk`` (the one recursion
+walker behind ``forward_extend`` and ``backward_recover``) each term, as
+one int of w-bit slots, and reduces only once per pivot or term.  The
 references below are the per-entry loops, kept as oracles: the packed
 kernels must give the same pivots, the same inverses and the same rows
 and terms mod q, on every shape, rank and modulus, and also on the inputs
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mss.field import _MR_LIMIT, PrimeField, _eliminate, is_prime
+from mss.field import _MR_LIMIT, PrimeField, _eliminate, _unpack, is_prime
 from mss.ilr import IlrSpec, backward_recover, forward_extend, recursion_coeffs, rhs_term
 
 
@@ -102,9 +103,10 @@ def assert_same_elimination(q, rows, ncols, above):
     want_rows = [list(row) for row in rows]
     want = reference_eliminate(field, want_rows, ncols, above)
     field, got_inverted = recording_field(q)
-    got_rows = [list(row) for row in rows]
-    assert _eliminate(field, got_rows, ncols, above) == want
+    pivots, packed, w = _eliminate(field, rows, ncols, above)
+    assert pivots == want
     assert got_inverted == want_inverted
+    got_rows = [_unpack(row, len(rows[0]), q, w) for row in packed]
     assert got_rows == [[v % q for v in row] for row in want_rows]
 
 
@@ -192,12 +194,21 @@ def test_recursion_matches_per_entry_reference(case):
     assert_same_recursion(*case)
 
 
-@pytest.mark.parametrize("q", [3, 97])
+@pytest.mark.parametrize(
+    "q, d, dims, starts",
+    [
+        pytest.param(3, 2, range(1, 65), 7, id="3"),
+        pytest.param(97, 3, range(1, 65), 7, id="97"),
+        # the orders that recover-window (t = 24) and criterion 7 (t = 32) walk
+        pytest.param((1 << 61) - 1, 24, [24], 41, id="order24"),
+        pytest.param((1 << 61) - 1, 32, [32], 41, id="order32"),
+    ],
+)
 @pytest.mark.parametrize("alternating, wide", FAMILIES)
-def test_recursion_every_dim_and_start(q, alternating, wide):
+def test_recursion_every_dim_and_start(q, d, dims, starts, alternating, wide):
     rnd = random.Random(f"{q}-{alternating}-{wide}")
-    for dim in range(1, 65):
+    for dim in dims:
         c = [rnd.randrange(q) for _ in range(dim)]
-        spec = family_spec(q, alternating, wide, min(3, q - 1), c)
+        spec = family_spec(q, alternating, wide, d, c)
         initial = [[rnd.randrange(q) for _ in range(dim)] for _ in range(spec.order)]
-        assert_same_recursion(spec, initial, spec.order + 6)
+        assert_same_recursion(spec, initial, spec.order - 1 + starts)

@@ -304,6 +304,12 @@ class TestShadows:
         with pytest.raises(BadIndex, match=f"secret index {i} outside"):
             participant_subshadows(board, i, shares[:count])
 
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_extra_points_bad_secret_index(self, i):
+        _, _, _, board = make_deal(Variant.S1, n=5, k=2, thresholds=(2, 3), seed="bad-i")
+        with pytest.raises(BadIndex, match=f"secret index {i} outside"):
+            board.extra_points(i)
+
     def test_participant_subshadows_of_no_shares(self):
         _, _, _, board = make_deal(Variant.S1, n=5, k=2, thresholds=(2, 3), seed="empty")
         assert participant_subshadows(board, 2, []) == {}
