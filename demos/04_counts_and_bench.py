@@ -1,25 +1,35 @@
 """Memory and time comparisons: count formulas plus a small live benchmark.
 
 The count table reproduces the published-value formulas for the reference
-(t, k, n) tuples; the benchmark shows why the backward walk is the method
-of choice for consecutive quorums once thresholds grow.
+(t, k, n) tuples; the benchmark, run through ``mss bench``, shows why the
+backward walk is the method of choice for consecutive quorums once
+thresholds grow.
 """
 
+import contextlib
+import io
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from mss import FIGURE1_TUPLES, bench_csv, bench_rows, counts_csv, Variant
+from mss import FIGURE1_TUPLES, counts_csv
+from mss.cli import main
 
 print("published-value counts at the reference parameter tuples:")
 print(counts_csv(FIGURE1_TUPLES))
 
 print("live timings (medians over 5 trials, n = 24, one secret):")
-rows = bench_rows(Variant.S1, n=24, k=1, t_values=(4, 8, 16), trials=5, seed=7)
-print(bench_csv(rows))
+csv = io.StringIO()
+with contextlib.redirect_stdout(csv):
+    args = ["bench", "--variant", "s1", "--n", "24", "--k", "1", "--t-range", "4,8,16"]
+    assert main([*args, "--trials", "5", "--seed", "7"]) == 0
+print(csv.getvalue())
 
-by_phase = {(r.phase, r.t): r.median_seconds for r in rows}
+by_phase = {}
+for line in csv.getvalue().splitlines()[1:]:
+    phase, t, _trials, median = line.split(",")
+    by_phase[(phase, int(t))] = float(median)
 for t in (4, 8, 16):
     solve = by_phase[("recover_vandermonde", t)]
     walk = by_phase[("recover_backward", t)]

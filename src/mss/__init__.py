@@ -8,12 +8,11 @@ over a consecutive one, and both shares and recovered secrets are
 verifiable against published digests.
 
 The package exports the protocol, the field and recursion toolkit, the
-count and bench tables, and every error class; everything else (codecs,
-samplers, helpers) is imported from its submodule.
+count tables, and every error class; everything else (codecs, samplers,
+helpers) is imported from its submodule.
 """
 
 from .ajtai import Share, verify_commitment
-from .bench import bench_csv, bench_rows
 from .counts import FIGURE1_TUPLES, counts_csv
 from .errors import (
     BadIndex,

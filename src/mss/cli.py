@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
+import time
 
 from . import bulletin as bio
-from .bench import bench_csv, bench_rows
 from .counts import FIGURE1_TUPLES, SCHEME_LABELS, counts_csv, public_value_counts
 from .errors import MssError, WrongDeal
 from .field import DEFAULT_PRIME
@@ -20,11 +21,13 @@ from .rng import Drbg
 from .scheme import (
     SchemeParams,
     Variant,
+    construct,
     deal,
     participant_subshadows,
     recover_way1_lagrange,
     recover_way1_vandermonde,
     recover_way2,
+    setup,
     verify_secret,
 )
 from .ajtai import ajtai_hash_many, verify_commitment
@@ -195,16 +198,57 @@ def cmd_counts(args) -> int:
     return EXIT_OK
 
 
+def _timed(samples: list[float], fn, *args):
+    """``fn(*args)``, with its wall time appended to samples."""
+    start = time.perf_counter()
+    result = fn(*args)
+    samples.append(time.perf_counter() - start)
+    return result
+
+
 def cmd_bench(args) -> int:
-    rows = bench_rows(
-        variant=Variant(args.variant),
-        n=args.n,
-        k=args.k,
-        t_values=args.t_range,
-        trials=args.trials,
-        seed=_seed_for(args),
-    )
-    sys.stdout.write(bench_csv(rows))
+    """Median wall time of each phase, as CSV rows per threshold value.
+
+    Setup runs once per threshold so that construction can be timed on its
+    own; this is a timing harness only, as reusing a setup across deals lets
+    a quorum that pooled its subshadows for one deal recover the next deal's
+    secrets.  Each trial times a fresh construction, one share verification,
+    and one recovery per method over freshly drawn quorums.
+    """
+    if args.trials < 1:
+        raise ValueError(f"trials must be at least 1, got {args.trials}")
+    n, k = args.n, args.k
+    phases = ("construct", "verify_share", "recover_vandermonde", "recover_lagrange",
+              "recover_backward")
+    rng = _rng_for(args)
+    lines = ["phase,t,trials,median_seconds"]
+    for t in args.t_range:
+        params = SchemeParams(variant=args.variant, n=n, k=k, thresholds=(t,) * k)
+        field = params.field()
+        setup_result = setup(params, rng)
+        secrets = [field.rand_vec(rng, t) for _ in range(k)]
+        times: dict[str, list[float]] = {phase: [] for phase in phases}
+        for _ in range(args.trials):
+            board = _timed(times["construct"], construct, params, secrets, setup_result, rng)
+            share = setup_result.shares[rng.randbelow(n)]
+            commitment = board.commitments[share.owner - 1]
+            _timed(times["verify_share"], verify_commitment,
+                   field, board.commit_matrix, share, commitment)
+            # random quorum for the interpolating methods
+            owners = list(range(1, n + 1))
+            quorum = [owners.pop(rng.randbelow(len(owners))) for _ in range(t)]
+            group = [setup_result.shares[j - 1] for j in quorum]
+            subshadows = participant_subshadows(board, 1, group)
+            _timed(times["recover_vandermonde"], recover_way1_vandermonde, board, 1, subshadows)
+            _timed(times["recover_lagrange"], recover_way1_lagrange, board, 1, subshadows)
+            # random consecutive window for backward recovery
+            start = 1 + rng.randbelow(n - t + 1)
+            window_group = setup_result.shares[start - 1 : start - 1 + t]
+            window = participant_subshadows(board, 1, window_group)
+            _timed(times["recover_backward"], recover_way2, board, 1, window)
+        for phase, samples in times.items():
+            lines.append(f"{phase},{t},{args.trials},{statistics.median(samples):.9f}")
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

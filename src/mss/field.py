@@ -135,18 +135,6 @@ class Matrix:
         return self.data[i * self.cols + j]
 
 
-def mat_vec(field: PrimeField, m: Matrix, x: Sequence[int]) -> tuple[int, ...]:
-    """Matrix-vector product over F_q."""
-    if len(x) != m.cols:
-        raise DimMismatch(f"matrix has {m.cols} columns, vector has {len(x)}")
-    q = field.q
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        out.append(sum(a * b for a, b in zip(row, x)) % q)
-    return tuple(out)
-
-
 def matrix_rank(field: PrimeField, m: Matrix) -> int:
     """Row rank by Gaussian elimination (first-nonzero pivoting).
 

@@ -240,19 +240,3 @@ def to_homogeneous(field: PrimeField, coeffs: Sequence[int]) -> tuple[int, ...]:
         out.append((coeffs[j] - coeffs[j - 1]) % q)
     out.append(-coeffs[-1] % q)
     return tuple(out)
-
-
-def satisfies(spec: IlrSpec, terms: Sequence[Sequence[int]]) -> bool:
-    """Check that every full window of terms meets the recursion identity."""
-    field = spec.field
-    q = field.q
-    coeffs = recursion_coeffs(spec)
-    for i in range(len(terms) - spec.window + 1):
-        expect = rhs_term(spec, i)
-        for s in range(spec.dim):
-            acc = 0
-            for v in range(spec.window):
-                acc += coeffs[v] * terms[i + spec.window - 1 - v][s]
-            if acc % q != expect[s]:
-                return False
-    return True

@@ -142,6 +142,11 @@ class SetupResult:
     commitments: tuple[tuple[int, ...], ...]
 
 
+def _check_secret_index(params: SchemeParams, i: int) -> None:
+    if not 1 <= i <= params.k:
+        raise BadIndex(f"secret index {i} outside [1, {params.k}]")
+
+
 @dataclass(frozen=True)
 class Bulletin:
     """Every public value of one deal.
@@ -160,12 +165,8 @@ class Bulletin:
     offsets: tuple[tuple[tuple[int, ...], ...], ...]
     extras: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def _check_secret_index(self, i: int) -> None:
-        if not 1 <= i <= self.params.k:
-            raise BadIndex(f"secret index {i} outside [1, {self.params.k}]")
-
     def threshold(self, i: int) -> int:
-        self._check_secret_index(i)
+        _check_secret_index(self.params, i)
         return self.params.thresholds[i - 1]
 
     def ilr_spec(self, i: int) -> IlrSpec:
@@ -179,7 +180,7 @@ class Bulletin:
 
     def extra_points(self, i: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Published samples (n+1, u_{n+1}), ..., beyond the participants."""
-        self._check_secret_index(i)
+        _check_secret_index(self.params, i)
         n = self.params.n
         return tuple(
             (n + m, vec) for m, vec in enumerate(self.extras[i - 1], start=1)
@@ -196,8 +197,7 @@ def ilr_spec_for(
     threshold with l = 1; s3/s4 fix t = 1 and tie l to the threshold,
     truncating the shared constant to its first t_i components.
     """
-    if not 1 <= i <= params.k:
-        raise BadIndex(f"secret index {i} outside [1, {params.k}]")
+    _check_secret_index(params, i)
     t_i = params.thresholds[i - 1]
     field = params.field()
     if params.variant.shared_constant:
@@ -368,7 +368,7 @@ def deal(
 
 def compute_shadow(bulletin: Bulletin, i: int, share: Share) -> tuple[int, ...]:
     """Shadow d_j = G_i * sh_j of one participant for secret i."""
-    bulletin._check_secret_index(i)
+    _check_secret_index(bulletin.params, i)
     field = bulletin.params.field()
     return ajtai_hash(field, bulletin.mask_matrices[i - 1], share.bits)
 
@@ -416,10 +416,13 @@ def participant_subshadows(
     """Subshadows of secret i computed straight from a group's shares.
 
     All shadows come from one ``ajtai_hash_many`` call under G_i; they equal
-    ``compute_shadow`` of each share.
+    ``compute_shadow`` of each share.  Raises BadShares when two shares name
+    one owner.
     """
-    bulletin._check_secret_index(i)
+    _check_secret_index(bulletin.params, i)
     shares = list(shares)
+    if len({share.owner for share in shares}) != len(shares):
+        raise BadShares("two shares name the same owner")
     field = bulletin.params.field()
     hashes = ajtai_hash_many(field, bulletin.mask_matrices[i - 1], shares)
     shadows = {share.owner: values for share, values in zip(shares, hashes)}

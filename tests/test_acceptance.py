@@ -4,13 +4,11 @@ Every tolerance is exact residue equality unless stated otherwise.
 """
 
 import json
-import statistics
 import time
 from pathlib import Path
 
 import pytest
 
-from mss.bench import bench_at
 from mss.bulletin import (
     decode_bulletin,
     decode_share,
@@ -306,11 +304,16 @@ def test_criterion_6_tamper_detection(verdict, tmp_path, capsys):
     )
 
 
-def test_criterion_7_recovery_timing_order(verdict):
+def test_criterion_7_recovery_timing_order(verdict, capsys):
     """Backward recovery beats the linear-solve path at t=32, n=64."""
-    times = bench_at(Variant.S1, 64, 1, 32, 30, Drbg(2024))
-    way1 = statistics.median(times["recover_vandermonde"])
-    way2 = statistics.median(times["recover_backward"])
+    args = ["bench", "--variant", "s1", "--n", "64", "--k", "1", "--t-range", "32"]
+    assert cli_main([*args, "--trials", "30", "--seed", "2024"]) == 0
+    medians = {}
+    for line in capsys.readouterr().out.splitlines()[1:]:
+        phase, _t, _trials, median = line.split(",")
+        medians[phase] = float(median)
+    way1 = medians["recover_vandermonde"]
+    way2 = medians["recover_backward"]
     verdict(
         7,
         way2 < way1,

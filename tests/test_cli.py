@@ -300,6 +300,12 @@ class TestRecover:
         report = json.loads((six / "r_win.json").read_text())
         assert report["candidate"] == ["1", "2", "3"]
 
+    def test_duplicate_share_file_refused(self, dealt):
+        result = self.recover(dealt, "lagrange", 1, [2, 3, 2], "r_dup.json")
+        assert result.returncode == 2
+        assert result.stderr == "error: MssError: duplicate share for owner 2\n"
+        assert not (dealt / "r_dup.json").exists()
+
     def test_extra_shares_tolerated(self, dealt):
         result = self.recover(dealt, "vandermonde", 2, [1, 2, 3, 4, 5], "r4.json")
         assert result.returncode == 0
@@ -499,3 +505,13 @@ class TestBench:
             line.rsplit(",", 1)[0] for line in text.strip().split("\n")
         ]
         assert strip_time(a.stdout) == strip_time(b.stdout)
+
+    def test_trials_below_one_refused_before_any_deal(self, capsys):
+        # t = 99 > n would fail the deal, so the trials message shows the
+        # count is checked first
+        for trials in ("0", "-1"):
+            args = ["bench", "--n", "6", "--t-range", "99", "--trials", trials, "--seed", "1"]
+            assert cli.main(args) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: ValueError: trials must be at least 1, got {trials}\n"

@@ -13,7 +13,6 @@ from mss.field import (
     binom_mod,
     is_prime,
     lagrange_at_zero,
-    mat_vec,
     matrix_rank,
     poly_eval,
     solve_linear,
@@ -23,6 +22,13 @@ from mss.rng import Drbg
 
 F97 = PrimeField(97)
 FBIG = PrimeField(DEFAULT_PRIME)
+
+
+def mat_vec(field, m, x):
+    """Oracle: matrix-vector product over F_q, one row at a time."""
+    if len(x) != m.cols:
+        raise DimMismatch(f"matrix has {m.cols} columns, vector has {len(x)}")
+    return tuple(sum(a * b for a, b in zip(m.row(i), x)) % field.q for i in range(m.rows))
 
 
 def brute_force_inverse(a, q):

@@ -12,7 +12,6 @@ from mss.ilr import (
     forward_extend,
     recursion_coeffs,
     rhs_term,
-    satisfies,
     to_homogeneous,
 )
 from mss.rng import Drbg
@@ -23,6 +22,19 @@ FBIG = PrimeField(DEFAULT_PRIME)
 
 def spec97(t, l, alternating=False, c=(1,)):
     return IlrSpec(t=t, l=l, alternating=alternating, c=c, field=F97)
+
+
+def satisfies(spec, terms):
+    """Oracle: every full window of terms meets the recursion identity."""
+    q = spec.field.q
+    coeffs = recursion_coeffs(spec)
+    for i in range(len(terms) - spec.window + 1):
+        expect = rhs_term(spec, i)
+        for s in range(spec.dim):
+            acc = sum(coeffs[v] * terms[i + spec.window - 1 - v][s] for v in range(spec.window))
+            if acc % q != expect[s]:
+                return False
+    return True
 
 
 def step_oracle(spec, initial, upto):

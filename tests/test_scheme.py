@@ -6,7 +6,7 @@ import time
 import pytest
 
 from mss import ajtai, scheme
-from mss.ajtai import ajtai_hash, verify_commitment
+from mss.ajtai import Share, ajtai_hash, verify_commitment
 from mss.errors import (
     BadIndex,
     BadQuorum,
@@ -14,7 +14,7 @@ from mss.errors import (
     DimMismatch,
     NotConsecutive,
 )
-from mss.field import mat_vec, vandermonde
+from mss.field import DEFAULT_PRIME, vandermonde
 from mss.ilr import fold_value, forward_extend
 from mss.rng import Drbg
 from mss.scheme import (
@@ -35,6 +35,7 @@ from mss.scheme import (
     setup,
     verify_secret,
 )
+from test_field import mat_vec
 
 ALL_VARIANTS = list(Variant)
 
@@ -262,8 +263,6 @@ class TestShadows:
         params, _, shares, board = make_deal(
             Variant.S1, n=5, k=1, thresholds=(3,), seed="z"
         )
-        from mss.ajtai import Share
-
         zero = Share(owner=1, bits=(0,) * params.r)
         assert compute_shadow(board, 1, zero) == (0, 0, 0)
 
@@ -309,6 +308,16 @@ class TestShadows:
         _, _, _, board = make_deal(Variant.S1, n=5, k=2, thresholds=(2, 3), seed="bad-i")
         with pytest.raises(BadIndex, match=f"secret index {i} outside"):
             board.extra_points(i)
+
+    def test_participant_subshadows_refuse_two_shares_for_one_owner(self):
+        _, _, shares, board = make_deal(
+            Variant.S1, n=6, k=1, thresholds=(3,), seed=1, q=DEFAULT_PRIME
+        )
+        s2, s3, s4 = shares[1:4]
+        forged = Share(owner=2, bits=tuple(1 - b for b in s2.bits))
+        for group in ([s2, forged, s3, s4], [s2, s2, s3]):
+            with pytest.raises(BadShares, match="two shares name the same owner"):
+                participant_subshadows(board, 1, group)
 
     def test_participant_subshadows_of_no_shares(self):
         _, _, _, board = make_deal(Variant.S1, n=5, k=2, thresholds=(2, 3), seed="empty")
