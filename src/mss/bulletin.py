@@ -3,8 +3,10 @@
 Everything is JSON with sorted keys and no insignificant whitespace, so
 identical structures always encode to identical bytes.  Residues travel as
 decimal strings because the default modulus exceeds the 53-bit range where
-JSON numbers stay exact.  Decoding re-validates every structural invariant
-and fails loudly on anything off.
+JSON numbers stay exact.  One writer, ``_strs``, turns residue arrays into
+lists of decimal strings, and one reader, ``_parse_nested``, checks them
+back against the shape the parameters give.  Decoding re-validates every
+structural invariant and fails loudly on anything off.
 """
 
 from __future__ import annotations
@@ -123,20 +125,35 @@ def _parse_vector(value, q: int, length: int, what: str) -> tuple[int, ...]:
     return tuple(_parse_residue(v, q, what) for v in arr)
 
 
-def _matrix_obj(m: Matrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols, "data": [str(v) for v in m.data]}
+def _parse_nested(value, q: int, shape, what: str):
+    """Residue arrays nested as ``shape`` says: an int is a vector's length,
+    and a list holds the shape of each element in turn."""
+    if isinstance(shape, int):
+        return _parse_vector(value, q, shape, what)
+    return tuple(
+        _parse_nested(v, q, s, f"{what}[{i}]")
+        for i, (v, s) in enumerate(zip(_array(value, len(shape), what), shape))
+    )
+
+
+def _strs(value):
+    """Residue tuples at any depth as lists of decimal strings, and a
+    Matrix as its rows/cols/data object; the decoders read them back."""
+    if isinstance(value, Matrix):
+        return {"rows": value.rows, "cols": value.cols, "data": _strs(value.data)}
+    if value and isinstance(value[0], int):
+        return [str(v) for v in value]
+    return [_strs(v) for v in value]
 
 
 def _parse_matrix(value, q: int, rows: int, cols: int, what: str) -> tuple[Matrix, dict]:
-    """The matrix, and its ``_matrix_obj`` rebuilt from the checked strings."""
+    """The matrix, and its ``_strs`` object rebuilt from the checked strings."""
     if not isinstance(value, dict):
         raise ParseError(f"{what} must be an object")
     got_rows = _parse_uint(_get(value, "rows"), f"{what}.rows")
     got_cols = _parse_uint(_get(value, "cols"), f"{what}.cols")
     if got_rows != rows or got_cols != cols:
-        raise ValidationError(
-            f"{what} must be {rows}x{cols}, got {got_rows}x{got_cols}"
-        )
+        raise ValidationError(f"{what} must be {rows}x{cols}, got {got_rows}x{got_cols}")
     raw = _get(value, "data")
     data = _parse_vector(raw, q, rows * cols, f"{what}.data")
     return Matrix(rows, cols, data), {"rows": rows, "cols": cols, "data": raw}
@@ -168,9 +185,12 @@ def _parse_params(value) -> SchemeParams:
     q = _parse_decimal(_get(value, "q"), "params.q")
     r = _parse_uint(_get(value, "r"), "params.r")
     try:
-        return SchemeParams(variant=variant, n=n, k=k, thresholds=t_list, q=q, r=r)
+        params = SchemeParams(variant=variant, n=n, k=k, thresholds=t_list, q=q, r=r)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+    if r < 1:  # SchemeParams derives r from 0, which no encoder writes
+        raise ValidationError("params.r must be positive")
+    return params
 
 
 def _setup_obj(
@@ -191,12 +211,8 @@ def _setup_obj(
 
 
 def _setup_section(bulletin: Bulletin) -> dict:
-    return _setup_obj(
-        bulletin.params,
-        [_matrix_obj(m) for m in bulletin.mask_matrices],
-        _matrix_obj(bulletin.commit_matrix),
-        [[str(v) for v in c] for c in bulletin.commitments],
-    )
+    parts = (bulletin.mask_matrices, bulletin.commit_matrix, bulletin.commitments)
+    return _setup_obj(bulletin.params, *map(_strs, parts))
 
 
 def _digest(setup: dict) -> str:
@@ -217,32 +233,10 @@ def encode_bulletin(bulletin: Bulletin) -> tuple[bytes, str]:
 
 def _bulletin_obj(bulletin: Bulletin, setup: dict) -> dict:
     """The whole bulletin as a JSON object, around its setup section."""
-    obj = dict(setup)
-    obj["kind"] = "bulletin"
-    obj["secret_hashes"] = list(bulletin.secret_hashes)
-    obj["constants"] = [[str(v) for v in c] for c in bulletin.constants]
-    obj["offsets"] = [
-        [[str(v) for v in vec] for vec in per_secret]
-        for per_secret in bulletin.offsets
-    ]
-    obj["extras"] = [
-        [[str(v) for v in vec] for vec in per_secret]
-        for per_secret in bulletin.extras
-    ]
+    obj = dict(setup, kind="bulletin", secret_hashes=list(bulletin.secret_hashes))
+    for key in ("constants", "offsets", "extras"):
+        obj[key] = _strs(getattr(bulletin, key))
     return obj
-
-
-def _parse_per_secret(value, params: SchemeParams, count, what: str):
-    """Per-secret lists of t_i-vectors, count(t_i) of them for secret i."""
-    return tuple(
-        tuple(
-            _parse_vector(vec, params.q, t_i, f"{what}[{i}][{j}]")
-            for j, vec in enumerate(_array(per_secret, count(t_i), f"{what}[{i}]"))
-        )
-        for i, (per_secret, t_i) in enumerate(
-            zip(_array(value, params.k, what), params.thresholds)
-        )
-    )
 
 
 def _decode_bulletin(data: bytes | str) -> tuple[Bulletin, dict]:
@@ -256,40 +250,30 @@ def _decode_bulletin(data: bytes | str) -> tuple[Bulletin, dict]:
     obj = _load_json(data)
     _expect_kind(obj, "bulletin")
     params = _parse_params(_get(obj, "params"))
-    q = params.q
-    n, k = params.n, params.k
+    q, n, k, ts = params.q, params.n, params.k, params.thresholds
     t_max = params.max_threshold
-
     masks = [
-        _parse_matrix(m, q, params.thresholds[i], params.r, f"mask_matrices[{i}]")
+        _parse_matrix(m, q, ts[i], params.r, f"mask_matrices[{i}]")
         for i, m in enumerate(_array(_get(obj, "mask_matrices"), k, "mask_matrices"))
     ]
     commit_matrix, commit_obj = _parse_matrix(
         _get(obj, "commit_matrix"), q, t_max, params.r, "commit_matrix"
     )
-    raw_commitments = _array(_get(obj, "commitments"), n, "commitments")
-    commitments = tuple(
-        _parse_vector(c, q, t_max, f"commitments[{j}]")
-        for j, c in enumerate(raw_commitments)
-    )
-
+    raw_commitments = _get(obj, "commitments")
+    commitments = _parse_nested(raw_commitments, q, [t_max] * n, "commitments")
     raw_hashes = _array(_get(obj, "secret_hashes"), k, "secret_hashes")
     for h in raw_hashes:
         if not isinstance(h, str) or not _HEX_DIGEST.fullmatch(h):
             raise ValidationError("secret hash must be 64 lowercase hex digits")
 
-    dims = (t_max,) if params.variant.shared_constant else params.thresholds
-    raw_constants = _array(_get(obj, "constants"), len(dims), "constants")
-    constants = tuple(
-        _parse_vector(c, q, dim, f"constants[{i}]")
-        for i, (c, dim) in enumerate(zip(raw_constants, dims))
-    )
-    offsets = _parse_per_secret(
-        _get(obj, "offsets"), params, lambda t_i: n - t_i + 1, "offsets"
-    )
-    extras = _parse_per_secret(
-        _get(obj, "extras"), params, params.variant.extras_count, "extras"
-    )
+    shapes = {
+        "constants": [t_max] if params.variant.shared_constant else list(ts),
+        "offsets": [[t] * (n - t + 1) for t in ts],
+        "extras": [[t] * params.variant.extras_count(t) for t in ts],
+    }
+    per_secret = {
+        key: _parse_nested(_get(obj, key), q, shape, key) for key, shape in shapes.items()
+    }
 
     bulletin = Bulletin(
         params=params,
@@ -297,9 +281,7 @@ def _decode_bulletin(data: bytes | str) -> tuple[Bulletin, dict]:
         commit_matrix=commit_matrix,
         commitments=commitments,
         secret_hashes=tuple(raw_hashes),
-        constants=constants,
-        offsets=offsets,
-        extras=extras,
+        **per_secret,
     )
     return bulletin, _setup_obj(
         params, [m_obj for _, m_obj in masks], commit_obj, raw_commitments
@@ -396,7 +378,7 @@ def encode_secrets(q: int, secrets: Sequence[Sequence[int]]) -> bytes:
         {
             "format_version": FORMAT_VERSION,
             "kind": "secrets",
-            "secrets": [[str(v % q) for v in vec] for vec in secrets],
+            "secrets": _strs([[v % q for v in vec] for vec in secrets]),
         }
     )
 
@@ -411,7 +393,7 @@ def decode_secrets(data: bytes | str, q: int) -> tuple[tuple[int, ...], ...]:
     for i, vec in enumerate(raw):
         if not isinstance(vec, list) or not vec:
             raise ParseError(f"secrets[{i}] must be a nonempty array")
-        out.append(tuple(_parse_residue(v, q, f"secrets[{i}]") for v in vec))
+        out.append(_parse_vector(vec, q, len(vec), f"secrets[{i}]"))
     return tuple(out)
 
 
@@ -431,7 +413,7 @@ def encode_recovered(
             "format_version": FORMAT_VERSION,
             "kind": "recovered",
             "secret_index": secret_index,
-            "candidate": [str(v) for v in candidate],
+            "candidate": _strs(candidate),
             "verified": verified,
             "deal": deal,
         }

@@ -311,9 +311,8 @@ def lagrange_at_zero(
     Column c holds the values at the given nodes, in node order; the result
     holds one value per column.  The weights
     w_j = prod_{i != j} x_i / (x_i - x_j) depend on the nodes only, so they
-    are computed once, with one inversion for all nodes (Montgomery's
-    batch trick), and each column's value is sum_j w_j * y_j.  All nodes
-    must be distinct and nonzero.
+    are computed once, with one inversion per node, and each column's value
+    is sum_j w_j * y_j.  All nodes must be distinct and nonzero.
     """
     q = field.q
     xs = [x % q for x in nodes]
@@ -324,26 +323,14 @@ def lagrange_at_zero(
     for ys in columns:
         if len(ys) != len(xs):
             raise DimMismatch(f"{len(xs)} nodes, value column has {len(ys)}")
-    nums = []
-    dens = []
+    weights = []
     for j, xj in enumerate(xs):
-        num = 1
-        den = 1
+        num = den = 1
         for i, xi in enumerate(xs):
             if i != j:
                 num = num * xi % q
                 den = den * (xi - xj) % q
-        nums.append(num)
-        dens.append(den)
-    # prefix[j] = dens[0] * ... * dens[j-1]; walk back from one inverse
-    prefix = [1]
-    for den in dens:
-        prefix.append(prefix[-1] * den % q)
-    acc = field.inv(prefix[-1])
-    weights = [0] * len(xs)
-    for j in range(len(xs) - 1, -1, -1):
-        weights[j] = nums[j] * acc % q * prefix[j] % q
-        acc = acc * dens[j] % q
+        weights.append(num * field.inv(den) % q)
     return tuple(
         sum(w * y for w, y in zip(weights, ys)) % q for ys in columns
     )

@@ -157,6 +157,37 @@ class TestBulletinValidation:
         with pytest.raises(ParseError):
             decode_bulletin(b"[1,2,3]\n")
 
+    def test_non_utf8_is_parse_error(self):
+        blob = encode_bulletin(make_board()[1])[0]
+        with pytest.raises(ParseError, match="^not valid UTF-8: "):
+            decode_bulletin(b"\xff" + blob)
+
+    @pytest.mark.parametrize(
+        "path", [["params"], ["commit_matrix"], ["mask_matrices", 1]], ids=str
+    )
+    def test_non_object_is_parse_error(self, path):
+        _, board = make_board()
+        what = "mask_matrices[1]" if len(path) == 2 else path[0]
+        with pytest.raises(ParseError) as excinfo:
+            decode_bulletin(mutate(board, path, ["rows", 2]))
+        assert str(excinfo.value) == f"{what} must be an object"
+
+    @pytest.mark.parametrize("r", [0, 1, 16])
+    def test_r_must_be_positive(self, r):
+        # SchemeParams derives r from 0, so an unchecked r = 0 would decode
+        # to the deal's own r, and its deal_id, from a file no encoder writes
+        _, board = make_board()
+        assert SchemeParams(Variant.S1, 5, 2, (2, 3), 97, r=0).r == board.params.r
+        blob = mutate(board, ["params", "r"], r)
+        if r == board.params.r:
+            assert read_bulletin(blob) == (board, deal_id(board))
+        elif r == 0:
+            with pytest.raises(ValidationError, match="^params.r must be positive$"):
+                decode_bulletin(blob)
+        else:
+            with pytest.raises(ValidationError, match=r"^mask_matrices\[0\] must be "):
+                decode_bulletin(blob)
+
     def test_missing_key_is_parse_error(self):
         _, board = make_board()
         obj = json.loads(encode_bulletin(board)[0])
@@ -245,6 +276,37 @@ class TestBulletinValidation:
             expected = (ParseError, f"{what} must be a canonical decimal string")
         with pytest.raises(expected[0]) as excinfo:
             decode_bulletin(mutate(board, [*self.ARRAYS[what], where], bad))
+        assert str(excinfo.value) == expected[1]
+
+    # Every array that holds arrays, as the decoder names it, with its path.
+    CONTAINERS = {
+        "mask_matrices": ["mask_matrices"],
+        "commitments": ["commitments"],
+        "secret_hashes": ["secret_hashes"],
+        "constants": ["constants"],
+        "offsets": ["offsets"],
+        "offsets[0]": ["offsets", 0],
+        "extras": ["extras"],
+        "extras[1]": ["extras", 1],
+    }
+
+    @pytest.mark.parametrize("fault", ["non-list", "one too many"])
+    @pytest.mark.parametrize("what", CONTAINERS)
+    def test_bad_container_at_every_level(self, what, fault):
+        _, board = make_board()
+        path = self.CONTAINERS[what]
+        value = json.loads(encode_bulletin(board)[0])
+        for key in path:
+            value = value[key]
+        if fault == "non-list":
+            bad = {"0": value[0]}
+            expected = (ParseError, f"{what} must be an array")
+        else:
+            bad = value + value[-1:]
+            n = len(value)
+            expected = (ValidationError, f"{what} must have length {n}, got {n + 1}")
+        with pytest.raises(expected[0]) as excinfo:
+            decode_bulletin(mutate(board, path, bad))
         assert str(excinfo.value) == expected[1]
 
     @pytest.mark.parametrize("bad", [97, "097", "97,1", "97\n"])
@@ -345,6 +407,20 @@ class TestShareFiles:
         with pytest.raises(ValidationError):
             decode_share(json.dumps(obj).encode())
 
+    def test_bit_above_r_rejected(self):
+        from mss.ajtai import Share
+
+        obj = json.loads(encode_share(Share(owner=1, bits=(1,) * 15)))
+        assert obj["bits"] == "7fff"
+        with pytest.raises(ValidationError, match="^bit string longer than r$"):
+            decode_share(json.dumps({**obj, "bits": "ffff"}).encode())
+
+    def test_owner_zero_rejected(self):
+        shares, _ = make_board()
+        obj = json.loads(encode_share(shares[0]))
+        with pytest.raises(ValidationError, match="^owner index is 1-based$"):
+            decode_share(json.dumps({**obj, "owner": 0}).encode())
+
     def test_trailing_newline_rejected(self):
         shares, board = make_board()
         obj = json.loads(encode_share(shares[0], deal=deal_id(board)))
@@ -412,6 +488,15 @@ class TestSecretsAndRecoveredFiles:
         with pytest.raises(ValidationError):
             decode_secrets(blob, 97)
 
+    @pytest.mark.parametrize(
+        "secrets, what", [([], "secrets"), ([[], ["1"]], "secrets[0]")]
+    )
+    def test_empty_secrets_rejected(self, secrets, what):
+        obj = json.loads(encode_secrets(97, ((1, 2),)))
+        with pytest.raises(ParseError) as excinfo:
+            decode_secrets(json.dumps({**obj, "secrets": secrets}).encode(), 97)
+        assert str(excinfo.value) == f"{what} must be a nonempty array"
+
     @needs_digit_limit
     def test_secret_past_digit_limit_is_parse_error(self):
         obj = json.loads(encode_secrets(97, ((1, 2), (3,))))
@@ -444,6 +529,16 @@ class TestSecretsAndRecoveredFiles:
         with pytest.raises(ValidationError, match="^candidate is not reduced mod q$"):
             decode_recovered(blob, 97)
 
+    def test_recovered_index_zero_rejected(self):
+        obj = json.loads(encode_recovered(1, (5,), True, "ab" * 32))
+        with pytest.raises(ValidationError, match="^secret_index is 1-based$"):
+            decode_recovered(json.dumps({**obj, "secret_index": 0}).encode())
+
+    def test_recovered_candidate_must_be_array(self):
+        obj = json.loads(encode_recovered(1, (5,), True, "ab" * 32))
+        with pytest.raises(ParseError, match="^candidate must be an array$"):
+            decode_recovered(json.dumps({**obj, "candidate": "5"}).encode())
+
     def test_recovered_deal_with_trailing_newline_rejected(self):
         obj = json.loads(encode_recovered(1, (5,), True, "ab" * 32))
         obj["deal"] += "\n"
@@ -467,3 +562,11 @@ class TestAtomicWrite:
         assert path.read_bytes() == b"replaced"
         leftovers = [p for p in tmp_path.iterdir() if p.name != "out.json"]
         assert leftovers == []
+
+    def test_failed_rename_removes_temp_and_raises(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(OSError):
+            write_atomic(str(target), b"payload")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        assert target.is_dir()

@@ -236,6 +236,19 @@ class TestConstruct:
         with pytest.raises(BadShares):
             construct(p, [(1, 2)], truncated, rng)
 
+    def test_share_order_and_length_checked(self):
+        p = SchemeParams(variant=Variant.S1, n=5, k=1, thresholds=(2,), q=97)
+        rng = Drbg(3)
+        result = setup(p, rng)
+        s = result.shares
+        swapped = dataclasses.replace(result, shares=(s[1], s[0], *s[2:]))
+        with pytest.raises(BadShares, match=r"^shares must be ordered by owner 1\.\.n$"):
+            construct(p, [(1, 2)], swapped, rng)
+        short = Share(owner=3, bits=s[2].bits[:-1])
+        cut = dataclasses.replace(result, shares=(*s[:2], short, *s[3:]))
+        with pytest.raises(BadShares, match="^share 3 has wrong bit-length$"):
+            construct(p, [(1, 2)], cut, rng)
+
     def test_constants_distinct_per_secret(self):
         params, _, _, board = make_deal(
             Variant.S1, n=6, k=3, thresholds=(2, 2, 2), seed="const"
