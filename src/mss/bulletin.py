@@ -4,8 +4,9 @@ Everything is JSON with sorted keys and no insignificant whitespace, so
 identical structures always encode to identical bytes.  Residues travel as
 decimal strings because the default modulus exceeds the 53-bit range where
 JSON numbers stay exact.  One writer, ``_strs``, turns residue arrays into
-lists of decimal strings, and one reader, ``_parse_nested``, checks them
-back against the shape the parameters give.  Decoding re-validates every
+lists of decimal strings that ``_dump`` writes by ``join``, and one reader,
+``_parse_nested``, checks them back against the shape the parameters give,
+each level of vectors in one byte scan.  Decoding re-validates every
 structural invariant and fails loudly on anything off.
 """
 
@@ -13,10 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import tempfile
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Sequence
 
 from .ajtai import Share
@@ -33,13 +36,30 @@ FORMAT_VERSION = 1
 
 # Matched with fullmatch: "$" would also accept a value ending in "\n".
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")
-_DECIMAL_ARRAY = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
 _HEX = re.compile(r"[0-9a-f]+")
 _HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
+_LEADING_ZERO = re.compile(",0[0-9]")  # searched for, not fullmatched
+
+
+class _Residues(list):
+    """Decimal strings that need no JSON escaping: made only by ``_strs``
+    from ints and by decode from strings it has checked to be canonical."""
+
+
+def _dump(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` for the
+    codec's str-keyed objects, with each residue array written by ``join``."""
+    if isinstance(obj, _Residues):
+        return '["' + '","'.join(obj) + '"]' if obj else "[]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(k) + ":" + _dump(obj[k]) for k in sorted(obj)) + "}"
+    if isinstance(obj, list):
+        return "[" + ",".join(map(_dump, obj)) + "]"
+    return json.dumps(obj)
 
 
 def _canonical_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    return (_dump(obj) + "\n").encode()
 
 
 def _load_json(data: bytes | str) -> dict:
@@ -105,34 +125,50 @@ def _array(value, length: int, what: str) -> list:
     return value
 
 
-def _parse_vector(value, q: int, length: int, what: str) -> tuple[int, ...]:
-    """The array's residues, checked and converted in one pass.
-
-    Joined with commas, an array of canonical decimals has exactly
-    length - 1 commas and matches _DECIMAL_ARRAY.  When any check fails,
-    the per-element loop runs instead, only to raise the first bad
-    element's error; it accepts nothing the one-pass check rejects.
-    """
-    arr = _array(value, length, what)
+def _residues(strs: list, q: int) -> tuple[int, ...] | None:
+    """The values of a nonempty list of strings, checked in one pass, or
+    None unless all are canonical decimals below q.  Joined with commas,
+    those have len - 1 commas, no byte but digits and commas, and, with a
+    comma put in front, no comma followed by 0 and a digit."""
     try:
-        joined = ",".join(arr)  # TypeError on a non-string
-        if joined.count(",") == length - 1 and _DECIMAL_ARRAY.fullmatch(joined):
-            values = tuple(map(int, arr))  # ValueError past int's digit limit
+        joined = ",".join(strs)  # TypeError on a non-string
+        if (
+            joined.count(",") == len(strs) - 1
+            and not joined.encode().translate(None, b"0123456789,")  # ValueError on a surrogate
+            and not _LEADING_ZERO.search("," + joined)
+        ):
+            values = tuple(map(int, strs))  # ValueError on "" or past int's digit limit
             if max(values) < q:
                 return values
     except (TypeError, ValueError):
         pass
-    return tuple(_parse_residue(v, q, what) for v in arr)
+    return None
+
+
+def _parse_vector(value, q: int, length: int, what: str) -> tuple[int, ...]:
+    """The array's residues by ``_residues``.  When that fails, the
+    per-element loop runs instead, to raise the first bad element's error."""
+    arr = _array(value, length, what)
+    values = _residues(arr, q)
+    return values if values is not None else tuple(_parse_residue(v, q, what) for v in arr)
 
 
 def _parse_nested(value, q: int, shape, what: str):
     """Residue arrays nested as ``shape`` says: an int is a vector's length,
-    and a list holds the shape of each element in turn."""
+    and a list holds the shape of each element in turn.  A level of vectors
+    is checked by one ``_residues`` over all its strings; when that fails,
+    the vectors are parsed in turn, which raises the first error."""
     if isinstance(shape, int):
         return _parse_vector(value, q, shape, what)
+    arr = _array(value, len(shape), what)
+    if all(isinstance(s, int) for s in shape) and all(
+        isinstance(v, list) and len(v) == s for v, s in zip(arr, shape)
+    ):
+        values = _residues(list(chain.from_iterable(arr)), q)
+        if values is not None:
+            return tuple(values[end - s : end] for s, end in zip(shape, accumulate(shape)))
     return tuple(
-        _parse_nested(v, q, s, f"{what}[{i}]")
-        for i, (v, s) in enumerate(zip(_array(value, len(shape), what), shape))
+        _parse_nested(v, q, s, f"{what}[{i}]") for i, (v, s) in enumerate(zip(arr, shape))
     )
 
 
@@ -142,7 +178,7 @@ def _strs(value):
     if isinstance(value, Matrix):
         return {"rows": value.rows, "cols": value.cols, "data": _strs(value.data)}
     if value and isinstance(value[0], int):
-        return [str(v) for v in value]
+        return _Residues([str(v) for v in value])
     return [_strs(v) for v in value]
 
 
@@ -156,7 +192,7 @@ def _parse_matrix(value, q: int, rows: int, cols: int, what: str) -> tuple[Matri
         raise ValidationError(f"{what} must be {rows}x{cols}, got {got_rows}x{got_cols}")
     raw = _get(value, "data")
     data = _parse_vector(raw, q, rows * cols, f"{what}.data")
-    return Matrix(rows, cols, data), {"rows": rows, "cols": cols, "data": raw}
+    return Matrix(rows, cols, data), {"rows": rows, "cols": cols, "data": _Residues(raw)}
 
 
 def _params_obj(params: SchemeParams) -> dict:
@@ -284,7 +320,7 @@ def _decode_bulletin(data: bytes | str) -> tuple[Bulletin, dict]:
         **per_secret,
     )
     return bulletin, _setup_obj(
-        params, [m_obj for _, m_obj in masks], commit_obj, raw_commitments
+        params, [m_obj for _, m_obj in masks], commit_obj, list(map(_Residues, raw_commitments))
     )
 
 
@@ -431,10 +467,8 @@ def decode_recovered(data: bytes | str, q: int | None = None) -> RecoveredFile:
     raw = _get(obj, "candidate")
     if not isinstance(raw, list):
         raise ParseError("candidate must be an array")
-    candidate = tuple(
-        _parse_decimal(v, "candidate") if q is None else _parse_residue(v, q, "candidate")
-        for v in raw
-    )
+    bound = math.inf if q is None else q  # no bulletin: no reduction check
+    candidate = _parse_vector(raw, bound, len(raw), "candidate")
     verified = _get(obj, "verified")
     if not isinstance(verified, bool):
         raise ParseError("verified must be a boolean")

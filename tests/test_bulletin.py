@@ -400,12 +400,13 @@ class TestShareFiles:
 
         blob = encode_share(Share(owner=1, bits=(1, 0, 1, 0)))
         obj = json.loads(blob)
-        obj["bits"] = "ff"  # needs 8 bits, r says 4
-        with pytest.raises(ValidationError):
-            decode_share(json.dumps(obj).encode())
-        obj["bits"] = "1f0"  # wrong nibble count
-        with pytest.raises(ValidationError):
-            decode_share(json.dumps(obj).encode())
+        # At r = 4 one nibble holds every 4-bit string, so a longer string
+        # fails the nibble count; test_bit_above_r_rejected reaches the
+        # "bit string longer than r" branch.
+        for bits in ("ff", "1f0"):  # needs 8 bits; needs 12
+            obj["bits"] = bits
+            with pytest.raises(ValidationError, match="^bits must be 1 hex digits for r=4$"):
+                decode_share(json.dumps(obj).encode())
 
     def test_bit_above_r_rejected(self):
         from mss.ajtai import Share
@@ -528,6 +529,20 @@ class TestSecretsAndRecoveredFiles:
         assert decode_recovered(blob, 101).candidate == (5, 97)
         with pytest.raises(ValidationError, match="^candidate is not reduced mod q$"):
             decode_recovered(blob, 97)
+
+    @pytest.mark.parametrize("q", [None, 97])
+    @pytest.mark.parametrize("bad", ["007", " 5", "5\n", "1_0", "+5", "", "1,2", 5, None])
+    def test_recovered_candidate_must_be_canonical(self, q, bad):
+        obj = json.loads(encode_recovered(1, (5, 6), True, "ab" * 32))
+        obj["candidate"][1] = bad
+        with pytest.raises(ParseError, match="^candidate must be a canonical decimal string$"):
+            decode_recovered(json.dumps(obj).encode(), q)
+
+    def test_recovered_candidate_without_q_has_no_bound(self):
+        obj = json.loads(encode_recovered(1, (5,), True, "ab" * 32))
+        for candidate in ([], ["9" * 40, "0"]):
+            blob = json.dumps({**obj, "candidate": candidate}).encode()
+            assert decode_recovered(blob).candidate == tuple(map(int, candidate))
 
     def test_recovered_index_zero_rejected(self):
         obj = json.loads(encode_recovered(1, (5,), True, "ab" * 32))

@@ -6,11 +6,12 @@ from a random quorum, and decoding an encoded bulletin gives it back.
 ``read_bulletin`` gives ``deal_id`` of the decoded bulletin even for a file
 with unknown keys, indentation and shuffled key order.  The
 bulletin's one-pass residue-array parser agrees with a per-element reference
-parser on hostile arrays, errors included.  The generator's byte stream is
-SHA-256 in counter mode however it is split, and a batch draw gives the
-values, and leaves the stream, of the single draws it replaces.  Share
-files and reports with any JSON value in any header field decode or raise
-an ``MssError``.  Examples are derived from the test itself (derandomized),
+parser on hostile arrays and on levels of them, errors included, and its
+writer gives the bytes of ``json.dumps`` with sorted keys.  The
+generator's byte stream is SHA-256 in counter mode however it is split, and
+a batch draw gives the values, and leaves the stream, of the single draws it
+replaces.  Share files and reports with any JSON value in any header field
+decode or raise an ``MssError``.  Examples are derived from the test itself (derandomized),
 so every run checks the same inputs.
 """
 
@@ -22,7 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mss.bulletin import (
+    _Residues,
+    _canonical_bytes,
+    _decode_bulletin,
+    _parse_nested,
     _parse_vector,
+    _setup_section,
+    _strs,
     deal_id,
     decode_bulletin,
     decode_recovered,
@@ -32,6 +39,7 @@ from mss.bulletin import (
     read_bulletin,
 )
 from mss.errors import MssError, ParseError, ValidationError
+from mss.field import Matrix
 from mss.rng import Drbg
 from mss.scheme import (
     SchemeParams,
@@ -149,32 +157,99 @@ def outcome(parse, *args):
         return type(exc), str(exc)
 
 
-@st.composite
-def residue_arrays(draw):
-    """(q, array): canonical residues with one or two hostile elements."""
-    q = draw(st.sampled_from(MODULI))
-    affix = st.sampled_from(["0", ",", "\n", " ", "-", "+", "\u0663"])
+def hostile_elements(q):
+    """Array elements that are not canonical residues below q, and some
+    that just are.  ``int`` accepts "1_0", and a lone surrogate cannot be
+    encoded to bytes."""
+    affix = st.sampled_from(["0", ",", "\n", " ", "-", "+", "_", "\u0663", "\ud800"])
     number = st.integers(0, q).map(str)
-    hostile = st.one_of(
+    return st.one_of(
         st.builds(str.__add__, affix, number),
         st.builds(str.__add__, number, affix),
-        st.text(alphabet="0123456789,\n -+\u0663", max_size=4),
+        st.builds(lambda a, sep, b: a + sep + b, number, affix, number),
+        st.text(alphabet="0123456789,\n -+_\u0663\ud800", max_size=4),
         st.sampled_from([str(q), str(q + 1), "007", ""]),
         st.integers(),
         st.none(),
     )
+
+
+@st.composite
+def residue_arrays(draw):
+    """(q, array): canonical residues with one or two hostile elements."""
+    q = draw(st.sampled_from(MODULI))
     arr = draw(st.lists(st.integers(0, q - 1).map(str), min_size=1, max_size=8))
     for _ in range(draw(st.integers(1, 2))):
-        arr[draw(st.integers(0, len(arr) - 1))] = draw(hostile)
+        arr[draw(st.integers(0, len(arr) - 1))] = draw(hostile_elements(q))
     return q, arr
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+#: At least the example counts these differential properties were written
+#: with, and more under a profile that asks for more.
+DIFFERENTIAL = settings(
+    max_examples=max(300, settings.default.max_examples),
+    deadline=None, derandomize=True, database=None,
+)
+
+
+@DIFFERENTIAL
 @given(case=residue_arrays())
 def test_vector_parser_matches_per_element_reference(case):
     q, arr = case
     assert outcome(_parse_vector, arr, q, len(arr), "v") == outcome(
         reference_vector, arr, q, "v"
+    )
+
+
+def reference_level(value, q, shape, what):
+    """Parse a list of residue arrays one array at a time."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be an array")
+    if len(value) != len(shape):
+        raise ValidationError(f"{what} must have length {len(shape)}, got {len(value)}")
+    out = []
+    for i, (vec, length) in enumerate(zip(value, shape)):
+        if not isinstance(vec, list):
+            raise ParseError(f"{what}[{i}] must be an array")
+        if len(vec) != length:
+            raise ValidationError(f"{what}[{i}] must have length {length}, got {len(vec)}")
+        out.append(reference_vector(vec, q, f"{what}[{i}]"))
+    return tuple(out)
+
+
+@st.composite
+def residue_levels(draw):
+    """(q, shape, level): canonical residue arrays of the given lengths,
+    with up to three faults: a hostile element anywhere, a child that is
+    not a list, or a child one too short or too long."""
+    q = draw(st.sampled_from(MODULI))
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    level = [
+        draw(st.lists(st.integers(0, q - 1).map(str), min_size=length, max_size=length))
+        for length in shape
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(level) - 1))
+        fault = draw(st.sampled_from(["element", "element", "not a list", "short", "long"]))
+        if fault == "not a list":
+            level[i] = draw(st.none() | st.integers() | st.text(max_size=3) | st.just({}))
+        elif not isinstance(level[i], list):
+            continue
+        elif fault == "element" and level[i]:
+            level[i][draw(st.integers(0, len(level[i]) - 1))] = draw(hostile_elements(q))
+        elif fault == "short":
+            level[i] = level[i][:-1]
+        elif fault == "long":
+            level[i] = level[i] + [draw(st.integers(0, q - 1).map(str))]
+    return q, shape, level
+
+
+@DIFFERENTIAL
+@given(case=residue_levels())
+def test_level_parser_matches_per_vector_reference(case):
+    q, shape, level = case
+    assert outcome(_parse_nested, level, q, shape, "v") == outcome(
+        reference_level, level, q, shape, "v"
     )
 
 
@@ -193,6 +268,52 @@ ANY_JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6,
 )
+
+#: Residue tuples at any depth, and matrices, as ``_strs`` writes them.
+#: Decode marks the strings it has checked the same way, empty arrays included.
+RESIDUE_STRS = st.one_of(
+    st.recursive(
+        st.lists(st.integers(0, 2**80), max_size=4).map(tuple),
+        lambda inner: st.lists(inner, max_size=3).map(tuple),
+        max_leaves=5,
+    ).map(_strs),
+    st.builds(
+        lambda rows, cols, data: _strs(Matrix(rows, cols, tuple(data[: rows * cols]))),
+        st.integers(1, 3), st.integers(1, 3), st.lists(st.integers(0, 2**64), min_size=9, max_size=9),
+    ),
+    st.lists(st.integers(0, 2**64).map(str), max_size=3).map(_Residues),
+)
+
+#: Strings that JSON must escape: quote, backslash, control characters,
+#: non-ASCII and a lone surrogate.
+ESCAPED = st.text(alphabet='"\\\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600a0,', max_size=5)
+
+
+def canonical_json(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+@DIFFERENTIAL
+@given(
+    obj=st.recursive(
+        RESIDUE_STRS | ANY_JSON | st.lists(ESCAPED, max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(ESCAPED, inner, max_size=3),
+        max_leaves=6,
+    )
+)
+def test_canonical_bytes_is_sorted_compact_json(obj):
+    assert _canonical_bytes(obj) == canonical_json(obj)
+
+
+@PROPERTY
+@given(dealt=deals())
+def test_setup_sections_write_as_sorted_compact_json(dealt):
+    _, _, board = dealt
+    setup = _setup_section(board)
+    assert _canonical_bytes(setup) == canonical_json(setup)
+    decoded_setup = _decode_bulletin(encode_bulletin(board)[0])[1]
+    assert _canonical_bytes(decoded_setup) == canonical_json(decoded_setup)
+
 
 SHARE_HEADER = {
     "format_version": 1, "kind": "share", "owner": 3, "r": 16, "bits": "a5f0", "deal": "0" * 64,
@@ -253,7 +374,10 @@ def test_randbytes_is_one_counter_mode_stream(seed, splits):
     assert drawn == reference_stream(seed, sum(splits))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(
+    max_examples=max(200, settings.default.max_examples),
+    deadline=None, derandomize=True, database=None,
+)
 @given(
     seed=st.integers(0, 2**64),
     n=st.sampled_from(BOUNDS),
