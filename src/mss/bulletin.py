@@ -6,8 +6,10 @@ decimal strings because the default modulus exceeds the 53-bit range where
 JSON numbers stay exact.  One writer, ``_strs``, turns residue arrays into
 lists of decimal strings that ``_dump`` writes by ``join``, and one reader,
 ``_parse_nested``, checks them back against the shape the parameters give,
-each level of vectors in one byte scan.  Decoding re-validates every
-structural invariant and fails loudly on anything off.
+each level of vectors in one byte scan and one JSON array read.  Share
+bits turn to and from their hex string through ``format``, ``int`` and
+``bytes.translate``.  Decoding re-validates every structural invariant and
+fails loudly on anything off.
 """
 
 from __future__ import annotations
@@ -38,7 +40,10 @@ FORMAT_VERSION = 1
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")
 _HEX = re.compile(r"[0-9a-f]+")
 _HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
-_LEADING_ZERO = re.compile(",0[0-9]")  # searched for, not fullmatched
+
+#: Share bits as the byte values 0 and 1, and back as the digits "0" and "1".
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class _Residues(list):
@@ -128,18 +133,15 @@ def _array(value, length: int, what: str) -> list:
 def _residues(strs: list, q: int) -> tuple[int, ...] | None:
     """The values of a nonempty list of strings, checked in one pass, or
     None unless all are canonical decimals below q.  Joined with commas,
-    those have len - 1 commas, no byte but digits and commas, and, with a
-    comma put in front, no comma followed by 0 and a digit."""
+    those hold no byte but digits and commas, and read as one JSON array
+    of len(strs) values: JSON refuses an empty element and a leading zero,
+    and an element holding a comma adds a value."""
     try:
         joined = ",".join(strs)  # TypeError on a non-string
-        if (
-            joined.count(",") == len(strs) - 1
-            and not joined.encode().translate(None, b"0123456789,")  # ValueError on a surrogate
-            and not _LEADING_ZERO.search("," + joined)
-        ):
-            values = tuple(map(int, strs))  # ValueError on "" or past int's digit limit
-            if max(values) < q:
-                return values
+        if not joined.encode().translate(None, b"0123456789,"):  # ValueError on a surrogate
+            values = json.loads("[" + joined + "]")  # ValueError on bad syntax or past the digit limit
+            if len(values) == len(strs) and max(values) < q:
+                return tuple(values)
     except (TypeError, ValueError):
         pass
     return None
@@ -348,9 +350,7 @@ class ShareFile:
 
 def encode_share(share: Share, deal: str | None = None) -> bytes:
     r = len(share.bits)
-    value = 0
-    for bit in share.bits:
-        value = (value << 1) | bit
+    value = int(bytes(share.bits).translate(_BIT_DIGITS), 2)
     nibbles = (r + 3) // 4
     obj = {
         "format_version": FORMAT_VERSION,
@@ -382,7 +382,7 @@ def decode_share(data: bytes | str) -> ShareFile:
     value = int(raw_bits, 16)
     if value >> r:
         raise ValidationError("bit string longer than r")
-    bits = tuple((value >> (r - 1 - i)) & 1 for i in range(r))
+    bits = tuple(format(value, f"0{r}b").encode().translate(_BIT_VALUES))
     deal = obj.get("deal")
     if deal is not None and (not isinstance(deal, str) or not _HEX_DIGEST.fullmatch(deal)):
         raise ValidationError("deal must be a 64-digit hex digest")

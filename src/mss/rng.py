@@ -8,14 +8,23 @@ Every draw consumes that one stream in order.  A refill hashes all the
 counter blocks a request needs at once, and ``randbelow_many`` takes the
 bytes of many candidates in one pull, so batched draws return the same
 values, and leave the same stream behind, as the single draws they replace.
+The bulk conversions run in C: a pull's candidates are read with one
+``struct.unpack`` of big-endian 8-byte words, and a bit vector is the
+binary ``format`` of one draw turned into 0/1 bytes by ``translate``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import struct
+from itertools import repeat
+from operator import lshift, or_, rshift
 
 _DOMAIN = b"mss.drbg.v1:"
+
+#: The digits "0" and "1" as the byte values 0 and 1.
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class Drbg:
@@ -88,24 +97,37 @@ class Drbg:
 
         Each pull takes the bytes of as many candidates as values are still
         missing, since every one of them would be consumed by single draws.
+        A candidate is right-aligned in whole 8-byte words, read by one
+        ``struct.unpack`` and, when wider than a word, joined from them.
         """
         if n <= 0:
             raise ValueError("bound must be positive")
+        if count < 0:
+            raise ValueError("count must be nonnegative")
         k = n.bit_length()
         nbytes = (k + 7) // 8
         shift = 8 * nbytes - k
+        words = -(-nbytes // 8)
+        width = 8 * words
+        pad = width - nbytes
         out: list[int] = []
         missing = count
         while missing > 0:
             data = self.randbytes(missing * nbytes)
-            for i in range(0, len(data), nbytes):
-                value = int.from_bytes(data[i : i + nbytes], "big") >> shift
-                if value < n:
-                    out.append(value)
+            if pad:
+                aligned = bytearray(missing * width)
+                for i in range(nbytes):
+                    aligned[pad + i :: width] = data[i::nbytes]
+                data = aligned
+            unpacked = struct.unpack(f">{missing * words}Q", data)
+            values = unpacked[::words]
+            for i in range(1, words):
+                values = tuple(map(or_, map(lshift, values, repeat(64)), unpacked[i::words]))
+            values = list(map(rshift, values, repeat(shift)))
+            out += values if max(values) < n else filter(n.__gt__, values)
             missing = count - len(out)
         return tuple(out)
 
     def bit_vector(self, r: int) -> tuple[int, ...]:
         """Uniform binary vector of length r, most significant bit first."""
-        value = self.getrandbits(r)
-        return tuple((value >> (r - 1 - i)) & 1 for i in range(r))
+        return tuple(format(self.getrandbits(r), f"0{r}b").encode().translate(_BIT_VALUES))

@@ -395,6 +395,28 @@ class TestShareFiles:
         assert obj["bits"] == "143"  # 1_0100_0011 zero-padded to 3 nibbles
         assert decode_share(blob).share == share
 
+    def test_bits_round_trip_at_every_length(self):
+        from mss.ajtai import Share
+
+        rng = random.Random(20)
+        for r in range(1, 201):
+            patterns = (
+                (0,) * r,
+                (1,) * r,
+                (0,) + (1,) * (r - 1),
+                tuple(rng.randrange(2) for _ in range(r)),
+            )
+            for bits in patterns:
+                share = Share(owner=2, bits=bits)
+                value = 0
+                for bit in bits:
+                    value = value << 1 | bit
+                blob = encode_share(share)
+                assert json.loads(blob)["bits"] == format(value, "x").zfill((r + 3) // 4)
+                decoded = decode_share(blob).share
+                assert decoded == share
+                assert set(map(type, decoded.bits)) == {int}
+
     def test_bit_string_longer_than_r_rejected(self):
         from mss.ajtai import Share
 

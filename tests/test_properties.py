@@ -10,9 +10,10 @@ parser on hostile arrays and on levels of them, errors included, and its
 writer gives the bytes of ``json.dumps`` with sorted keys.  The
 generator's byte stream is SHA-256 in counter mode however it is split, and
 a batch draw gives the values, and leaves the stream, of the single draws it
-replaces.  Share files and reports with any JSON value in any header field
-decode or raise an ``MssError``.  Examples are derived from the test itself (derandomized),
-so every run checks the same inputs.
+replaces; a bit vector is the bits of one draw.  Share files and reports
+with any JSON value in any header field decode or raise an ``MssError``.
+Examples are derived from the test itself (derandomized), so every run
+checks the same inputs.
 """
 
 import hashlib
@@ -39,7 +40,7 @@ from mss.bulletin import (
     read_bulletin,
 )
 from mss.errors import MssError, ParseError, ValidationError
-from mss.field import Matrix
+from mss.field import Matrix, PrimeField
 from mss.rng import Drbg
 from mss.scheme import (
     SchemeParams,
@@ -50,6 +51,7 @@ from mss.scheme import (
     recover_way1_vandermonde,
     recover_way2,
 )
+from test_bulletin import TOO_LONG, needs_digit_limit
 
 MODULI = (97, (1 << 61) - 1)
 
@@ -144,9 +146,13 @@ def reference_vector(value, q, what):
         )
         if not canonical:
             raise ParseError(f"{what} must be a canonical decimal string")
-        if int(v) >= q:
+        try:
+            value = int(v)
+        except ValueError:  # past the interpreter's integer-string digit limit
+            raise ParseError(f"{what} has too many digits ({len(v)})") from None
+        if value >= q:
             raise ValidationError(f"{what} is not reduced mod q")
-        out.append(int(v))
+        out.append(value)
     return tuple(out)
 
 
@@ -157,10 +163,18 @@ def outcome(parse, *args):
         return type(exc), str(exc)
 
 
+#: Elements that are, or nearly are, JSON values other than a canonical
+#: unsigned integer: the array parser reads a level as one JSON array.
+JSON_SYNTAX = (
+    " 1", "1 ", "-0", "-1", "+1", "1e3", "1E3", "1.0", "00", "01", "0x1",
+    "true", "null", "NaN", "Infinity", "[1]", "1]", "[1", '"1"',
+)
+
+
 def hostile_elements(q):
     """Array elements that are not canonical residues below q, and some
-    that just are.  ``int`` accepts "1_0", and a lone surrogate cannot be
-    encoded to bytes."""
+    that just are.  ``int`` accepts "1_0", a lone surrogate cannot be
+    encoded to bytes, and JSON reads its own number syntax."""
     affix = st.sampled_from(["0", ",", "\n", " ", "-", "+", "_", "\u0663", "\ud800"])
     number = st.integers(0, q).map(str)
     return st.one_of(
@@ -169,6 +183,7 @@ def hostile_elements(q):
         st.builds(lambda a, sep, b: a + sep + b, number, affix, number),
         st.text(alphabet="0123456789,\n -+_\u0663\ud800", max_size=4),
         st.sampled_from([str(q), str(q + 1), "007", ""]),
+        st.sampled_from(JSON_SYNTAX),
         st.integers(),
         st.none(),
     )
@@ -251,6 +266,21 @@ def test_level_parser_matches_per_vector_reference(case):
     assert outcome(_parse_nested, level, q, shape, "v") == outcome(
         reference_level, level, q, shape, "v"
     )
+
+
+@pytest.mark.parametrize(
+    "element", [*JSON_SYNTAX, pytest.param(TOO_LONG, id="past-digit-limit", marks=needs_digit_limit)]
+)
+@pytest.mark.parametrize("q", MODULI)
+def test_json_syntax_elements_give_the_reference_error(element, q):
+    for at in range(3):
+        arr = ["1", "2", "3"]
+        arr[at] = element
+        assert outcome(_parse_vector, arr, q, 3, "v") == outcome(reference_vector, arr, q, "v")
+        level = [["4"], arr, ["5", "6"]]
+        assert outcome(_parse_nested, level, q, [1, 3, 2], "v") == outcome(
+            reference_level, level, q, [1, 3, 2], "v"
+        )
 
 
 def test_first_bad_element_decides_the_error():
@@ -360,10 +390,15 @@ def reference_stream(seed: int, size: int) -> bytes:
 #: Draw sizes that leave the pool at any position, across block boundaries.
 SPLITS = st.lists(st.integers(0, 100), max_size=6)
 
-#: Bounds of one candidate byte (1, 2, 97), eight (2^61 - 1), nine and
-#: twenty.  About half the candidates are rejected for 1, 2, 2^64 + 1 and
-#: the 160-bit bound, a quarter for 97 and almost none for 2^61 - 1.
-BOUNDS = (1, 2, 97, (1 << 61) - 1, (1 << 64) + 1, (1 << 159) + 1)
+#: Bounds of one candidate byte (1, 2, 97), three, five, seven, eight
+#: (2^61 - 1), nine, ten and twenty: narrower than a word, one word, and
+#: joined from two or three.  About half the candidates are rejected for
+#: every bound of the form 2^m + 1 and for 1 and 2, a quarter for 97 and
+#: almost none for 2^61 - 1.
+BOUNDS = (
+    1, 2, 97, (1 << 17) + 1, (1 << 33) + 1, (1 << 55) + 1, (1 << 61) - 1,
+    (1 << 64) + 1, (1 << 73) + 1, (1 << 159) + 1,
+)
 
 
 @PROPERTY
@@ -398,3 +433,23 @@ def test_randbelow_many_rejects_bounds_like_randbelow(n):
         Drbg(1).randbelow(n)
     with pytest.raises(ValueError, match="bound must be positive"):
         Drbg(1).randbelow_many(n, 3)
+
+
+@pytest.mark.parametrize("count", [-1, -3])
+def test_randbelow_many_rejects_negative_counts_before_drawing(count):
+    rng = Drbg(1)
+    with pytest.raises(ValueError, match="^count must be nonnegative$"):
+        rng.randbelow_many(97, count)
+    with pytest.raises(ValueError, match="^count must be nonnegative$"):
+        PrimeField(97).rand_vec(rng, count)
+    assert rng.randbytes(32) == Drbg(1).randbytes(32)
+
+
+def test_bit_vector_is_the_bits_of_one_draw():
+    for r in range(1, 301):
+        rng, twin = Drbg(r), Drbg(r)
+        bits = rng.bit_vector(r)
+        value = twin.getrandbits(r)
+        assert bits == tuple((value >> (r - 1 - i)) & 1 for i in range(r))
+        assert set(map(type, bits)) == {int}
+        assert rng.randbytes(32) == twin.randbytes(32)
