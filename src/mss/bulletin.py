@@ -6,10 +6,10 @@ decimal strings because the default modulus exceeds the 53-bit range where
 JSON numbers stay exact.  One writer, ``_strs``, turns residue arrays into
 lists of decimal strings that ``_dump`` writes by ``join``, and one reader,
 ``_parse_nested``, checks them back against the shape the parameters give,
-each level of vectors in one byte scan and one JSON array read.  Share
-bits turn to and from their hex string through ``format``, ``int`` and
-``bytes.translate``.  Decoding re-validates every structural invariant and
-fails loudly on anything off.
+each vector or level of vectors in one byte scan and one JSON array read.
+Share bits become hex by ``bytes.translate`` and ``int``, and bits again
+by ``rng._bits``, which the generator's bit vectors use too.  Decoding
+re-validates every structural invariant and fails loudly on anything off.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import (
     WrongDeal,
 )
 from .field import Matrix
+from .rng import _bits
 from .scheme import Bulletin, SchemeParams, Variant
 
 FORMAT_VERSION = 1
@@ -41,8 +42,7 @@ _DECIMAL = re.compile(r"0|[1-9][0-9]*")
 _HEX = re.compile(r"[0-9a-f]+")
 _HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
 
-#: Share bits as the byte values 0 and 1, and back as the digits "0" and "1".
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+#: Share bits, the byte values 0 and 1, as the digits "0" and "1".
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -147,21 +147,15 @@ def _residues(strs: list, q: int) -> tuple[int, ...] | None:
     return None
 
 
-def _parse_vector(value, q: int, length: int, what: str) -> tuple[int, ...]:
-    """The array's residues by ``_residues``.  When that fails, the
-    per-element loop runs instead, to raise the first bad element's error."""
-    arr = _array(value, length, what)
-    values = _residues(arr, q)
-    return values if values is not None else tuple(_parse_residue(v, q, what) for v in arr)
-
-
 def _parse_nested(value, q: int, shape, what: str):
     """Residue arrays nested as ``shape`` says: an int is a vector's length,
-    and a list holds the shape of each element in turn.  A level of vectors
-    is checked by one ``_residues`` over all its strings; when that fails,
-    the vectors are parsed in turn, which raises the first error."""
+    and a list holds the shape of each element in turn.  A vector or a level
+    of vectors is checked by one ``_residues`` over all its strings; when
+    that fails, the elements are parsed in turn, which raises the first error."""
     if isinstance(shape, int):
-        return _parse_vector(value, q, shape, what)
+        arr = _array(value, shape, what)
+        values = _residues(arr, q)
+        return values if values is not None else tuple(_parse_residue(v, q, what) for v in arr)
     arr = _array(value, len(shape), what)
     if all(isinstance(s, int) for s in shape) and all(
         isinstance(v, list) and len(v) == s for v, s in zip(arr, shape)
@@ -193,7 +187,7 @@ def _parse_matrix(value, q: int, rows: int, cols: int, what: str) -> tuple[Matri
     if got_rows != rows or got_cols != cols:
         raise ValidationError(f"{what} must be {rows}x{cols}, got {got_rows}x{got_cols}")
     raw = _get(value, "data")
-    data = _parse_vector(raw, q, rows * cols, f"{what}.data")
+    data = _parse_nested(raw, q, rows * cols, f"{what}.data")
     return Matrix(rows, cols, data), {"rows": rows, "cols": cols, "data": _Residues(raw)}
 
 
@@ -266,15 +260,10 @@ def encode_bulletin(bulletin: Bulletin) -> tuple[bytes, str]:
     """The bulletin's bytes and its ``deal_id``, with the setup section
     turned into strings once for both; ``read_bulletin`` undoes it."""
     setup = _setup_section(bulletin)
-    return _canonical_bytes(_bulletin_obj(bulletin, setup)), _digest(setup)
-
-
-def _bulletin_obj(bulletin: Bulletin, setup: dict) -> dict:
-    """The whole bulletin as a JSON object, around its setup section."""
     obj = dict(setup, kind="bulletin", secret_hashes=list(bulletin.secret_hashes))
     for key in ("constants", "offsets", "extras"):
         obj[key] = _strs(getattr(bulletin, key))
-    return obj
+    return _canonical_bytes(obj), _digest(setup)
 
 
 def _decode_bulletin(data: bytes | str) -> tuple[Bulletin, dict]:
@@ -382,7 +371,7 @@ def decode_share(data: bytes | str) -> ShareFile:
     value = int(raw_bits, 16)
     if value >> r:
         raise ValidationError("bit string longer than r")
-    bits = tuple(format(value, f"0{r}b").encode().translate(_BIT_VALUES))
+    bits = _bits(value, r)
     deal = obj.get("deal")
     if deal is not None and (not isinstance(deal, str) or not _HEX_DIGEST.fullmatch(deal)):
         raise ValidationError("deal must be a 64-digit hex digest")
@@ -429,7 +418,7 @@ def decode_secrets(data: bytes | str, q: int) -> tuple[tuple[int, ...], ...]:
     for i, vec in enumerate(raw):
         if not isinstance(vec, list) or not vec:
             raise ParseError(f"secrets[{i}] must be a nonempty array")
-        out.append(_parse_vector(vec, q, len(vec), f"secrets[{i}]"))
+        out.append(_parse_nested(vec, q, len(vec), f"secrets[{i}]"))
     return tuple(out)
 
 
@@ -468,7 +457,7 @@ def decode_recovered(data: bytes | str, q: int | None = None) -> RecoveredFile:
     if not isinstance(raw, list):
         raise ParseError("candidate must be an array")
     bound = math.inf if q is None else q  # no bulletin: no reduction check
-    candidate = _parse_vector(raw, bound, len(raw), "candidate")
+    candidate = _parse_nested(raw, bound, len(raw), "candidate")
     verified = _get(obj, "verified")
     if not isinstance(verified, bool):
         raise ParseError("verified must be a boolean")

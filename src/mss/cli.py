@@ -37,15 +37,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _seed_for(args) -> int | None:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("MSS_SEED")
-    return int(env) if env is not None else None
-
-
 def _rng_for(args) -> Drbg:
-    return Drbg(_seed_for(args))
+    env = os.environ.get("MSS_SEED")
+    if args.seed is None and env is not None:
+        return Drbg(int(env))
+    return Drbg(args.seed)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:

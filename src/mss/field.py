@@ -70,9 +70,6 @@ class PrimeField:
         if not is_prime(self.q):
             raise ValueError(f"modulus {self.q} is not prime")
 
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse (extended gcd via the builtin pow)."""
         a %= self.q
@@ -130,9 +127,6 @@ class Matrix:
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.data[i * self.cols : (i + 1) * self.cols]
-
-    def entry(self, i: int, j: int) -> int:
-        return self.data[i * self.cols + j]
 
 
 def matrix_rank(field: PrimeField, m: Matrix) -> int:

@@ -80,7 +80,7 @@ def recursion_coeffs(spec: IlrSpec) -> tuple[int, ...]:
     for v in range(spec.window):
         coeff = binom_mod(field, spec.order, v)
         if not spec.alternating and v % 2 == 1:
-            coeff = field.neg(coeff)
+            coeff = -coeff % field.q
         out.append(coeff)
     return tuple(out)
 
@@ -90,7 +90,7 @@ def _rhs_scalar(spec: IlrSpec, i: int) -> int:
     field = spec.field
     g = binom_mod(field, i, spec.l)
     if spec.alternating and i % 2 == 1:
-        g = field.neg(g)
+        g = -g % field.q
     return g
 
 
@@ -181,7 +181,7 @@ def fold_value(spec: IlrSpec, x: int, value: int) -> int:
     negated before interpolation; the plain family passes through.
     """
     if spec.alternating and x % 2 == 1:
-        return spec.field.neg(value)
+        return -value % spec.field.q
     return value % spec.field.q
 
 

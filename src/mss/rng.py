@@ -9,8 +9,9 @@ counter blocks a request needs at once, and ``randbelow_many`` takes the
 bytes of many candidates in one pull, so batched draws return the same
 values, and leave the same stream behind, as the single draws they replace.
 The bulk conversions run in C: a pull's candidates are read with one
-``struct.unpack`` of big-endian 8-byte words, and a bit vector is the
-binary ``format`` of one draw turned into 0/1 bytes by ``translate``.
+``struct.unpack`` of big-endian 8-byte words, and ``_bits`` turns a value
+into 0/1 bytes by ``format`` and ``translate``.  It is the share-bit codec's
+one int-to-bits step: bit vectors and ``bulletin``'s share decoder use it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ _DOMAIN = b"mss.drbg.v1:"
 
 #: The digits "0" and "1" as the byte values 0 and 1.
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(value: int, r: int) -> tuple[int, ...]:
+    """The bits of a value below 2**r as r ints 0 or 1, most significant first."""
+    return tuple(format(value, f"0{r}b").encode().translate(_BIT_VALUES))
 
 
 class Drbg:
@@ -54,8 +60,8 @@ class Drbg:
         self._pos = 0
 
     def randbytes(self, n: int) -> bytes:
-        if n <= 0:
-            return b""
+        if n < 0:
+            raise ValueError("number of bytes must be nonnegative")
         pool, pos = self._pool, self._pos
         end = pos + n
         if end <= len(pool):
@@ -130,4 +136,4 @@ class Drbg:
 
     def bit_vector(self, r: int) -> tuple[int, ...]:
         """Uniform binary vector of length r, most significant bit first."""
-        return tuple(format(self.getrandbits(r), f"0{r}b").encode().translate(_BIT_VALUES))
+        return _bits(self.getrandbits(r), r)

@@ -199,27 +199,20 @@ def ilr_spec_for(
     """
     _check_secret_index(params, i)
     t_i = params.thresholds[i - 1]
-    field = params.field()
     if params.variant.shared_constant:
-        constant = constants[0]
+        constant, t, l = constants[0], 1, t_i
         if len(constant) < t_i:
             raise DimMismatch("shared constant shorter than the threshold")
-        return IlrSpec(
-            t=1,
-            l=t_i,
-            alternating=params.variant.alternating,
-            c=tuple(constant[:t_i]),
-            field=field,
-        )
-    constant = constants[i - 1]
-    if len(constant) != t_i:
-        raise DimMismatch("constant length must equal the threshold")
+    else:
+        constant, t, l = constants[i - 1], t_i, 1
+        if len(constant) != t_i:
+            raise DimMismatch("constant length must equal the threshold")
     return IlrSpec(
-        t=t_i,
-        l=1,
+        t=t,
+        l=l,
         alternating=params.variant.alternating,
-        c=tuple(constant),
-        field=field,
+        c=tuple(constant[:t_i]),
+        field=params.field(),
     )
 
 

@@ -106,23 +106,26 @@ class TestDeal:
             ).read_bytes()
 
     def test_env_seed_fallback(self, tmp_path):
-        for sub in ("a", "b"):
+        """MSS_SEED stands in for a missing --seed, and --seed wins over it."""
+
+        def bulletin(sub, *args, env=None):
             d = tmp_path / sub
             d.mkdir()
             (d / "secrets.json").write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
-            args = [a for a in DEAL_ARGS if a not in ("--seed", "42")]
             result = run_cli(
-                *args,
-                "--secrets",
-                str(d / "secrets.json"),
-                "--out-dir",
-                str(d),
-                env_extra={"MSS_SEED": "42"},
+                *args, "--secrets", str(d / "secrets.json"), "--out-dir", str(d), env_extra=env
             )
-            assert result.returncode == 0
-        assert (tmp_path / "a" / "bulletin.json").read_bytes() == (
-            tmp_path / "b" / "bulletin.json"
-        ).read_bytes()
+            assert result.returncode == 0, result.stderr
+            return (d / "bulletin.json").read_bytes()
+
+        unseeded = [a for a in DEAL_ARGS if a not in ("--seed", "42")]
+        env = {"MSS_SEED": "42"}
+        from_env = bulletin("a", *unseeded, env=env)
+        assert bulletin("b", *unseeded, env=env) == from_env
+        assert bulletin("c", *DEAL_ARGS) == from_env
+        seed_7 = bulletin("d", *unseeded, "--seed", "7", env=env)
+        assert seed_7 == bulletin("e", *unseeded, "--seed", "7")
+        assert seed_7 != from_env
 
     def test_malformed_secrets_file(self, tmp_path):
         bad = tmp_path / "secrets.json"

@@ -117,7 +117,7 @@ class TestMatrix:
     def test_from_rows_and_access(self):
         m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
         assert m.row(1) == (4, 5, 6)
-        assert m.entry(0, 2) == 3
+        assert m.row(0)[2] == 3
 
     def test_mat_vec(self):
         m = Matrix.from_rows([[1, 2], [3, 4]])

@@ -8,9 +8,10 @@ with unknown keys, indentation and shuffled key order.  The
 bulletin's one-pass residue-array parser agrees with a per-element reference
 parser on hostile arrays and on levels of them, errors included, and its
 writer gives the bytes of ``json.dumps`` with sorted keys.  The
-generator's byte stream is SHA-256 in counter mode however it is split, and
-a batch draw gives the values, and leaves the stream, of the single draws it
-replaces; a bit vector is the bits of one draw.  Share files and reports
+generator's byte stream is SHA-256 in counter mode however it is split,
+a negative length is refused before the stream moves, and a batch draw
+gives the values, and leaves the stream, of the single draws it replaces;
+a bit vector is the bits of one draw.  Share files and reports
 with any JSON value in any header field decode or raise an ``MssError``.
 Examples are derived from the test itself (derandomized), so every run
 checks the same inputs.
@@ -28,7 +29,6 @@ from mss.bulletin import (
     _canonical_bytes,
     _decode_bulletin,
     _parse_nested,
-    _parse_vector,
     _setup_section,
     _strs,
     deal_id,
@@ -211,7 +211,7 @@ DIFFERENTIAL = settings(
 @given(case=residue_arrays())
 def test_vector_parser_matches_per_element_reference(case):
     q, arr = case
-    assert outcome(_parse_vector, arr, q, len(arr), "v") == outcome(
+    assert outcome(_parse_nested, arr, q, len(arr), "v") == outcome(
         reference_vector, arr, q, "v"
     )
 
@@ -276,7 +276,7 @@ def test_json_syntax_elements_give_the_reference_error(element, q):
     for at in range(3):
         arr = ["1", "2", "3"]
         arr[at] = element
-        assert outcome(_parse_vector, arr, q, 3, "v") == outcome(reference_vector, arr, q, "v")
+        assert outcome(_parse_nested, arr, q, 3, "v") == outcome(reference_vector, arr, q, "v")
         level = [["4"], arr, ["5", "6"]]
         assert outcome(_parse_nested, level, q, [1, 3, 2], "v") == outcome(
             reference_level, level, q, [1, 3, 2], "v"
@@ -284,10 +284,10 @@ def test_json_syntax_elements_give_the_reference_error(element, q):
 
 
 def test_first_bad_element_decides_the_error():
-    assert outcome(_parse_vector, ["97", "03"], 97, 2, "v") == (
+    assert outcome(_parse_nested, ["97", "03"], 97, 2, "v") == (
         ValidationError, "v is not reduced mod q"
     )
-    assert outcome(_parse_vector, ["03", "97"], 97, 2, "v") == (
+    assert outcome(_parse_nested, ["03", "97"], 97, 2, "v") == (
         ParseError, "v must be a canonical decimal string"
     )
 
@@ -442,6 +442,15 @@ def test_randbelow_many_rejects_negative_counts_before_drawing(count):
         rng.randbelow_many(97, count)
     with pytest.raises(ValueError, match="^count must be nonnegative$"):
         PrimeField(97).rand_vec(rng, count)
+    assert rng.randbytes(32) == Drbg(1).randbytes(32)
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+def test_randbytes_rejects_negative_lengths_before_drawing(n):
+    rng = Drbg(1)
+    with pytest.raises(ValueError, match="^number of bytes must be nonnegative$"):
+        rng.randbytes(n)
+    assert rng.randbytes(0) == b""
     assert rng.randbytes(32) == Drbg(1).randbytes(32)
 
 
