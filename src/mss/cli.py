@@ -38,10 +38,18 @@ EXIT_USAGE = 2
 
 
 def _rng_for(args) -> Drbg:
+    """The generator of --seed, else of MSS_SEED (which must be a nonnegative
+    integer; empty counts as unset), else of OS entropy."""
     env = os.environ.get("MSS_SEED")
-    if args.seed is None and env is not None:
-        return Drbg(int(env))
-    return Drbg(args.seed)
+    if args.seed is not None or not env:
+        return Drbg(args.seed)
+    try:
+        seed = int(env)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"MSS_SEED must be a nonnegative integer, got {env!r}")
+    return Drbg(seed)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .errors import DimMismatch, DuplicateNode, Inconsistent, InvalidNode
@@ -325,9 +326,16 @@ def lagrange_at_zero(
                 num = num * xi % q
                 den = den * (xi - xj) % q
         weights.append(num * field.inv(den) % q)
-    return tuple(
-        sum(w * y for w, y in zip(weights, ys)) % q for ys in columns
-    )
+    return _weighted_sums(q, weights, columns)
+
+
+def _weighted_sums(
+    q: int, weights: Sequence[int], columns: Sequence[Sequence[int]]
+) -> tuple[int, ...]:
+    """sum_j weights[j] * ys[j] mod q for each column ys: with weights at
+    zero (p(0) = sum_j w_j p(x_j) for every p of degree below the node
+    count), each column's interpolating polynomial at 0."""
+    return tuple(sum(map(mul, weights, ys)) % q for ys in columns)
 
 
 def binom_mod(field: PrimeField, j: int, l: int) -> int:

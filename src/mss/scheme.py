@@ -43,14 +43,15 @@ from .field import (
     DEFAULT_PRIME,
     Matrix,
     PrimeField,
+    _weighted_sums,
     lagrange_at_zero,
     solve_linear,
     vandermonde,
 )
 from .ilr import (
     IlrSpec,
+    _checked_nodes,
     backward_recover,
-    fit_general_term,
     fold_columns,
     forward_extend,
 )
@@ -432,20 +433,43 @@ def _checked_quorum(
     return _checked_group(bulletin, i, subshadows)
 
 
+def _quorum_columns(
+    bulletin: Bulletin, i: int, subshadows: Mapping[int, Sequence[int]]
+) -> tuple[IlrSpec, list[int], list[list[int]]]:
+    """The spec of secret i, and the nodes and folded value columns of a
+    quorum's samples: its checked subshadows, then the published extras.
+    The samples pass fit_general_term's checks (ValueError for extras of the
+    wrong count or dimension)."""
+    samples = _checked_quorum(bulletin, i, subshadows) + list(bulletin.extra_points(i))
+    spec = bulletin.ilr_spec(i)
+    return spec, _checked_nodes(spec, samples), fold_columns(spec, samples)
+
+
+def _solved_weights(field: PrimeField, nodes: Sequence[int]) -> tuple[int, ...]:
+    """Weights z of distinct nodes at zero, from one solve V^T z = e_0 with V
+    their square Vandermonde matrix: for the values y = V a of a polynomial
+    with coefficients a, z^T y = (V^T z)^T a = a_0, its value at 0."""
+    v = vandermonde(field, nodes, len(nodes))
+    columns_of_v = Matrix.from_rows([v.data[c :: v.cols] for c in range(v.cols)])
+    e_0 = (1,) + (0,) * (len(nodes) - 1)
+    (weights,) = solve_linear(field, columns_of_v, [e_0]).particular
+    return weights
+
+
 def recover_way1_vandermonde(
     bulletin: Bulletin, i: int, subshadows: Mapping[int, Sequence[int]]
 ) -> tuple[int, ...]:
-    """Recover secret i by solving for the general-term coefficients.
+    """Recover secret i as the constant coefficient of the general term.
 
     Any t_i subshadows plus the published extras give exactly as many
-    samples as the polynomial has coefficients; the secret component is the
-    constant coefficient.  Raises BadIndex for a secret or participant index
-    out of range, BadQuorum unless exactly t_i subshadows are given, and
+    samples as the polynomial has coefficients.  One linear solve gives the
+    quorum's weights at zero, and each secret component is the weighted sum
+    of its samples.  Raises BadIndex for a secret or participant index out
+    of range, BadQuorum unless exactly t_i subshadows are given, and
     DimMismatch for a subshadow whose length is not t_i.
     """
-    samples = _checked_quorum(bulletin, i, subshadows) + list(bulletin.extra_points(i))
-    coeffs = fit_general_term(bulletin.ilr_spec(i), samples)
-    return tuple(component[0] for component in coeffs)
+    spec, nodes, columns = _quorum_columns(bulletin, i, subshadows)
+    return _weighted_sums(spec.field.q, _solved_weights(spec.field, nodes), columns)
 
 
 def recover_way1_lagrange(
@@ -453,12 +477,11 @@ def recover_way1_lagrange(
 ) -> tuple[int, ...]:
     """Recover secret i by evaluating the interpolating polynomial at zero.
 
-    Raises the same errors as recover_way1_vandermonde.
+    The samples and weighted sums of recover_way1_vandermonde, with the
+    weights from the Lagrange product formula; raises the same errors.
     """
-    samples = _checked_quorum(bulletin, i, subshadows) + list(bulletin.extra_points(i))
-    spec = bulletin.ilr_spec(i)
-    nodes = [x for x, _ in samples]
-    return lagrange_at_zero(spec.field, nodes, fold_columns(spec, samples))
+    spec, nodes, columns = _quorum_columns(bulletin, i, subshadows)
+    return lagrange_at_zero(spec.field, nodes, columns)
 
 
 def recover_way2(

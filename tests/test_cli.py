@@ -127,6 +127,36 @@ class TestDeal:
         assert seed_7 == bulletin("e", *unseeded, "--seed", "7")
         assert seed_7 != from_env
 
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_env_seed_must_be_a_nonnegative_integer(self, tmp_path, value):
+        (tmp_path / "secrets.json").write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
+        unseeded = [a for a in DEAL_ARGS if a not in ("--seed", "42")]
+        result = run_cli(
+            *unseeded, "--secrets", str(tmp_path / "secrets.json"), "--out-dir", str(tmp_path),
+            env_extra={"MSS_SEED": value},
+        )
+        assert result.returncode == 2
+        assert result.stderr == (
+            f"error: ValueError: MSS_SEED must be a nonnegative integer, got {value!r}\n"
+        )
+        assert not (tmp_path / "bulletin.json").exists()
+
+    def test_empty_env_seed_counts_as_unset(self, tmp_path):
+        """An empty MSS_SEED falls back to OS entropy, as an unset one does."""
+        unseeded = [a for a in DEAL_ARGS if a not in ("--seed", "42")]
+        bulletins = []
+        for sub in ("a", "b"):
+            d = tmp_path / sub
+            d.mkdir()
+            (d / "secrets.json").write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
+            result = run_cli(
+                *unseeded, "--secrets", str(d / "secrets.json"), "--out-dir", str(d),
+                env_extra={"MSS_SEED": ""},
+            )
+            assert result.returncode == 0, result.stderr
+            bulletins.append((d / "bulletin.json").read_bytes())
+        assert bulletins[0] != bulletins[1]
+
     def test_malformed_secrets_file(self, tmp_path):
         bad = tmp_path / "secrets.json"
         bad.write_text("{broken")

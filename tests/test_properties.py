@@ -3,6 +3,9 @@
 For a random variant, modulus, participant count n <= 12, thresholds,
 secrets and DRBG seed, every recovery path returns the dealt secret exactly
 from a random quorum, and decoding an encoded bulletin gives it back.
+The weights at zero that one linear solve gives a node set turn any
+samples into the constant coefficients that ``fit_general_term`` fits, and
+the Vandermonde recovery of any bulletin's quorum equals those.
 ``read_bulletin`` gives ``deal_id`` of the decoded bulletin even for a file
 with unknown keys, indentation and shuffled key order.  The
 bulletin's one-pass residue-array parser agrees with a per-element reference
@@ -40,11 +43,14 @@ from mss.bulletin import (
     read_bulletin,
 )
 from mss.errors import MssError, ParseError, ValidationError
-from mss.field import Matrix, PrimeField
+from mss.field import Matrix, PrimeField, _weighted_sums
+from mss.ilr import IlrSpec, fit_general_term, fold_columns
 from mss.rng import Drbg
 from mss.scheme import (
+    Bulletin,
     SchemeParams,
     Variant,
+    _solved_weights,
     deal,
     participant_subshadows,
     recover_way1_lagrange,
@@ -92,6 +98,74 @@ def test_every_recovery_returns_the_dealt_secret(dealt, data):
         start = data.draw(st.integers(1, n - t_i + 1))
         window = participant_subshadows(board, i, shares[start - 1 : start - 1 + t_i])
         assert recover_way2(board, i, window) == secret
+
+
+def residue_vectors(q, dim, count):
+    return st.lists(
+        st.tuples(*[st.integers(0, q - 1)] * dim), min_size=count, max_size=count
+    )
+
+
+@st.composite
+def fitted_systems(draw):
+    """A plain or alternating spec with t + 2l in [2, 40] unknowns, and that
+    many samples at distinct nonzero nodes."""
+    q = draw(st.sampled_from(MODULI))
+    size = draw(st.integers(2, 40))
+    l = draw(st.integers(0, min(size // 2, size - 2)))  # t + l >= 2
+    dim = draw(st.integers(1, 3))
+    spec = IlrSpec(
+        t=size - 2 * l,
+        l=l,
+        alternating=draw(st.booleans()),
+        c=draw(residue_vectors(q, dim, 1))[0],
+        field=PrimeField(q),
+    )
+    nodes = draw(st.lists(st.integers(1, q - 1), min_size=size, max_size=size, unique=True))
+    return spec, list(zip(nodes, draw(residue_vectors(q, dim, size))))
+
+
+@PROPERTY
+@given(fitted_systems())
+def test_solved_weights_give_the_fitted_constant_coefficients(system):
+    spec, samples = system
+    weights = _solved_weights(spec.field, [x for x, _ in samples])
+    got = _weighted_sums(spec.field.q, weights, fold_columns(spec, samples))
+    assert got == tuple(coeffs[0] for coeffs in fit_general_term(spec, samples))
+
+
+@st.composite
+def hand_built_quorums(draw):
+    """A bulletin of one secret with random constants and extras, whose
+    general term has 4 to 40 unknowns (the fewest a deal has is 4), and a
+    random quorum of random subshadows."""
+    q = draw(st.sampled_from(MODULI))
+    variant = draw(st.sampled_from(list(Variant)))
+    t = draw(st.integers(2, 19 if variant.shared_constant else 38))
+    n = draw(st.integers(t, 90 - t))  # q = 97 must exceed n + t + 1
+    params = SchemeParams(variant=variant, n=n, k=1, thresholds=(t,), q=q, r=1)
+    owners = draw(st.lists(st.integers(1, n), min_size=t, max_size=t, unique=True))
+    board = Bulletin(
+        params=params,
+        mask_matrices=(),
+        commit_matrix=None,
+        commitments=(),
+        secret_hashes=("",),
+        constants=(draw(residue_vectors(q, t, 1))[0],),
+        offsets=((),),
+        extras=(tuple(draw(residue_vectors(q, t, variant.extras_count(t)))),),
+    )
+    return board, dict(zip(owners, draw(residue_vectors(q, t, t))))
+
+
+@PROPERTY
+@given(hand_built_quorums())
+def test_vandermonde_recovery_is_the_fitted_constant_coefficient(case):
+    board, quorum = case
+    samples = sorted(quorum.items()) + list(board.extra_points(1))
+    fitted = tuple(coeffs[0] for coeffs in fit_general_term(board.ilr_spec(1), samples))
+    assert recover_way1_vandermonde(board, 1, quorum) == fitted
+    assert recover_way1_lagrange(board, 1, quorum) == fitted
 
 
 @PROPERTY

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from mss import ajtai, scheme
+from mss import ajtai, ilr, scheme
 from mss.ajtai import Share, ajtai_hash, verify_commitment
 from mss.errors import (
     BadIndex,
@@ -14,7 +14,7 @@ from mss.errors import (
     DimMismatch,
     NotConsecutive,
 )
-from mss.field import DEFAULT_PRIME, vandermonde
+from mss.field import DEFAULT_PRIME, solve_linear, vandermonde
 from mss.ilr import fold_value, forward_extend
 from mss.rng import Drbg
 from mss.scheme import (
@@ -367,6 +367,26 @@ def test_bad_group_raises_one_class_everywhere(variant, group, error):
             check(board, 1, group)
 
 
+@pytest.mark.parametrize("variant, unknowns", [("s1", 5), ("s2", 5), ("s3", 7), ("s4", 7)])
+@pytest.mark.parametrize("method", (recover_way1_vandermonde, recover_way1_lagrange))
+def test_hand_built_extras_fail_the_general_term_checks(variant, unknowns, method):
+    """A bulletin built in code, not decoded, with an extra term dropped or
+    of the wrong dimension: both interpolating recoveries raise the
+    ValueError of fit_general_term's checks instead of interpolating."""
+    _, _, shares, board = make_deal(variant, n=6, k=1, thresholds=(3,), seed="extras")
+    sub = participant_subshadows(board, 1, shares[:3])
+    (extras,) = board.extras
+    cases = {
+        f"expected {unknowns} samples, got {unknowns - 1}": extras[:-1],
+        "expected vectors of dimension 3, got 4": (extras[0] + (0,),) + extras[1:],
+    }
+    for message, bad in cases.items():
+        with pytest.raises(ValueError) as raised:
+            method(dataclasses.replace(board, extras=(bad,)), 1, sub)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == message
+
+
 class TestRecovery:
     def test_all_methods_exact_on_all_variants(self):
         for variant in ALL_VARIANTS:
@@ -378,6 +398,24 @@ class TestRecovery:
                 sub = participant_subshadows(board, i, shares[:t_i])
                 for method in RECOVERY_METHODS:
                     assert method(board, i, sub) == tuple(secrets[i - 1])
+
+    def test_vandermonde_solves_once_with_one_right_hand_side(self, monkeypatch):
+        """The quorum's weights at zero come from one solve with the single
+        right-hand side e_0, not one right-hand side per component."""
+        params, secrets, shares, board = make_deal(
+            Variant.S4, n=7, k=1, thresholds=(3,), seed="one-rhs"
+        )
+        widths = []
+
+        def counted(field, m, columns):
+            widths.append(len(columns))
+            return solve_linear(field, m, columns)
+
+        for module in (scheme, ilr):
+            monkeypatch.setattr(module, "solve_linear", counted)
+        sub = participant_subshadows(board, 1, shares[2:5])
+        assert recover_way1_vandermonde(board, 1, sub) == tuple(secrets[0])
+        assert widths == [1]
 
     def test_result_same_for_different_quorums(self):
         params, secrets, shares, board = make_deal(
