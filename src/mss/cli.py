@@ -52,6 +52,17 @@ def _rng_for(args) -> Drbg:
     return Drbg(seed)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a nonnegative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return seed
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -269,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="secret count")
     p.add_argument("--thresholds", type=_parse_int_list, required=True)
     p.add_argument("--q", default=str(DEFAULT_PRIME), help="prime modulus (decimal)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--secrets", required=True, help="secrets.json input file")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_deal)
@@ -305,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--t-range", type=_parse_int_list, default=(8, 16, 32))
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -131,7 +131,8 @@ class Matrix:
 
 
 def matrix_rank(field: PrimeField, m: Matrix) -> int:
-    """Row rank by Gaussian elimination (first-nonzero pivoting).
+    """Row rank: the pivot count of forward elimination (first-nonzero
+    pivoting, see ``_eliminate``).
 
     A wide matrix is ranked on its leading rows x rows block first: when
     that block is nonsingular the matrix has full row rank, and the other
@@ -159,52 +160,62 @@ def _unpack(packed: int, n: int, q: int, w: int) -> list[int]:
     return [(packed >> shift & mask) % q for shift in range(0, n * w, w)]
 
 
+def _slot_bits(q: int, ops: int) -> int:
+    """Bits of a slot that starts reduced mod q and takes ``ops``
+    multiply-adds of reduced residues: (q - 1) + ops * (q - 1)^2 fits."""
+    return (q - 1 + ops * (q - 1) ** 2).bit_length()
+
+
 def _eliminate(
-    field: PrimeField, rows: Sequence[Sequence[int]], ncols: int, above: bool = False
-) -> tuple[list[int], list[int], int]:
-    """Pivot columns among the first ``ncols``, the reduced rows packed in
-    w-bit slots, and w: ``_unpack(row, len(rows[0]), q, w)`` reads one.
+    field: PrimeField, rows: Sequence[Sequence[int]], ncols: int
+) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Forward elimination over the first ``ncols`` columns: the pivot
+    columns, each pivot row scaled to a leading 1 from its pivot column on,
+    and the rows left over, from column ``ncols`` on, all reduced mod q.
 
     Pivots are the first nonzero entry at or below the current rank; each
     pivot row is scaled to a leading 1 and its column cleared in the rows
-    below it, and also above it when ``above`` is set (Gauss-Jordan form).
+    below it, never above it.
 
-    Each row is held as one int of w-bit slots (see ``_pack``), so a row
-    operation is one multiply-add, row += (q - f) * pivot_row, reduced
-    only when read (delayed reduction).  The pivot row is reduced when it
-    is scaled, so every operation adds less than q^2 to a slot, and a row
-    takes at most rows - 1 operations between reductions: a slot never
-    exceeds (q - 1) + (rows - 1) * (q - 1)^2, and w is that bound's bit
-    length, so no slot carries into the next.
+    Each live row (one not yet a pivot row) is held as one int of w-bit
+    slots (see ``_pack``), trimmed so that slot 0 is the current column.
+    A column with no pivot is shifted out of every live row.  A pivot step
+    shifts it out of the other live rows too, and adds to each whose entry
+    f there is nonzero mod q the pivot row's later columns, packed as prow:
+    row = (row >> w) + (q - f) * prow.  So row operations get shorter as
+    elimination goes on, and live rows are reduced only when read (delayed
+    reduction).  The pivot row is reduced when it is scaled, so every
+    operation adds less than q^2 to a slot, and a row takes at most
+    rows - 1 operations: a slot never exceeds
+    (q - 1) + (rows - 1) * (q - 1)^2, and w is that bound's bit length, so
+    no slot carries into the next.
     """
     q = field.q
     width = len(rows[0])
-    w = (q - 1 + (len(rows) - 1) * (q - 1) ** 2).bit_length()
+    w = _slot_bits(q, len(rows) - 1)
     mask = (1 << w) - 1
-    packed = [_pack(row, q, w) for row in rows]
+    live = [_pack(row, q, w) for row in rows]
     pivots: list[int] = []
+    pivot_rows: list[list[int]] = []
     for col in range(ncols):
-        rank = len(pivots)
-        shift = col * w
-        pivot = next(
-            (r for r in range(rank, len(packed)) if (packed[r] >> shift & mask) % q),
-            None,
-        )
+        pivot = next((r for r, x in enumerate(live) if (x & mask) % q), None)
         if pivot is None:
+            live = [x >> w for x in live]
             continue
-        packed[rank], packed[pivot] = packed[pivot], packed[rank]
-        # left of col the pivot row is zero mod q: scale and repack the rest
-        row = _unpack(packed[rank] >> shift, width - col, q, w)
-        inv_p = field.inv(row[0])
-        prow = packed[rank] = _pack([v * inv_p for v in row], q, w) << shift
-        for r in range(0 if above else rank + 1, len(packed)):
-            f = (packed[r] >> shift & mask) % q
-            if f and r != rank:
-                packed[r] += (q - f) * prow
+        live[0], live[pivot] = live[pivot], live[0]
+        top = live[0]
+        inv_p = field.inv(top & mask)
+        row = [(top >> s & mask) * inv_p % q for s in range(0, (width - col) * w, w)]
+        prow = _pack(row[1:], q, w)
+        rest, live = live[1:], []
+        for x in rest:
+            f = (x & mask) % q
+            live.append((x >> w) + (q - f) * prow if f else x >> w)
         pivots.append(col)
-        if rank + 1 == len(packed):
+        pivot_rows.append(row)
+        if not live:
             break
-    return pivots, packed, w
+    return pivots, pivot_rows, [_unpack(x, width - ncols, q, w) for x in live]
 
 
 @dataclass(frozen=True)
@@ -239,10 +250,13 @@ def solve_linear(
 ) -> Solution:
     """Solve M x = b exactly for every right-hand side b in ``columns``.
 
-    One Gauss-Jordan elimination reduces all columns together; raises
-    Inconsistent when any column has no solution.  Column order of M is
-    preserved during elimination so free variables are identifiable by
-    index (used by the sub-threshold rank probe).
+    One forward elimination (``_eliminate``) of M with the columns
+    appended, then back substitution over the non-pivot columns only (the
+    free columns and the right-hand sides), from the last pivot row up,
+    packed under the elimination's slot bound and reduced once per row.
+    Raises Inconsistent when any column has no solution.  Column order of
+    M is preserved so free variables are identifiable by index (used by
+    the sub-threshold rank probe).
     """
     for b in columns:
         if len(b) != m.rows:
@@ -250,28 +264,46 @@ def solve_linear(
     q = field.q
     ncols = m.cols
     rows = [m.row(i) + tuple(b[i] for b in columns) for i in range(m.rows)]
-    pivot_cols, packed, w = _eliminate(field, rows, ncols, above=True)
-    rows = [_unpack(p, ncols + len(columns), q, w) for p in packed]
+    pivot_cols, pivot_rows, leftover = _eliminate(field, rows, ncols)
+    if any(any(row) for row in leftover):
+        raise Inconsistent("system has no solution")
     pr = len(pivot_cols)
-    for r in range(pr, len(rows)):
-        if any(rows[r][ncols:]):
-            raise Inconsistent("system has no solution")
     pivot_set = set(pivot_cols)
     free_cols = tuple(c for c in range(ncols) if c not in pivot_set)
+    # back substitution, from the last pivot row up: in the other columns,
+    # a pivot row of the reduced row echelon form is the pivot row less its
+    # entry in each later pivot column times that later row; the products
+    # are summed on packed rows (packed[j] is reduced[j] packed) and the
+    # difference is taken slot by slot
+    other = free_cols + tuple(range(ncols, ncols + len(columns)))
+    w = _slot_bits(q, m.rows - 1)
+    mask = (1 << w) - 1
+    shifts = range(0, len(other) * w, w)
+    reduced: list[list[int]] = [[]] * pr
+    packed = [0] * pr
+    for r in reversed(range(pr)):
+        p, row = pivot_cols[r], pivot_rows[r]
+        later = [row[c - p] for c in pivot_cols[r + 1 :]]
+        acc = sum(map(mul, later, packed[r + 1 :]))
+        reduced[r] = [
+            ((row[c - p] if c > p else 0) - (acc >> s & mask)) % q
+            for c, s in zip(other, shifts)
+        ]
+        packed[r] = _pack(reduced[r], q, w)
 
     particular = []
-    for c in range(ncols, ncols + len(columns)):
+    for k in range(len(free_cols), len(other)):
         x = [0] * ncols
-        for r, col in enumerate(pivot_cols):
-            x[col] = rows[r][c]
+        for col, red in zip(pivot_cols, reduced):
+            x[col] = red[k]
         particular.append(tuple(x))
 
     nullspace = []
-    for fc in free_cols:
+    for k, fc in enumerate(free_cols):
         vec = [0] * ncols
         vec[fc] = 1
-        for r, col in enumerate(pivot_cols):
-            vec[col] = -rows[r][fc] % q
+        for col, red in zip(pivot_cols, reduced):
+            vec[col] = -red[k] % q
         nullspace.append(tuple(vec))
 
     return Solution(

@@ -141,6 +141,18 @@ class TestDeal:
         )
         assert not (tmp_path / "bulletin.json").exists()
 
+    def test_negative_seed_refused_by_the_parser(self, tmp_path):
+        (tmp_path / "secrets.json").write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
+        args = [a if a != "42" else "-1" for a in DEAL_ARGS]
+        result = run_cli(
+            *args, "--secrets", str(tmp_path / "secrets.json"), "--out-dir", str(tmp_path)
+        )
+        assert result.returncode == 2
+        assert result.stderr.endswith(
+            "error: argument --seed: must be a nonnegative integer, got '-1'\n"
+        )
+        assert not (tmp_path / "bulletin.json").exists()
+
     def test_empty_env_seed_counts_as_unset(self, tmp_path):
         """An empty MSS_SEED falls back to OS entropy, as an unset one does."""
         unseeded = [a for a in DEAL_ARGS if a not in ("--seed", "42")]
@@ -538,6 +550,14 @@ class TestBench:
             line.rsplit(",", 1)[0] for line in text.strip().split("\n")
         ]
         assert strip_time(a.stdout) == strip_time(b.stdout)
+
+    def test_negative_seed_refused_by_the_parser(self):
+        result = run_cli("bench", "--n", "6", "--t-range", "2", "--trials", "1", "--seed", "-1")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith(
+            "error: argument --seed: must be a nonnegative integer, got '-1'\n"
+        )
 
     def test_trials_below_one_refused_before_any_deal(self, capsys):
         # t = 99 > n would fail the deal, so the trials message shows the

@@ -6,7 +6,9 @@ one int of w-bit slots, and reduces only once per pivot or term.  The
 references below are the per-entry loops, kept as oracles: the packed
 kernels must give the same pivots, the same inverses and the same rows
 and terms mod q, on every shape, rank and modulus, and also on the inputs
-that make a slot grow the most.
+that make a slot grow the most.  ``solve_linear`` (forward elimination,
+then packed back substitution) must give what per-entry Gauss-Jordan
+elimination of the same system gives.
 """
 
 import random
@@ -15,7 +17,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mss.field import _MR_LIMIT, PrimeField, _eliminate, _unpack, is_prime
+from mss.errors import Inconsistent
+from mss.field import _MR_LIMIT, Matrix, PrimeField, _eliminate, is_prime, solve_linear
 from mss.ilr import IlrSpec, backward_recover, forward_extend, recursion_coeffs, rhs_term
 
 
@@ -98,16 +101,18 @@ def reference_backward(spec, window, start):
     return out
 
 
-def assert_same_elimination(q, rows, ncols, above):
+def assert_same_elimination(q, rows, ncols):
     field, want_inverted = recording_field(q)
     want_rows = [list(row) for row in rows]
-    want = reference_eliminate(field, want_rows, ncols, above)
+    want = reference_eliminate(field, want_rows, ncols)
     field, got_inverted = recording_field(q)
-    pivots, packed, w = _eliminate(field, rows, ncols, above)
+    pivots, pivot_rows, leftover = _eliminate(field, rows, ncols)
     assert pivots == want
     assert got_inverted == want_inverted
-    got_rows = [_unpack(row, len(rows[0]), q, w) for row in packed]
-    assert got_rows == [[v % q for v in row] for row in want_rows]
+    assert pivot_rows == [[v % q for v in row[col:]] for row, col in zip(want_rows, want)]
+    left = want_rows[len(want) :]
+    assert all(v % q == 0 for row in left for v in row[:ncols])
+    assert leftover == [[v % q for v in row[ncols:]] for row in left]
 
 
 @st.composite
@@ -126,7 +131,7 @@ def eliminations(draw):
     rnd.shuffle(rows)
     rows = [[v + q * rnd.randint(-2, 2) for v in row] for row in rows]
     ncols = draw(st.integers(1, width))
-    return q, rows, ncols, draw(st.booleans())
+    return q, rows, ncols
 
 
 @given(case=eliminations())
@@ -148,11 +153,101 @@ def most_growth(q, n):
 
 @pytest.mark.parametrize("q", MODULI)
 @pytest.mark.parametrize("n", [2, 3, 5, 9])
-@pytest.mark.parametrize("above", [False, True])
-def test_eliminate_at_largest_slot_growth(q, n, above):
-    assert_same_elimination(q, most_growth(q, n), n + 1, above)
+def test_eliminate_at_largest_slot_growth(q, n):
+    assert_same_elimination(q, most_growth(q, n), n + 1)
+    # the last row zero in every pivot column: it takes no row operation,
+    # and adding q * prow to it instead would carry out of column n - 1
+    zero_below = most_growth(q, n)
+    zero_below[n - 1][: n - 1] = [0] * (n - 1)
+    assert_same_elimination(q, zero_below, n + 1)
     all_top = [[q - 1] * (n + 3) for _ in range(n)]
-    assert_same_elimination(q, all_top, n + 3, above)
+    assert_same_elimination(q, all_top, n + 3)
+
+
+def reference_solve(q, matrix, columns):
+    """(rank, free_cols, particular, nullspace) read off the per-entry
+    Gauss-Jordan form of [M | B], or None when some column has no solution."""
+    ncols = len(matrix[0])
+    rows = [list(row) + [b[i] for b in columns] for i, row in enumerate(matrix)]
+    pivots = reference_eliminate(PrimeField(q), rows, ncols, above=True)
+    rank = len(pivots)
+    if any(v % q for row in rows[rank:] for v in row[ncols:]):
+        return None
+    free_cols = tuple(c for c in range(ncols) if c not in pivots)
+    particular = []
+    for c in range(ncols, ncols + len(columns)):
+        x = [0] * ncols
+        for r, col in enumerate(pivots):
+            x[col] = rows[r][c] % q
+        particular.append(tuple(x))
+    nullspace = []
+    for fc in free_cols:
+        vec = [0] * ncols
+        vec[fc] = 1
+        for r, col in enumerate(pivots):
+            vec[col] = -rows[r][fc] % q
+        nullspace.append(tuple(vec))
+    return rank, free_cols, tuple(particular), tuple(nullspace)
+
+
+SYSTEMS = ("full-rank", "rank-deficient", "inconsistent", "uniform")
+
+
+@st.composite
+def systems(draw, q, kind):
+    """A system M x = B of the given kind, tall, square or wide, with one to
+    three right-hand sides and unreduced, negative entries.  The structured
+    kinds start from an echelon form of known rank with zero rows below it
+    (one right-hand side nonzero there when inconsistent) and mix its rows
+    by unit triangular row operations and a shuffle, which keep the rank
+    and the solution sets; "uniform" draws every entry at random."""
+    nrows = draw(st.integers(2 if kind == "inconsistent" else 1, 8))
+    ncols = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 3))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "uniform":
+        rows = [[rnd.randrange(q) for _ in range(ncols + k)] for _ in range(nrows)]
+    else:
+        top = min(nrows - (kind == "inconsistent"), ncols)
+        rank = top if kind == "full-rank" else draw(st.integers(0, top - (kind == "rank-deficient")))
+        rows = [[0] * (ncols + k) for _ in range(nrows)]
+        for row, col in zip(rows, sorted(rnd.sample(range(ncols), rank))):
+            row[col] = rnd.randrange(1, q)
+            row[col + 1 :] = [rnd.randrange(q) for _ in row[col + 1 :]]
+        if kind == "inconsistent":
+            rows[rnd.randrange(rank, nrows)][ncols + rnd.randrange(k)] = rnd.randrange(1, q)
+        order = list(range(nrows))
+        for sweep in (order, order[::-1]):
+            for i, r in enumerate(sweep):
+                for j in sweep[:i]:
+                    s = rnd.randrange(q)
+                    rows[r] = [a + s * b for a, b in zip(rows[r], rows[j])]
+        rnd.shuffle(rows)
+    rows = [[v % q + q * rnd.randint(-2, 2) for v in row] for row in rows]
+    matrix = [row[:ncols] for row in rows]
+    return matrix, [[row[ncols + c] for row in rows] for c in range(k)]
+
+
+@pytest.mark.parametrize("q", MODULI)
+@pytest.mark.parametrize("kind", SYSTEMS)
+@given(data=st.data())
+def test_solve_linear_matches_gauss_jordan(q, kind, data):
+    matrix, columns = data.draw(systems(q, kind))
+    want = reference_solve(q, matrix, columns)
+    if kind != "uniform":
+        assert (want is None) == (kind == "inconsistent")
+    if kind == "full-rank":
+        assert want[0] == min(len(matrix), len(matrix[0]))
+    if kind == "rank-deficient":
+        assert want[0] < min(len(matrix), len(matrix[0]))
+    field = PrimeField(q)
+    m = Matrix.from_rows(matrix)
+    if want is None:
+        with pytest.raises(Inconsistent):
+            solve_linear(field, m, columns)
+        return
+    sol = solve_linear(field, m, columns)
+    assert (sol.rank, sol.free_cols, sol.particular, sol.nullspace) == want
 
 
 FAMILIES = [(alternating, wide) for alternating in (False, True) for wide in (False, True)]
