@@ -81,7 +81,7 @@ def cmd_deal(args) -> int:
         n=args.n,
         k=args.k,
         thresholds=args.thresholds,
-        q=int(args.q),
+        q=args.q,
     )
     secrets = bio.decode_secrets(_read(args.secrets), params.q)
     shares, board = deal(params, secrets, _rng_for(args))
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="participant count")
     p.add_argument("--k", type=int, required=True, help="secret count")
     p.add_argument("--thresholds", type=_parse_int_list, required=True)
-    p.add_argument("--q", default=str(DEFAULT_PRIME), help="prime modulus (decimal)")
+    p.add_argument("--q", type=int, default=DEFAULT_PRIME, help="prime modulus (decimal)")
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--secrets", required=True, help="secrets.json input file")
     p.add_argument("--out-dir", default=".")

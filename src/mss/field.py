@@ -118,7 +118,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Matrix":
-        ncols = len(rows[0])
+        ncols = len(rows[0]) if rows else 0
         flat: list[int] = []
         for row in rows:
             if len(row) != ncols:
@@ -160,12 +160,6 @@ def _unpack(packed: int, n: int, q: int, w: int) -> list[int]:
     return [(packed >> shift & mask) % q for shift in range(0, n * w, w)]
 
 
-def _slot_bits(q: int, ops: int) -> int:
-    """Bits of a slot that starts reduced mod q and takes ``ops``
-    multiply-adds of reduced residues: (q - 1) + ops * (q - 1)^2 fits."""
-    return (q - 1 + ops * (q - 1) ** 2).bit_length()
-
-
 def _eliminate(
     field: PrimeField, rows: Sequence[Sequence[int]], ncols: int
 ) -> tuple[list[int], list[list[int]], list[list[int]]]:
@@ -192,7 +186,7 @@ def _eliminate(
     """
     q = field.q
     width = len(rows[0])
-    w = _slot_bits(q, len(rows) - 1)
+    w = (q - 1 + (len(rows) - 1) * (q - 1) ** 2).bit_length()
     mask = (1 << w) - 1
     live = [_pack(row, q, w) for row in rows]
     pivots: list[int] = []
@@ -251,9 +245,11 @@ def solve_linear(
     """Solve M x = b exactly for every right-hand side b in ``columns``.
 
     One forward elimination (``_eliminate``) of M with the columns
-    appended, then back substitution over the non-pivot columns only (the
-    free columns and the right-hand sides), from the last pivot row up,
-    packed under the elimination's slot bound and reduced once per row.
+    appended, then one back substitution per vector, from the last pivot
+    row up: x[p] = (b - sum_{c > p} row[c - p] * x[c]) mod q.  For each
+    right-hand side the free variables are 0 and b is the pivot row's entry
+    in that column; for each free column that variable is 1, the other free
+    variables are 0 and b is 0, which gives its nullspace vector.
     Raises Inconsistent when any column has no solution.  Column order of
     M is preserved so free variables are identifiable by index (used by
     the sub-threshold rank probe).
@@ -267,51 +263,29 @@ def solve_linear(
     pivot_cols, pivot_rows, leftover = _eliminate(field, rows, ncols)
     if any(any(row) for row in leftover):
         raise Inconsistent("system has no solution")
-    pr = len(pivot_cols)
     pivot_set = set(pivot_cols)
     free_cols = tuple(c for c in range(ncols) if c not in pivot_set)
-    # back substitution, from the last pivot row up: in the other columns,
-    # a pivot row of the reduced row echelon form is the pivot row less its
-    # entry in each later pivot column times that later row; the products
-    # are summed on packed rows (packed[j] is reduced[j] packed) and the
-    # difference is taken slot by slot
-    other = free_cols + tuple(range(ncols, ncols + len(columns)))
-    w = _slot_bits(q, m.rows - 1)
-    mask = (1 << w) - 1
-    shifts = range(0, len(other) * w, w)
-    reduced: list[list[int]] = [[]] * pr
-    packed = [0] * pr
-    for r in reversed(range(pr)):
-        p, row = pivot_cols[r], pivot_rows[r]
-        later = [row[c - p] for c in pivot_cols[r + 1 :]]
-        acc = sum(map(mul, later, packed[r + 1 :]))
-        reduced[r] = [
-            ((row[c - p] if c > p else 0) - (acc >> s & mask)) % q
-            for c, s in zip(other, shifts)
-        ]
-        packed[r] = _pack(reduced[r], q, w)
+    pivots = list(zip(pivot_cols, pivot_rows))
 
-    particular = []
-    for k in range(len(free_cols), len(other)):
-        x = [0] * ncols
-        for col, red in zip(pivot_cols, reduced):
-            x[col] = red[k]
-        particular.append(tuple(x))
+    def back_substitute(x: list[int], rhs: Sequence[int]) -> tuple[int, ...]:
+        for (p, row), b in reversed(list(zip(pivots, rhs))):
+            x[p] = (b - sum(map(mul, row[1 : ncols - p], x[p + 1 :]))) % q
+        return tuple(x)
 
-    nullspace = []
-    for k, fc in enumerate(free_cols):
-        vec = [0] * ncols
-        vec[fc] = 1
-        for col, red in zip(pivot_cols, reduced):
-            vec[col] = -red[k] % q
-        nullspace.append(tuple(vec))
-
+    particular = tuple(
+        back_substitute([0] * ncols, [row[k - p] for p, row in pivots])
+        for k in range(ncols, ncols + len(columns))
+    )
+    nullspace = tuple(
+        back_substitute([int(c == fc) for c in range(ncols)], [0] * len(pivots))
+        for fc in free_cols
+    )
     return Solution(
-        rank=pr,
+        rank=len(pivots),
         free_dims=len(free_cols),
-        particular=tuple(particular),
+        particular=particular,
         free_cols=free_cols,
-        nullspace=tuple(nullspace),
+        nullspace=nullspace,
     )
 
 
@@ -321,11 +295,11 @@ def vandermonde(field: PrimeField, xs: Sequence[int], width: int) -> Matrix:
     rows = []
     for x in xs:
         x %= q
-        row = [1]
+        row = []
         acc = 1
-        for _ in range(width - 1):
-            acc = acc * x % q
+        for _ in range(width):
             row.append(acc)
+            acc = acc * x % q
         rows.append(row)
     return Matrix.from_rows(rows)
 

@@ -153,6 +153,16 @@ class TestDeal:
         )
         assert not (tmp_path / "bulletin.json").exists()
 
+    def test_non_integer_q_refused_by_the_parser(self, tmp_path):
+        (tmp_path / "secrets.json").write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
+        args = [a if a != "97" else "abc" for a in DEAL_ARGS]
+        result = run_cli(
+            *args, "--secrets", str(tmp_path / "secrets.json"), "--out-dir", str(tmp_path)
+        )
+        assert result.returncode == 2
+        assert result.stderr.endswith("error: argument --q: invalid int value: 'abc'\n")
+        assert not (tmp_path / "bulletin.json").exists()
+
     def test_empty_env_seed_counts_as_unset(self, tmp_path):
         """An empty MSS_SEED falls back to OS entropy, as an unset one does."""
         unseeded = [a for a in DEAL_ARGS if a not in ("--seed", "42")]

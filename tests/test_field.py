@@ -113,6 +113,9 @@ class TestMatrix:
             Matrix(2, 2, (1, 2, 3))
         with pytest.raises(ValueError):
             Matrix(0, 2, ())
+        for rows in ([], [[], []]):
+            with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+                Matrix.from_rows(rows)
 
     def test_from_rows_and_access(self):
         m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
@@ -355,3 +358,12 @@ class TestVandermonde:
     def test_rank_drops_with_duplicate_points(self):
         m = vandermonde(F97, [1, 2, 2], 3)
         assert matrix_rank(F97, m) == 2
+
+    @pytest.mark.parametrize(
+        "xs, width",
+        [([1, 2], 0), ([1, 2], -1), ([], 3)],
+        ids=["width-0", "width-negative", "no-points"],
+    )
+    def test_empty_shape_refused(self, xs, width):
+        with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+            vandermonde(F97, xs, width)

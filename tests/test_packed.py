@@ -7,8 +7,8 @@ references below are the per-entry loops, kept as oracles: the packed
 kernels must give the same pivots, the same inverses and the same rows
 and terms mod q, on every shape, rank and modulus, and also on the inputs
 that make a slot grow the most.  ``solve_linear`` (forward elimination,
-then packed back substitution) must give what per-entry Gauss-Jordan
-elimination of the same system gives.
+then back substitution) must give what per-entry Gauss-Jordan elimination
+of the same system gives.
 """
 
 import random
@@ -196,14 +196,15 @@ SYSTEMS = ("full-rank", "rank-deficient", "inconsistent", "uniform")
 @st.composite
 def systems(draw, q, kind):
     """A system M x = B of the given kind, tall, square or wide, with one to
-    three right-hand sides and unreduced, negative entries.  The structured
+    eight right-hand sides (``fit_general_term`` and the rank probe pass
+    several, one per component) and unreduced, negative entries.  The structured
     kinds start from an echelon form of known rank with zero rows below it
     (one right-hand side nonzero there when inconsistent) and mix its rows
     by unit triangular row operations and a shuffle, which keep the rank
     and the solution sets; "uniform" draws every entry at random."""
     nrows = draw(st.integers(2 if kind == "inconsistent" else 1, 8))
     ncols = draw(st.integers(1, 8))
-    k = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 8))
     rnd = random.Random(draw(st.integers(0, 2**32)))
     if kind == "uniform":
         rows = [[rnd.randrange(q) for _ in range(ncols + k)] for _ in range(nrows)]
