@@ -61,20 +61,18 @@ def share_length(max_threshold: int, n: int) -> int:
 def sample_distinct_shares(n: int, r: int, rng) -> list[tuple[int, ...]]:
     """n pairwise-distinct uniform binary vectors of length r, resampling
     on collision."""
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
+    drawn: dict[tuple[int, ...], None] = {}  # insertion-ordered set
     for _ in range(n):
         for _attempt in range(MAX_SHARE_RESAMPLES):
             bits = rng.bit_vector(r)
-            if bits not in seen:
-                seen.add(bits)
-                out.append(bits)
+            if bits not in drawn:
+                drawn[bits] = None
                 break
         else:
             raise ShareSpaceExhausted(
                 f"cannot draw {n} distinct shares of {r} bits"
             )
-    return out
+    return list(drawn)
 
 
 def sample_matrix_full_rank(

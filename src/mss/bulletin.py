@@ -67,7 +67,9 @@ def _canonical_bytes(obj) -> bytes:
     return (_dump(obj) + "\n").encode()
 
 
-def _load_json(data: bytes | str) -> dict:
+def _load_json(data: bytes | str, kind: str) -> dict:
+    """The document's top-level object, once the envelope checks out: UTF-8,
+    JSON, an object, the expected kind, and the supported format_version."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -80,10 +82,6 @@ def _load_json(data: bytes | str) -> dict:
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top-level value must be an object")
-    return obj
-
-
-def _expect_kind(obj: dict, kind: str) -> None:
     if obj.get("kind") != kind:
         raise ParseError(f"expected kind {kind!r}, got {obj.get('kind')!r}")
     version = obj.get("format_version")
@@ -91,6 +89,7 @@ def _expect_kind(obj: dict, kind: str) -> None:
         raise ParseError("format_version must be an integer")
     if version != FORMAT_VERSION:
         raise UnsupportedVersion(f"unsupported format_version {version}")
+    return obj
 
 
 def _get(obj: dict, key: str):
@@ -274,8 +273,7 @@ def _decode_bulletin(data: bytes | str) -> tuple[Bulletin, dict]:
     value and the section equals ``_setup_section`` of the bulletin.  Keys
     that decode ignores never reach it.
     """
-    obj = _load_json(data)
-    _expect_kind(obj, "bulletin")
+    obj = _load_json(data, "bulletin")
     params = _parse_params(_get(obj, "params"))
     q, n, k, ts = params.q, params.n, params.k, params.thresholds
     t_max = params.max_threshold
@@ -354,8 +352,7 @@ def encode_share(share: Share, deal: str | None = None) -> bytes:
 
 
 def decode_share(data: bytes | str) -> ShareFile:
-    obj = _load_json(data)
-    _expect_kind(obj, "share")
+    obj = _load_json(data, "share")
     owner = _parse_uint(_get(obj, "owner"), "owner")
     if owner < 1:
         raise ValidationError("owner index is 1-based")
@@ -409,8 +406,7 @@ def encode_secrets(q: int, secrets: Sequence[Sequence[int]]) -> bytes:
 
 
 def decode_secrets(data: bytes | str, q: int) -> tuple[tuple[int, ...], ...]:
-    obj = _load_json(data)
-    _expect_kind(obj, "secrets")
+    obj = _load_json(data, "secrets")
     raw = _get(obj, "secrets")
     if not isinstance(raw, list) or not raw:
         raise ParseError("secrets must be a nonempty array")
@@ -448,8 +444,7 @@ def encode_recovered(
 def decode_recovered(data: bytes | str, q: int | None = None) -> RecoveredFile:
     """The recovery report.  Given the bulletin's q, every candidate
     component must be reduced into [0, q), else a ValidationError."""
-    obj = _load_json(data)
-    _expect_kind(obj, "recovered")
+    obj = _load_json(data, "recovered")
     index = _parse_uint(_get(obj, "secret_index"), "secret_index")
     if index < 1:
         raise ValidationError("secret_index is 1-based")
@@ -470,16 +465,21 @@ def decode_recovered(data: bytes | str, q: int | None = None) -> RecoveredFile:
 
 
 def write_atomic(path: str, data: bytes) -> None:
-    """Write a whole file via a temp name and rename, never leaving partials."""
+    """Write a whole file via a temp name and rename, never leaving partials;
+    an OSError names ``path``, not the temp name, which differs per run."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mss-tmp-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mss-tmp-")
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise

@@ -37,23 +37,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _rng_for(args) -> Drbg:
-    """The generator of --seed, else of MSS_SEED (which must be a nonnegative
-    integer; empty counts as unset), else of OS entropy."""
-    env = os.environ.get("MSS_SEED")
-    if args.seed is not None or not env:
-        return Drbg(args.seed)
-    try:
-        seed = int(env)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise ValueError(f"MSS_SEED must be a nonnegative integer, got {env!r}")
-    return Drbg(seed)
-
-
 def _seed(text: str) -> int:
-    """A --seed value: a nonnegative integer."""
+    """A --seed or MSS_SEED value: a nonnegative integer."""
     try:
         seed = int(text)
     except ValueError:
@@ -61,6 +46,18 @@ def _seed(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
     return seed
+
+
+def _rng_for(args) -> Drbg:
+    """The generator of --seed, else of MSS_SEED (read by ``_seed``; empty
+    counts as unset), else of OS entropy."""
+    env = os.environ.get("MSS_SEED")
+    if args.seed is not None or not env:
+        return Drbg(args.seed)
+    try:
+        return Drbg(_seed(env))
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"MSS_SEED must be a nonnegative integer, got {env!r}") from None
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -77,7 +74,7 @@ def _read(path: str) -> bytes:
 
 def cmd_deal(args) -> int:
     params = SchemeParams(
-        variant=Variant(args.variant),
+        variant=args.variant,
         n=args.n,
         k=args.k,
         thresholds=args.thresholds,
@@ -160,24 +157,23 @@ def cmd_recover(args) -> int:
     i = args.secret
     t_i = board.threshold(i)
 
-    shares = []
-    seen_owners = set()
+    by_owner = {}  # in the order given
     for path in args.shares:
         share = bio.bind_share(bio.decode_share(_read(path)), board, digest)
-        if share.owner in seen_owners:
+        if share.owner in by_owner:
             raise MssError(f"duplicate share for owner {share.owner}")
-        seen_owners.add(share.owner)
-        shares.append(share)
+        by_owner[share.owner] = share
 
     # one batch hash; the first failure in the order given is reported
+    shares = list(by_owner.values())
     hashes = ajtai_hash_many(board.params.field(), board.commit_matrix, shares)
     for share, values in zip(shares, hashes):
         if values != board.commitments[share.owner - 1]:
             print(f"share {share.owner}: FAIL", file=sys.stderr)
             return EXIT_VERIFY_FAILED
 
-    shares.sort(key=lambda s: s.owner)
-    subshadows = participant_subshadows(board, i, _quorum(shares, t_i, args.method))
+    ordered = [by_owner[j] for j in sorted(by_owner)]
+    subshadows = participant_subshadows(board, i, _quorum(ordered, t_i, args.method))
     candidate = _METHODS[args.method](board, i, subshadows)
     verified = verify_secret(board, i, candidate)
 
@@ -224,11 +220,9 @@ def _timed(samples: list[float], fn, *args):
 def cmd_bench(args) -> int:
     """Median wall time of each phase, as CSV rows per threshold value.
 
-    Setup runs once per threshold so that construction can be timed on its
-    own; this is a timing harness only, as reusing a setup across deals lets
-    a quorum that pooled its subshadows for one deal recover the next deal's
-    secrets.  Each trial times a fresh construction, one share verification,
-    and one recovery per method over freshly drawn quorums.
+    Each trial draws its own setup, untimed, then times construction on it,
+    one share verification, and one recovery per method over freshly drawn
+    quorums.
     """
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
@@ -240,10 +234,10 @@ def cmd_bench(args) -> int:
     for t in args.t_range:
         params = SchemeParams(variant=args.variant, n=n, k=k, thresholds=(t,) * k)
         field = params.field()
-        setup_result = setup(params, rng)
         secrets = [field.rand_vec(rng, t) for _ in range(k)]
         times: dict[str, list[float]] = {phase: [] for phase in phases}
         for _ in range(args.trials):
+            setup_result = setup(params, rng)
             board = _timed(times["construct"], construct, params, secrets, setup_result, rng)
             share = setup_result.shares[rng.randbelow(n)]
             commitment = board.commitments[share.owner - 1]

@@ -65,10 +65,6 @@ class IlrSpec:
         return self.t + 2 * self.l
 
     @property
-    def degree_bound(self) -> int:
-        return self.t + 2 * self.l - 1
-
-    @property
     def dim(self) -> int:
         return len(self.c)
 

@@ -278,16 +278,13 @@ def _draw_constants(params: SchemeParams, rng) -> tuple[tuple[int, ...], ...]:
     field = params.field()
     if params.variant.shared_constant:
         return (field.rand_vec(rng, params.max_threshold),)
-    seen: set[tuple[int, ...]] = set()
-    out = []
+    drawn: dict[tuple[int, ...], None] = {}  # insertion-ordered set
     for t_i in params.thresholds:
-        while True:
+        c = field.rand_vec(rng, t_i)
+        while c in drawn:
             c = field.rand_vec(rng, t_i)
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-                break
-    return tuple(out)
+        drawn[c] = None
+    return tuple(drawn)
 
 
 def construct(

@@ -82,6 +82,15 @@ class TestShareSampling:
         assert Drbg(1).bit_vector(8) == (1, 1, 1, 0, 0, 1, 1, 0)
         assert Drbg(1).bit_vector(8) == Drbg(1).bit_vector(8)
 
+    def test_collision_redrawn_in_draw_order(self):
+        class Replay:
+            draws = iter([(0, 1), (0, 1), (1, 1), (0, 1), (1, 0)])
+
+            def bit_vector(self, r):
+                return next(self.draws)
+
+        assert sample_distinct_shares(3, 2, Replay()) == [(0, 1), (1, 1), (1, 0)]
+
     def test_exhaustion_by_pigeonhole(self):
         with pytest.raises(ShareSpaceExhausted):
             sample_distinct_shares(3, 1, Drbg(0))

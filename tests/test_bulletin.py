@@ -1,6 +1,8 @@
 """Serialization: canonical encoding, round trips, and strict decoding."""
 
+import errno
 import json
+import os
 import random
 import sys
 import time
@@ -194,6 +196,13 @@ class TestBulletinValidation:
         del obj["extras"]
         with pytest.raises(ParseError):
             decode_bulletin(json.dumps(obj).encode())
+
+    @pytest.mark.parametrize("version", [2, "1", None])
+    def test_kind_checked_before_version(self, version):
+        # a document of another kind is refused as such, whatever its version
+        blob = json.dumps({"kind": "share", "format_version": version}).encode()
+        with pytest.raises(ParseError, match="expected kind 'bulletin', got 'share'"):
+            decode_bulletin(blob)
 
     def test_unknown_version_rejected(self):
         _, board = make_board()
@@ -607,3 +616,24 @@ class TestAtomicWrite:
             write_atomic(str(target), b"payload")
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
         assert target.is_dir()
+
+    @pytest.mark.parametrize(
+        "path, error, code",
+        [
+            ("missing/out.json", FileNotFoundError, errno.ENOENT),
+            ("adir", IsADirectoryError, errno.EISDIR),
+        ],
+    )
+    def test_error_names_the_path_given(self, tmp_path, monkeypatch, path, error, code):
+        """Class, errno and strerror are the failure's own, the file named is
+        the path given rather than the temp name, and the temp file is gone."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        with pytest.raises(error) as info:
+            write_atomic(path, b"payload")
+        exc = info.value
+        assert (exc.errno, exc.strerror, exc.filename, exc.filename2) == (
+            code, os.strerror(code), path, None
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+        assert list((tmp_path / "adir").iterdir()) == []

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exit codes, and file outputs."""
 
+import errno
 import json
 import os
 import subprocess
@@ -162,6 +163,54 @@ class TestDeal:
         assert result.returncode == 2
         assert result.stderr.endswith("error: argument --q: invalid int value: 'abc'\n")
         assert not (tmp_path / "bulletin.json").exists()
+
+    @pytest.mark.parametrize(
+        "value, refusal",
+        [
+            ("7", None),
+            ("+7", None),
+            (" 7 ", None),
+            ("-0", None),
+            ("-1", "must be a nonnegative integer, got '-1'"),
+            ("abc", "invalid int value: 'abc'"),
+            ("1.5", "invalid int value: '1.5'"),
+            ("7 7", "invalid int value: '7 7'"),
+        ],
+    )
+    def test_seed_flag_and_env_follow_one_rule(
+        self, tmp_path, monkeypatch, capsys, value, refusal
+    ):
+        """--seed X and MSS_SEED=X accept the same values, which deal the same
+        bulletin, and refuse the same values, each with its own message."""
+        (tmp_path / "secrets.json").write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
+        unseeded = [a for a in DEAL_ARGS if a not in ("--seed", "42")]
+
+        def deal(sub, *seed_args):
+            out = tmp_path / sub
+            args = [*unseeded, *seed_args, "--secrets", str(tmp_path / "secrets.json"),
+                    "--out-dir", str(out)]
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:  # refused by the parser
+                code = exc.code
+            bulletin = out / "bulletin.json"
+            written = bulletin.read_bytes() if bulletin.exists() else None
+            return code, capsys.readouterr().err, written
+
+        monkeypatch.delenv("MSS_SEED", raising=False)
+        from_flag = deal("flag", "--seed", value)
+        monkeypatch.setenv("MSS_SEED", value)
+        from_env = deal("env")
+        if refusal is None:
+            assert from_flag[:2] == from_env[:2] == (0, "")
+            assert from_flag[2] == from_env[2]
+        else:
+            assert from_flag[0] == from_env[0] == 2
+            assert from_flag[1].endswith(f"error: argument --seed: {refusal}\n")
+            assert from_env[1] == (
+                f"error: ValueError: MSS_SEED must be a nonnegative integer, got {value!r}\n"
+            )
+            assert from_flag[2] is from_env[2] is None
 
     def test_empty_env_seed_counts_as_unset(self, tmp_path):
         """An empty MSS_SEED falls back to OS entropy, as an unset one does."""
@@ -403,6 +452,30 @@ class TestRecover:
         assert capsys.readouterr().err == f"share {order[0]}: FAIL\n"
         assert not (dealt / "r_bad.json").exists()
 
+    @pytest.mark.parametrize(
+        "out, error, code",
+        [
+            ("missing/recovered.json", FileNotFoundError, errno.ENOENT),
+            ("adir", IsADirectoryError, errno.EISDIR),
+        ],
+    )
+    def test_failed_write_names_the_path_given(self, dealt, monkeypatch, capsys, out, error, code):
+        """A failed write names --out as given, not a random temp name, so
+        two runs print the same message, and no temp file is left behind."""
+        monkeypatch.chdir(dealt)
+        (dealt / "adir").mkdir()
+        args = ["recover", "--bulletin", "bulletin.json", "--secret", "1", "--method",
+                "lagrange", "--out", out, "share_1.json", "share_2.json"]
+        errs = []
+        for _ in range(2):
+            assert cli.main(args) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == (
+            f"error: {error.__name__}: [Errno {code}] {os.strerror(code)}: {out!r}\n"
+        )
+        assert list(dealt.rglob(".mss-tmp-*")) == []
+        assert list((dealt / "adir").iterdir()) == []
+
     def test_default_output_path(self, dealt):
         result = run_cli(
             "recover",
@@ -560,6 +633,20 @@ class TestBench:
             line.rsplit(",", 1)[0] for line in text.strip().split("\n")
         ]
         assert strip_time(a.stdout) == strip_time(b.stdout)
+
+    def test_each_trial_draws_its_own_setup(self, monkeypatch, capsys):
+        """No SetupResult is reused: one setup per trial and threshold."""
+        calls = []
+        real_setup = cli.setup
+
+        def counted(*args):
+            calls.append(args)
+            return real_setup(*args)
+
+        monkeypatch.setattr(cli, "setup", counted)
+        args = ["bench", "--n", "6", "--t-range", "3,4", "--trials", "3", "--seed", "1"]
+        assert cli.main(args) == 0, capsys.readouterr().err
+        assert len(calls) == 6
 
     def test_negative_seed_refused_by_the_parser(self):
         result = run_cli("bench", "--n", "6", "--t-range", "2", "--trials", "1", "--seed", "-1")

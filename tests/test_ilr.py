@@ -58,7 +58,7 @@ def step_oracle(spec, initial, upto):
 class TestSpecValidation:
     def test_order_and_window(self):
         s = spec97(2, 1)
-        assert (s.order, s.window, s.unknowns, s.degree_bound) == (2, 3, 4, 3)
+        assert (s.order, s.window, s.unknowns) == (2, 3, 4)
 
     def test_rejects_tiny_order(self):
         for t, l in [(0, 0), (1, 0), (0, 1)]:

@@ -255,6 +255,17 @@ class TestConstruct:
         )
         assert len(set(board.constants)) == 3
 
+    def test_constants_redrawn_on_collision(self):
+        # a repeated draw is drawn again; the kept draws stay in draw order
+        class Replay:
+            draws = iter([(1, 2), (1, 2), (3, 4), (1, 2), (3, 4), (5, 6)])
+
+            def randbelow_many(self, q, dim):
+                return next(self.draws)
+
+        params = SchemeParams(variant=Variant.S1, n=6, k=3, thresholds=(2, 2, 2), q=97)
+        assert scheme._draw_constants(params, Replay()) == ((1, 2), (3, 4), (5, 6))
+
     def test_shared_constant_single_vector(self):
         params, _, _, board = make_deal(
             Variant.S4, n=6, k=3, thresholds=(2, 3, 2), seed="shared"
