@@ -35,9 +35,11 @@ class Share:
     bits: tuple[int, ...]
 
     def __post_init__(self):
+        # True and 1.0 compare equal to 1, so types are checked first
+        if type(self.owner) is not int:
+            raise ValueError("owner index must be an int")
         if self.owner < 1:
             raise ValueError("owner index is 1-based")
-        # True and 1.0 compare equal to 1, so the type is checked first
         if not (set(map(type, self.bits)) <= {int} and set(self.bits) <= {0, 1}):
             raise NotBinary("share bits must be 0 or 1")
         if not self.bits:
@@ -100,13 +102,12 @@ def ajtai_hash(field: PrimeField, a: Matrix, x: Sequence[int]) -> tuple[int, ...
         raise NotBinary("input vector must be binary")
     q = field.q
     picked = [j for j, b in enumerate(x) if b]
-    data = a.data
     out = []
     for i in range(a.rows):
-        base = i * a.cols
+        row = a.row(i)
         acc = 0
         for j in picked:
-            acc += data[base + j]
+            acc += row[j]
         out.append(acc % q)
     return tuple(out)
 
@@ -131,7 +132,7 @@ def ajtai_hash_many(
         _check_length(a, share.bits)
     q, rows, cols = field.q, a.rows, a.cols
     w = (cols * (q - 1)).bit_length()
-    packed = [_pack(a.data[j::cols], q, w) for j in range(cols)]
+    packed = [_pack(a.column(j), q, w) for j in range(cols)]
     return [
         tuple(_unpack(sum(compress(packed, share.bits)), rows, q, w))
         for share in shares

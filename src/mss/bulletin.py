@@ -67,6 +67,12 @@ def _canonical_bytes(obj) -> bytes:
     return (_dump(obj) + "\n").encode()
 
 
+def _document(kind: str, **fields) -> bytes:
+    """A share, secrets or report file: the fields under the envelope that
+    ``_load_json`` checks.  The bulletin's version is in its setup section."""
+    return _canonical_bytes(dict(fields, format_version=FORMAT_VERSION, kind=kind))
+
+
 def _load_json(data: bytes | str, kind: str) -> dict:
     """The document's top-level object, once the envelope checks out: UTF-8,
     JSON, an object, the expected kind, and the supported format_version."""
@@ -265,13 +271,13 @@ def encode_bulletin(bulletin: Bulletin) -> tuple[bytes, str]:
     return _canonical_bytes(obj), _digest(setup)
 
 
-def _decode_bulletin(data: bytes | str) -> tuple[Bulletin, dict]:
-    """The bulletin, and its setup section rebuilt from the checked fields.
+def read_bulletin(data: bytes | str) -> tuple[Bulletin, str]:
+    """The bulletin and its ``deal_id``, in one pass.
 
-    The rebuilt section holds the file's own residue strings, which decode
-    has checked to be canonical decimals, so each equals ``str`` of its
-    value and the section equals ``_setup_section`` of the bulletin.  Keys
-    that decode ignores never reach it.
+    The digest is hashed from the setup section rebuilt from the file's own
+    residue strings.  Decode has checked each to be ``str`` of its value,
+    so the section equals ``_setup_section`` of the bulletin; keys that
+    decode ignores never reach it.
     """
     obj = _load_json(data, "bulletin")
     params = _parse_params(_get(obj, "params"))
@@ -308,23 +314,14 @@ def _decode_bulletin(data: bytes | str) -> tuple[Bulletin, dict]:
         secret_hashes=tuple(raw_hashes),
         **per_secret,
     )
-    return bulletin, _setup_obj(
+    setup = _setup_obj(
         params, [m_obj for _, m_obj in masks], commit_obj, list(map(_Residues, raw_commitments))
     )
+    return bulletin, _digest(setup)
 
 
 def decode_bulletin(data: bytes | str) -> Bulletin:
-    return _decode_bulletin(data)[0]
-
-
-def read_bulletin(data: bytes | str) -> tuple[Bulletin, str]:
-    """``decode_bulletin(data)`` and its ``deal_id``, in one pass.
-
-    The digest is hashed from the residue strings decode has checked, not
-    from the bulletin's values turned back into strings.
-    """
-    bulletin, setup = _decode_bulletin(data)
-    return bulletin, _digest(setup)
+    return read_bulletin(data)[0]
 
 
 @dataclass(frozen=True)
@@ -338,17 +335,9 @@ class ShareFile:
 def encode_share(share: Share, deal: str | None = None) -> bytes:
     r = len(share.bits)
     value = int(bytes(share.bits).translate(_BIT_DIGITS), 2)
-    nibbles = (r + 3) // 4
-    obj = {
-        "format_version": FORMAT_VERSION,
-        "kind": "share",
-        "owner": share.owner,
-        "r": r,
-        "bits": format(value, "x").zfill(nibbles),
-    }
-    if deal is not None:
-        obj["deal"] = deal
-    return _canonical_bytes(obj)
+    bits = format(value, "x").zfill((r + 3) // 4)
+    binding = {} if deal is None else {"deal": deal}
+    return _document("share", owner=share.owner, r=r, bits=bits, **binding)
 
 
 def decode_share(data: bytes | str) -> ShareFile:
@@ -396,13 +385,7 @@ def bind_share(share_file: ShareFile, bulletin: Bulletin, deal: str) -> Share:
 
 
 def encode_secrets(q: int, secrets: Sequence[Sequence[int]]) -> bytes:
-    return _canonical_bytes(
-        {
-            "format_version": FORMAT_VERSION,
-            "kind": "secrets",
-            "secrets": _strs([[v % q for v in vec] for vec in secrets]),
-        }
-    )
+    return _document("secrets", secrets=_strs([[v % q for v in vec] for vec in secrets]))
 
 
 def decode_secrets(data: bytes | str, q: int) -> tuple[tuple[int, ...], ...]:
@@ -429,15 +412,12 @@ class RecoveredFile:
 def encode_recovered(
     secret_index: int, candidate: Sequence[int], verified: bool, deal: str
 ) -> bytes:
-    return _canonical_bytes(
-        {
-            "format_version": FORMAT_VERSION,
-            "kind": "recovered",
-            "secret_index": secret_index,
-            "candidate": _strs(candidate),
-            "verified": verified,
-            "deal": deal,
-        }
+    return _document(
+        "recovered",
+        secret_index=secret_index,
+        candidate=_strs(candidate),
+        verified=verified,
+        deal=deal,
     )
 
 

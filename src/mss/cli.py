@@ -85,16 +85,12 @@ def cmd_deal(args) -> int:
     board_bytes, deal_digest = bio.encode_bulletin(board)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    outputs = [(os.path.join(args.out_dir, "bulletin.json"), board_bytes)]
+    bio.write_atomic(os.path.join(args.out_dir, "bulletin.json"), board_bytes)
     for share in shares:
-        outputs.append(
-            (
-                os.path.join(args.out_dir, f"share_{share.owner}.json"),
-                bio.encode_share(share, deal=deal_digest),
-            )
+        bio.write_atomic(
+            os.path.join(args.out_dir, f"share_{share.owner}.json"),
+            bio.encode_share(share, deal=deal_digest),
         )
-    for path, data in outputs:
-        bio.write_atomic(path, data)
 
     n_offsets = sum(len(per_secret) for per_secret in board.offsets)
     n_extras = sum(len(per_secret) for per_secret in board.extras)
@@ -177,11 +173,8 @@ def cmd_recover(args) -> int:
     candidate = _METHODS[args.method](board, i, subshadows)
     verified = verify_secret(board, i, candidate)
 
-    out_path = args.out or f"recovered_{i}.json"
-    bio.write_atomic(
-        out_path,
-        bio.encode_recovered(i, candidate, verified, digest),
-    )
+    out_path = f"recovered_{i}.json" if args.out is None else args.out
+    bio.write_atomic(out_path, bio.encode_recovered(i, candidate, verified, digest))
     print(f"secret {i}: {'verified' if verified else 'NOT VERIFIED'} -> {out_path}")
     return EXIT_OK if verified else EXIT_VERIFY_FAILED
 

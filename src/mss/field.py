@@ -102,7 +102,7 @@ class PrimeField:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Row-major matrix of residues."""
+    """Row-major matrix of residues, read by ``row`` and ``column``."""
 
     rows: int
     cols: int
@@ -129,6 +129,9 @@ class Matrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.data[i * self.cols : (i + 1) * self.cols]
 
+    def column(self, j: int) -> tuple[int, ...]:
+        return self.data[j :: self.cols]
+
 
 def matrix_rank(field: PrimeField, m: Matrix) -> int:
     """Row rank: the pivot count of forward elimination (first-nonzero
@@ -140,7 +143,7 @@ def matrix_rank(field: PrimeField, m: Matrix) -> int:
     matrix through elimination.
     """
     if m.rows < m.cols:
-        block = [m.data[i * m.cols : i * m.cols + m.rows] for i in range(m.rows)]
+        block = [m.row(i)[: m.rows] for i in range(m.rows)]
         if len(_eliminate(field, block, m.rows)[0]) == m.rows:
             return m.rows
     return len(_eliminate(field, [m.row(i) for i in range(m.rows)], m.cols)[0])
@@ -251,8 +254,7 @@ def solve_linear(
     in that column; for each free column that variable is 1, the other free
     variables are 0 and b is 0, which gives its nullspace vector.
     Raises Inconsistent when any column has no solution.  Column order of
-    M is preserved so free variables are identifiable by index (used by
-    the sub-threshold rank probe).
+    M is preserved, so ``free_cols`` names each free variable by its index.
     """
     for b in columns:
         if len(b) != m.rows:

@@ -41,11 +41,9 @@ class Drbg:
 
     __slots__ = ("_key", "_counter", "_pool", "_pos")
 
-    def __init__(self, seed: int | str | bytes | None = None):
+    def __init__(self, seed: int | str | None = None):
         if seed is None:
             material = os.urandom(32)
-        elif isinstance(seed, bytes):
-            material = seed
         elif isinstance(seed, str):
             material = seed.encode("utf-8")
         elif isinstance(seed, int):

@@ -447,7 +447,7 @@ def _solved_weights(field: PrimeField, nodes: Sequence[int]) -> tuple[int, ...]:
     their square Vandermonde matrix: for the values y = V a of a polynomial
     with coefficients a, z^T y = (V^T z)^T a = a_0, its value at 0."""
     v = vandermonde(field, nodes, len(nodes))
-    columns_of_v = Matrix.from_rows([v.data[c :: v.cols] for c in range(v.cols)])
+    columns_of_v = Matrix.from_rows([v.column(c) for c in range(v.cols)])
     e_0 = (1,) + (0,) * (len(nodes) - 1)
     (weights,) = solve_linear(field, columns_of_v, [e_0]).particular
     return weights

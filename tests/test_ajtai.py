@@ -102,8 +102,12 @@ class TestShareSampling:
     def test_share_validation(self, bits):
         with pytest.raises(NotBinary):
             Share(owner=1, bits=bits)
-        with pytest.raises(ValueError):
-            Share(owner=0, bits=(0, 1))
+        # True and 1.0 equal 1, but a share file could not hold them
+        for owner in (0, True, 1.0):
+            with pytest.raises(ValueError):
+                Share(owner=owner, bits=(1, 0, 1, 1))
+        with pytest.raises(ValueError, match="nonempty"):
+            Share(owner=1, bits=())
 
 
 class TestAjtaiHash:

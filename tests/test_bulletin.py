@@ -617,6 +617,11 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
         assert target.is_dir()
 
+    def test_failed_write_removes_temp_and_raises_as_is(self, tmp_path):
+        with pytest.raises(TypeError, match="bytes-like"):
+            write_atomic(str(tmp_path / "out.json"), "not bytes")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "path, error, code",
         [

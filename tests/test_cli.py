@@ -457,6 +457,7 @@ class TestRecover:
         [
             ("missing/recovered.json", FileNotFoundError, errno.ENOENT),
             ("adir", IsADirectoryError, errno.EISDIR),
+            ("", FileNotFoundError, errno.ENOENT),
         ],
     )
     def test_failed_write_names_the_path_given(self, dealt, monkeypatch, capsys, out, error, code):
@@ -473,8 +474,10 @@ class TestRecover:
         assert errs[0] == errs[1] == (
             f"error: {error.__name__}: [Errno {code}] {os.strerror(code)}: {out!r}\n"
         )
-        assert list(dealt.rglob(".mss-tmp-*")) == []
+        # an empty path's temp name is made in the working directory's parent
+        assert list(dealt.rglob(".mss-tmp-*")) + list(dealt.parent.glob(".mss-tmp-*")) == []
         assert list((dealt / "adir").iterdir()) == []
+        assert not (dealt / "recovered_1.json").exists()
 
     def test_default_output_path(self, dealt):
         result = run_cli(

@@ -105,6 +105,8 @@ class TestPrimeField:
         assert F97.vec_scale(2, (50, 3)) == (3, 6)
         with pytest.raises(DimMismatch):
             F97.vec_add((1,), (1, 2))
+        with pytest.raises(DimMismatch):
+            F97.vec_sub((1, 2), (1,))
 
 
 class TestMatrix:
@@ -116,11 +118,14 @@ class TestMatrix:
         for rows in ([], [[], []]):
             with pytest.raises(ValueError, match="matrix dimensions must be positive"):
                 Matrix.from_rows(rows)
+        with pytest.raises(ValueError, match="ragged rows"):
+            Matrix.from_rows([[1, 2], [3]])
 
     def test_from_rows_and_access(self):
         m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
         assert m.row(1) == (4, 5, 6)
         assert m.row(0)[2] == 3
+        assert m.column(1) == (2, 5)
 
     def test_mat_vec(self):
         m = Matrix.from_rows([[1, 2], [3, 4]])
@@ -345,6 +350,11 @@ class TestBinomMod:
     def test_l_at_least_q_rejected(self):
         with pytest.raises(ValueError):
             binom_mod(F97, 200, 97)
+
+    @pytest.mark.parametrize("j, l", [(-1, 0), (3, -1)])
+    def test_negative_argument_rejected(self, j, l):
+        with pytest.raises(ValueError, match="nonnegative"):
+            binom_mod(F97, j, l)
 
 
 class TestVandermonde:

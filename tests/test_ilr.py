@@ -61,13 +61,17 @@ class TestSpecValidation:
         assert (s.order, s.window, s.unknowns) == (2, 3, 4)
 
     def test_rejects_tiny_order(self):
-        for t, l in [(0, 0), (1, 0), (0, 1)]:
+        for t, l in [(0, 0), (1, 0), (0, 1), (-1, 3), (3, -1)]:
             with pytest.raises(ValueError):
                 spec97(t, l)
 
     def test_rejects_unreduced_constant(self):
         with pytest.raises(ValueError):
             spec97(2, 1, c=(97,))
+
+    def test_rejects_empty_constant(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            spec97(2, 1, c=())
 
 
 class TestRecursionCoeffs:
@@ -105,6 +109,10 @@ class TestRhsTerm:
             s = spec97(2, l, c=(5,))
             for i in range(l):
                 assert rhs_term(s, i) == (0,)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rhs_term(spec97(2, 1), -1)
 
 
 class TestForwardExtend:
@@ -271,6 +279,10 @@ class TestToHomogeneous:
     def test_first_order_example(self):
         # u_{i+1} + 0*u_i = c collapses to u_{i+2} = u_{i+1}
         assert to_homogeneous(F97, (0,)) == (96, 0)
+
+    def test_no_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            to_homogeneous(F97, ())
 
     def test_constant_rhs_sequences_satisfy_homogenized_relation(self):
         rng = Drbg(41)

@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 from mss.bulletin import (
     _Residues,
     _canonical_bytes,
-    _decode_bulletin,
     _parse_nested,
     _setup_section,
     _strs,
@@ -415,8 +414,9 @@ def test_setup_sections_write_as_sorted_compact_json(dealt):
     _, _, board = dealt
     setup = _setup_section(board)
     assert _canonical_bytes(setup) == canonical_json(setup)
-    decoded_setup = _decode_bulletin(encode_bulletin(board)[0])[1]
-    assert _canonical_bytes(decoded_setup) == canonical_json(decoded_setup)
+    # read_bulletin hashes the section it rebuilds from the file's strings
+    digest = read_bulletin(encode_bulletin(board)[0])[1]
+    assert digest == hashlib.sha256(canonical_json(setup)).hexdigest()
 
 
 SHARE_HEADER = {
@@ -526,6 +526,24 @@ def test_randbytes_rejects_negative_lengths_before_drawing(n):
         rng.randbytes(n)
     assert rng.randbytes(0) == b""
     assert rng.randbytes(32) == Drbg(1).randbytes(32)
+
+
+@pytest.mark.parametrize(
+    "seed, error, message",
+    [
+        (-1, ValueError, "seed must be nonnegative"),
+        (1.5, TypeError, "unsupported seed type: float"),
+        (b"seed", TypeError, "unsupported seed type: bytes"),
+    ],
+)
+def test_drbg_refuses_bad_seeds(seed, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        Drbg(seed)
+
+
+def test_getrandbits_refuses_zero_bits():
+    with pytest.raises(ValueError, match="^number of bits must be positive$"):
+        Drbg(1).getrandbits(0)
 
 
 def test_bit_vector_is_the_bits_of_one_draw():

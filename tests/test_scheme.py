@@ -110,6 +110,18 @@ class TestSchemeParams:
             SchemeParams(variant=Variant.S1, n=10**6, k=1, thresholds=(10**6,))
         assert time.perf_counter() - start < 0.1
 
+    @pytest.mark.parametrize(
+        "n, k, r, message",
+        [
+            (1, 1, 0, "at least 2 participants"),
+            (5, 0, 0, "at least 1 secret"),
+            (5, 1, -1, "share length must be positive"),
+        ],
+    )
+    def test_counts_and_share_length_validated(self, n, k, r, message):
+        with pytest.raises(ValueError, match=message):
+            SchemeParams(variant=Variant.S1, n=n, k=k, thresholds=(2,) * k, q=97, r=r)
+
 
 class TestIlrSpecFor:
     def test_s1_ties_depth_to_threshold(self):
@@ -126,6 +138,8 @@ class TestIlrSpecFor:
         assert spec.c == (4, 5)
         assert spec.unknowns == 5
         assert ilr_spec_for(p, 2, ((4, 5, 6),)).c == (4, 5, 6)
+        with pytest.raises(DimMismatch, match="shorter than the threshold"):
+            ilr_spec_for(p, 2, ((4, 5),))
 
     def test_picks_the_secrets_constant_after_the_index_check(self):
         p = SchemeParams(variant=Variant.S1, n=6, k=2, thresholds=(2, 3), q=97)
@@ -332,6 +346,12 @@ class TestShadows:
         _, _, _, board = make_deal(Variant.S1, n=5, k=2, thresholds=(2, 3), seed="bad-i")
         with pytest.raises(BadIndex, match=f"secret index {i} outside"):
             board.extra_points(i)
+
+    @pytest.mark.parametrize("j", [2, 6])
+    def test_offset_for_outside_threshold_to_n(self, j):
+        _, _, _, board = make_deal(Variant.S1, n=5, k=2, thresholds=(2, 3), seed="bad-i")
+        with pytest.raises(BadIndex, match=f"no offset published for participant {j}"):
+            board.offset_for(2, j)
 
     def test_participant_subshadows_refuse_two_shares_for_one_owner(self):
         _, _, shares, board = make_deal(
