@@ -14,12 +14,12 @@ re-validates every structural invariant and fails loudly on anything off.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
 import os
 import re
-import tempfile
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Sequence
@@ -444,13 +444,22 @@ def decode_recovered(data: bytes | str, q: int | None = None) -> RecoveredFile:
     )
 
 
-def write_atomic(path: str, data: bytes) -> None:
-    """Write a whole file via a temp name and rename, never leaving partials;
-    an OSError names ``path``, not the temp name, which differs per run."""
+def write_atomic(path: str, data: bytes, mode: int = 0o666) -> None:
+    """Write a whole file via a temp name and rename, so a crashed process
+    never leaves a partial file; without ``fsync`` a power loss still can.
+
+    The temp file is created with ``mode`` less the umask, like ``open``,
+    and renamed with it.  An OSError names ``path``, not the temp name,
+    which differs per run; an empty path fails before any temp file exists.
+    """
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mss-tmp-")
+        name = os.path.join(directory, ".mss-tmp-" + os.urandom(8).hex())
+        fd = os.open(name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, mode)
+        tmp = name
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         os.replace(tmp, path)

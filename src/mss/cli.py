@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
 import time
 
@@ -87,9 +86,10 @@ def cmd_deal(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     bio.write_atomic(os.path.join(args.out_dir, "bulletin.json"), board_bytes)
     for share in shares:
-        bio.write_atomic(
+        bio.write_atomic(  # a share is secret: its owner alone may read it
             os.path.join(args.out_dir, f"share_{share.owner}.json"),
             bio.encode_share(share, deal=deal_digest),
+            mode=0o600,
         )
 
     n_offsets = sum(len(per_secret) for per_secret in board.offsets)
@@ -217,6 +217,8 @@ def cmd_bench(args) -> int:
     one share verification, and one recovery per method over freshly drawn
     quorums.
     """
+    import statistics  # only here; importing it costs every other command
+
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
     n, k = args.n, args.k
@@ -254,64 +256,84 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+_VARIANTS = [v.value for v in Variant]
+
+#: Each subcommand's help line and options, an option as the name and the
+#: keywords that ``add_argument`` takes.  Subcommand ``x-y`` runs ``cmd_x_y``,
+#: looked up as the parser is built, so a wrapper set on the module runs.
+_SUBCOMMANDS = {
+    "deal": ("split secrets into shares and a public bulletin", (
+        ("--variant", {"choices": _VARIANTS, "required": True}),
+        ("--n", {"type": int, "required": True, "help": "participant count"}),
+        ("--k", {"type": int, "required": True, "help": "secret count"}),
+        ("--thresholds", {"type": _parse_int_list, "required": True}),
+        ("--q", {"type": int, "default": DEFAULT_PRIME, "help": "prime modulus (decimal)"}),
+        ("--seed", {"type": _seed, "default": None}),
+        ("--secrets", {"required": True, "help": "secrets.json input file"}),
+        ("--out-dir", {"default": "."}),
+    )),
+    "verify-share": ("check a share against its commitment", (
+        ("--bulletin", {"required": True}),
+        ("--share", {"required": True}),
+    )),
+    "recover": ("recover one secret from share files", (
+        ("--bulletin", {"required": True}),
+        ("--secret", {"type": int, "required": True, "help": "secret index (1-based)"}),
+        ("--method", {"choices": sorted(_METHODS), "required": True}),
+        ("--out", {"default": None, "help": "output report path"}),
+        ("shares", {"nargs": "+", "help": "share_<j>.json files"}),
+    )),
+    "verify-secret": ("check a recovery report against the bulletin", (
+        ("--bulletin", {"required": True}),
+        ("--recovered", {"required": True}),
+    )),
+    "counts": ("published-value count comparison table", (
+        ("--t", {"type": int, "default": 3}),
+        ("--k", {"type": int, "default": 4}),
+        ("--n", {"type": int, "default": 7}),
+        ("--figure1", {"action": "store_true", "help": "CSV for the reference tuples"}),
+    )),
+    "bench": ("time construction, verification, and recovery", (
+        ("--variant", {"choices": _VARIANTS, "default": "s1"}),
+        ("--n", {"type": int, "default": 64}),
+        ("--k", {"type": int, "default": 1}),
+        ("--t-range", {"type": _parse_int_list, "default": (8, 16, 32)}),
+        ("--trials", {"type": int, "default": 10}),
+        ("--seed", {"type": _seed, "default": None}),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``mss`` parser with every subcommand, or with ``command`` alone.
+
+    A one-subcommand parser still prints every subcommand in its usage
+    line, so the errors it reports read as the full parser's do.
+    """
     parser = argparse.ArgumentParser(
         prog="mss",
         description="Verifiable multi-stage secret sharing with any-order recovery.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("deal", help="split secrets into shares and a public bulletin")
-    p.add_argument("--variant", choices=[v.value for v in Variant], required=True)
-    p.add_argument("--n", type=int, required=True, help="participant count")
-    p.add_argument("--k", type=int, required=True, help="secret count")
-    p.add_argument("--thresholds", type=_parse_int_list, required=True)
-    p.add_argument("--q", type=int, default=DEFAULT_PRIME, help="prime modulus (decimal)")
-    p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--secrets", required=True, help="secrets.json input file")
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_deal)
-
-    p = sub.add_parser("verify-share", help="check a share against its commitment")
-    p.add_argument("--bulletin", required=True)
-    p.add_argument("--share", required=True)
-    p.set_defaults(func=cmd_verify_share)
-
-    p = sub.add_parser("recover", help="recover one secret from share files")
-    p.add_argument("--bulletin", required=True)
-    p.add_argument("--secret", type=int, required=True, help="secret index (1-based)")
-    p.add_argument("--method", choices=sorted(_METHODS), required=True)
-    p.add_argument("--out", default=None, help="output report path")
-    p.add_argument("shares", nargs="+", help="share_<j>.json files")
-    p.set_defaults(func=cmd_recover)
-
-    p = sub.add_parser("verify-secret", help="check a recovery report against the bulletin")
-    p.add_argument("--bulletin", required=True)
-    p.add_argument("--recovered", required=True)
-    p.set_defaults(func=cmd_verify_secret)
-
-    p = sub.add_parser("counts", help="published-value count comparison table")
-    p.add_argument("--t", type=int, default=3)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--n", type=int, default=7)
-    p.add_argument("--figure1", action="store_true", help="CSV for the reference tuples")
-    p.set_defaults(func=cmd_counts)
-
-    p = sub.add_parser("bench", help="time construction, verification, and recovery")
-    p.add_argument("--variant", choices=[v.value for v in Variant], default="s1")
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--t-range", type=_parse_int_list, default=(8, 16, 32))
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=_seed, default=None)
-    p.set_defaults(func=cmd_bench)
-
+    names = _SUBCOMMANDS if command is None else (command,)
+    # The full parser prints its choices by itself; a metavar there would
+    # also replace "command" in its missing- and invalid-command errors.
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, options = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the subcommand named runs, so only its parser is built; help,
+    # no arguments and an unknown word get the full one.
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except WrongDeal as exc:

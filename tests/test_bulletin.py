@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import random
+import stat
 import sys
 import time
 
@@ -621,6 +622,48 @@ class TestAtomicWrite:
         with pytest.raises(TypeError, match="bytes-like"):
             write_atomic(str(tmp_path / "out.json"), "not bytes")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    @pytest.mark.parametrize("mode", [None, 0o600, 0o640], ids=str)
+    def test_mode_less_the_umask(self, tmp_path, umask, mode):
+        """Like ``open``: the file's mode is the mode given (0666 by default)
+        less the umask, also when it replaces a file of another mode."""
+        path = tmp_path / "out.json"
+        path.write_bytes(b"old")
+        path.chmod(0o755)
+        old = os.umask(umask)
+        try:
+            if mode is None:
+                write_atomic(str(path), b"payload")
+            else:
+                write_atomic(str(path), b"payload", mode=mode)
+        finally:
+            os.umask(old)
+        expected = 0o666 if mode is None else mode
+        assert stat.S_IMODE(path.stat().st_mode) == expected & ~umask
+        assert path.read_bytes() == b"payload"
+
+    def test_empty_path_fails_before_any_temp_file(self, tmp_path, monkeypatch):
+        """Its temp name would land in the parent of the working directory."""
+        inner = tmp_path / "sub" / "inner"
+        inner.mkdir(parents=True)
+        monkeypatch.chdir(inner)
+        opened = []
+        real_open = os.open
+
+        def spy(path, *args, **kwargs):
+            opened.append(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        with pytest.raises(FileNotFoundError) as info:
+            write_atomic("", b"payload")
+        exc = info.value
+        assert (exc.errno, exc.strerror, exc.filename) == (
+            errno.ENOENT, os.strerror(errno.ENOENT), ""
+        )
+        assert opened == []
+        assert list(tmp_path.rglob("*.mss-tmp-*")) == []
 
     @pytest.mark.parametrize(
         "path, error, code",

@@ -1,11 +1,15 @@
 """End-to-end command-line behavior, exit codes, and file outputs."""
 
+import argparse
 import errno
+import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from pathlib import Path
 
 import pytest
@@ -474,7 +478,7 @@ class TestRecover:
         assert errs[0] == errs[1] == (
             f"error: {error.__name__}: [Errno {code}] {os.strerror(code)}: {out!r}\n"
         )
-        # an empty path's temp name is made in the working directory's parent
+        # no temp file anywhere, the working directory's parent included
         assert list(dealt.rglob(".mss-tmp-*")) + list(dealt.parent.glob(".mss-tmp-*")) == []
         assert list((dealt / "adir").iterdir()) == []
         assert not (dealt / "recovered_1.json").exists()
@@ -668,3 +672,116 @@ class TestBench:
             out, err = capsys.readouterr()
             assert out == ""
             assert err == f"error: ValueError: trials must be at least 1, got {trials}\n"
+
+
+def _file_mode(path) -> int:
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+@pytest.mark.parametrize("umask, public", [(0o022, 0o644), (0o077, 0o600)], ids=oct)
+def test_public_files_take_the_umask_and_shares_stay_private(tmp_path, monkeypatch, capsys, umask, public):
+    """The bulletin and the report are created like ``open`` creates a file,
+    mode 0666 less the umask; a share file is 0600 under any umask."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "secrets.json").write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
+    old = os.umask(umask)
+    try:
+        assert cli.main([*DEAL_ARGS, "--secrets", "secrets.json", "--out-dir", "out"]) == 0
+        assert cli.main(["recover", "--bulletin", "out/bulletin.json", "--secret", "1",
+                         "--method", "lagrange", "out/share_1.json", "out/share_2.json"]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert _file_mode(tmp_path / "out" / "bulletin.json") == public
+    assert _file_mode(tmp_path / "recovered_1.json") == public
+    for j in range(1, 6):
+        assert _file_mode(tmp_path / "out" / f"share_{j}.json") == 0o600
+
+
+def test_import_leaves_statistics_out():
+    """Only ``mss bench`` takes medians, so importing the CLI does not pay
+    for the statistics module."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, mss.cli; sys.exit('statistics' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestParserText:
+    """``main`` builds only the parser of the subcommand named; what it
+    prints and its exit code are those of the full parser."""
+
+    COMMANDS = ["deal", "verify-share", "recover", "verify-secret", "counts", "bench"]
+    RECOVER = ["recover", "--bulletin", "b.json", "--secret", "1", "--method", "lagrange"]
+    ARGVS = [
+        [],
+        ["-h"],
+        ["--help"],
+        ["nope"],
+        ["--"],
+        *([name, "-h"] for name in COMMANDS),
+        ["deal", "--variant", "s1"],
+        ["verify-share", "--bulletin", "b.json"],
+        ["recover", "--bulletin", "b.json", "--secret", "x", "--method", "lagrange", "s.json"],
+        ["recover", "--bulletin", "b.json", "--secret", "1", "--method", "nope", "s.json"],
+        [*RECOVER, "s.json", "--bogus"],
+        ["counts", "--bogus"],
+        ["bench", "--seed", "-1"],
+        ["deal", "--variant", "s1", "--n", "5", "--k", "1", "--thresholds", "2",
+         "--secrets", "s.json", "--seed", "-1"],
+    ]
+
+    @staticmethod
+    def printed(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as info:
+            parse(argv)
+        return out.getvalue(), err.getvalue(), info.value.code
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_same_text_as_the_full_parser(self, monkeypatch, columns, argv):
+        monkeypatch.setenv("COLUMNS", columns)
+        full = self.printed(cli.build_parser().parse_args, argv)
+        assert self.printed(cli.main, argv) == full
+        assert full[2] in (0, 2)
+
+    def test_unrecognized_option_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main([*self.RECOVER, "s.json", "--bogus"])
+        err = capsys.readouterr().err
+        assert "{" + ",".join(self.COMMANDS) + "}" in err
+        assert err.endswith("error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [([], "arguments are required: command\n"), (["nope"], "argument command: invalid choice")],
+    )
+    def test_full_parser_names_the_command_argument(self, capsys, argv, text):
+        """The reference itself: no metavar stands in for "command"."""
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert text in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["counts", "--t", "3"], ["counts"]),
+            (["counts", "-h"], ["counts"]),
+            (["-h"], COMMANDS),
+            (["--", "counts"], COMMANDS),
+        ],
+    )
+    def test_builds_only_the_subcommand_named(self, monkeypatch, capsys, argv, built):
+        added = []
+        real_add_parser = argparse._SubParsersAction.add_parser
+
+        def recorded(self, name, **kwargs):
+            added.append(name)
+            return real_add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recorded)
+        with suppress(SystemExit):  # help exits 0, "--" is an invalid choice
+            cli.main(argv)
+        capsys.readouterr()
+        assert added == built
