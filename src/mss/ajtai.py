@@ -12,13 +12,13 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
 
-from .errors import DimMismatch, NotBinary, RngSuspect, ShareSpaceExhausted
+from .errors import DimMismatch, MssError, NotBinary, RngSuspect, ShareSpaceExhausted
 from .field import Matrix, PrimeField, _pack, _unpack, matrix_rank
 
 #: Keep the share space at >= 2^16 vectors even for tiny test parameters.
 MIN_SHARE_BITS = 16
 
-#: Consecutive duplicate draws tolerated while sampling distinct shares.
+#: Consecutive repeated draws tolerated while drawing distinct shares or constants.
 MAX_SHARE_RESAMPLES = 1000
 
 #: Consecutive rank failures tolerated while sampling full-rank matrices;
@@ -60,21 +60,27 @@ def share_length(max_threshold: int, n: int) -> int:
     return max(from_threshold, from_n, MIN_SHARE_BITS)
 
 
+def _distinct_draws(draw, sizes, error: MssError) -> list[tuple[int, ...]]:
+    """One ``draw(size)`` per size, in order, pairwise distinct: a draw that
+    repeats an earlier one is drawn again, and the rest keep draw order.
+    Raises ``error`` after MAX_SHARE_RESAMPLES repeats in a row."""
+    drawn: dict[tuple[int, ...], None] = {}  # insertion-ordered set
+    for size in sizes:
+        for _attempt in range(MAX_SHARE_RESAMPLES):
+            value = draw(size)
+            if value not in drawn:
+                drawn[value] = None
+                break
+        else:
+            raise error
+    return list(drawn)
+
+
 def sample_distinct_shares(n: int, r: int, rng) -> list[tuple[int, ...]]:
     """n pairwise-distinct uniform binary vectors of length r, resampling
     on collision."""
-    drawn: dict[tuple[int, ...], None] = {}  # insertion-ordered set
-    for _ in range(n):
-        for _attempt in range(MAX_SHARE_RESAMPLES):
-            bits = rng.bit_vector(r)
-            if bits not in drawn:
-                drawn[bits] = None
-                break
-        else:
-            raise ShareSpaceExhausted(
-                f"cannot draw {n} distinct shares of {r} bits"
-            )
-    return list(drawn)
+    exhausted = ShareSpaceExhausted(f"cannot draw {n} distinct shares of {r} bits")
+    return _distinct_draws(rng.bit_vector, [r] * n, exhausted)
 
 
 def sample_matrix_full_rank(

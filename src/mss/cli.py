@@ -92,24 +92,17 @@ def cmd_deal(args) -> int:
             mode=0o600,
         )
 
-    n_offsets = sum(len(per_secret) for per_secret in board.offsets)
-    n_extras = sum(len(per_secret) for per_secret in board.extras)
-    total = (
-        params.k  # mask matrices
-        + 1  # commitment matrix
-        + params.n  # commitments
-        + params.k  # secret hashes
-        + len(board.constants)
-        + n_offsets
-        + n_extras
-    )
+    published = {
+        "matrices": params.k + 1,  # a mask matrix per secret, and the commitment matrix
+        "commitments": params.n,
+        "hashes": params.k,
+        "constants": len(board.constants),
+        "offsets": sum(len(per_secret) for per_secret in board.offsets),
+        "extras": sum(len(per_secret) for per_secret in board.extras),
+    }
     print(f"deal {deal_digest[:16]} written to {args.out_dir}")
-    print(
-        "public values: "
-        f"matrices={params.k + 1} commitments={params.n} hashes={params.k} "
-        f"constants={len(board.constants)} offsets={n_offsets} extras={n_extras} "
-        f"total={total}"
-    )
+    listed = " ".join(f"{name}={count}" for name, count in published.items())
+    print(f"public values: {listed} total={sum(published.values())}")
     return EXIT_OK
 
 
@@ -174,7 +167,8 @@ def cmd_recover(args) -> int:
     verified = verify_secret(board, i, candidate)
 
     out_path = f"recovered_{i}.json" if args.out is None else args.out
-    bio.write_atomic(out_path, bio.encode_recovered(i, candidate, verified, digest))
+    report = bio.encode_recovered(i, candidate, verified, digest)
+    bio.write_atomic(out_path, report, mode=0o600)  # it holds the secret in the clear
     print(f"secret {i}: {'verified' if verified else 'NOT VERIFIED'} -> {out_path}")
     return EXIT_OK if verified else EXIT_VERIFY_FAILED
 

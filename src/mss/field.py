@@ -227,10 +227,13 @@ class Solution:
     """
 
     rank: int
-    free_dims: int
     particular: tuple[tuple[int, ...], ...]
     free_cols: tuple[int, ...]
     nullspace: tuple[tuple[int, ...], ...]
+
+    @property
+    def free_dims(self) -> int:
+        return len(self.free_cols)
 
     @property
     def unique(self) -> bool:
@@ -284,7 +287,6 @@ def solve_linear(
     )
     return Solution(
         rank=len(pivots),
-        free_dims=len(free_cols),
         particular=particular,
         free_cols=free_cols,
         nullspace=nullspace,

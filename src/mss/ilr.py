@@ -195,15 +195,13 @@ def fold_columns(
 
 
 def _checked_nodes(
-    spec: IlrSpec, samples: Sequence[tuple[int, Sequence[int]]]
+    spec: IlrSpec, samples: Sequence[tuple[int, Sequence[int]]], count: int
 ) -> list[int]:
     """The sample indices mod q, after checking, in this order, for exactly
-    t+2l samples and vectors of dimension len(c) (else ValueError) and for
-    distinct indices (else DuplicateNode)."""
-    if len(samples) != spec.unknowns:
-        raise ValueError(
-            f"expected {spec.unknowns} samples, got {len(samples)}"
-        )
+    ``count`` samples and vectors of dimension len(c) (else ValueError) and
+    for distinct indices (else DuplicateNode)."""
+    if len(samples) != count:
+        raise ValueError(f"expected {count} samples, got {len(samples)}")
     q = spec.field.q
     _check_vectors(spec, [vec for _, vec in samples], ValueError)
     xs = [x % q for x, _ in samples]
@@ -223,7 +221,7 @@ def fit_general_term(
     matrix; alternating-family signs are folded into the samples before
     solving, so A_0 is always the index-0 value.
     """
-    xs = _checked_nodes(spec, samples)
+    xs = _checked_nodes(spec, samples, spec.unknowns)
     matrix = vandermonde(spec.field, xs, spec.unknowns)
     solution = solve_linear(spec.field, matrix, fold_columns(spec, samples))
     assert solution.vectors is not None  # distinct nodes: always nonsingular

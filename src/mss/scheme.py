@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .ajtai import (
+    MAX_SHARE_RESAMPLES,
     Share,
+    _distinct_draws,
     ajtai_hash,
     ajtai_hash_many,
     sample_distinct_shares,
@@ -38,6 +40,7 @@ from .errors import (
     BadShares,
     DimMismatch,
     NotConsecutive,
+    RngSuspect,
 )
 from .field import (
     DEFAULT_PRIME,
@@ -278,13 +281,9 @@ def _draw_constants(params: SchemeParams, rng) -> tuple[tuple[int, ...], ...]:
     field = params.field()
     if params.variant.shared_constant:
         return (field.rand_vec(rng, params.max_threshold),)
-    drawn: dict[tuple[int, ...], None] = {}  # insertion-ordered set
-    for t_i in params.thresholds:
-        c = field.rand_vec(rng, t_i)
-        while c in drawn:
-            c = field.rand_vec(rng, t_i)
-        drawn[c] = None
-    return tuple(drawn)
+    repeated = RngSuspect(f"{MAX_SHARE_RESAMPLES} repeated constant vectors in a row")
+    draws = _distinct_draws(lambda t: field.rand_vec(rng, t), params.thresholds, repeated)
+    return tuple(draws)
 
 
 def construct(
@@ -431,15 +430,17 @@ def _checked_quorum(
 
 
 def _quorum_columns(
-    bulletin: Bulletin, i: int, subshadows: Mapping[int, Sequence[int]]
+    bulletin: Bulletin, i: int, pairs: Sequence[tuple[int, tuple[int, ...]]]
 ) -> tuple[IlrSpec, list[int], list[list[int]]]:
     """The spec of secret i, and the nodes and folded value columns of a
-    quorum's samples: its checked subshadows, then the published extras.
-    The samples pass fit_general_term's checks (ValueError for extras of the
-    wrong count or dimension)."""
-    samples = _checked_quorum(bulletin, i, subshadows) + list(bulletin.extra_points(i))
+    group's samples: its already checked pairs, then the published extras.
+    The samples pass fit_general_term's checks: ValueError unless there are
+    len(pairs) + extras_count(t_i) of them, all of dimension t_i, and
+    DuplicateNode for a repeated index."""
+    samples = list(pairs) + list(bulletin.extra_points(i))
+    count = len(pairs) + bulletin.params.variant.extras_count(bulletin.threshold(i))
     spec = bulletin.ilr_spec(i)
-    return spec, _checked_nodes(spec, samples), fold_columns(spec, samples)
+    return spec, _checked_nodes(spec, samples, count), fold_columns(spec, samples)
 
 
 def _solved_weights(field: PrimeField, nodes: Sequence[int]) -> tuple[int, ...]:
@@ -465,7 +466,7 @@ def recover_way1_vandermonde(
     of range, BadQuorum unless exactly t_i subshadows are given, and
     DimMismatch for a subshadow whose length is not t_i.
     """
-    spec, nodes, columns = _quorum_columns(bulletin, i, subshadows)
+    spec, nodes, columns = _quorum_columns(bulletin, i, _checked_quorum(bulletin, i, subshadows))
     return _weighted_sums(spec.field.q, _solved_weights(spec.field, nodes), columns)
 
 
@@ -477,7 +478,7 @@ def recover_way1_lagrange(
     The samples and weighted sums of recover_way1_vandermonde, with the
     weights from the Lagrange product formula; raises the same errors.
     """
-    spec, nodes, columns = _quorum_columns(bulletin, i, subshadows)
+    spec, nodes, columns = _quorum_columns(bulletin, i, _checked_quorum(bulletin, i, subshadows))
     return lagrange_at_zero(spec.field, nodes, columns)
 
 
@@ -533,22 +534,21 @@ def privacy_rank_probe(
 ) -> ProbeResult:
     """Rank-analyze the interpolation system a given group can assemble.
 
-    With t_i - 1 subshadows the per-component system has one more unknown
-    than independent equations, so the constant coefficient (the secret
-    component) stays free; with a full quorum it is pinned uniquely.
-    Raises BadQuorum unless 1 to t_i subshadows are given, and BadIndex and
-    DimMismatch as the recoveries do for a bad group.
+    The samples are those the recoveries build (``_quorum_columns``), from
+    the group's subshadows.  With t_i - 1 subshadows the per-component
+    system has one more unknown than independent equations, so the constant
+    coefficient (the secret component) stays free; with a full quorum it is
+    pinned uniquely.  Raises BadQuorum unless 1 to t_i subshadows are
+    given, and BadIndex, DimMismatch, ValueError and DuplicateNode as the
+    recoveries do for a bad group or bad extras.
     """
     t_i = bulletin.threshold(i)
     if not 1 <= len(subshadows) <= t_i:
         raise BadQuorum(f"probe takes 1 to {t_i} subshadows, got {len(subshadows)}")
-    field = bulletin.params.field()
-    spec = bulletin.ilr_spec(i)
-    samples = _checked_group(bulletin, i, subshadows) + list(bulletin.extra_points(i))
-    matrix = vandermonde(field, [x for x, _ in samples], spec.unknowns)
-    sol = solve_linear(field, matrix, fold_columns(spec, samples))
+    spec, nodes, columns = _quorum_columns(bulletin, i, _checked_group(bulletin, i, subshadows))
+    sol = solve_linear(spec.field, vandermonde(spec.field, nodes, spec.unknowns), columns)
     # with free dims, a nullspace vector moves A_0: the nullspace polynomial
     # vanishes at the sample points, all nonzero, so its value at 0 is not 0
     shift = next((v[0] for v in sol.nullspace if v[0] != 0), 0)
-    witnesses = tuple((x[0], (x[0] + shift) % field.q) for x in sol.particular)
+    witnesses = tuple((x[0], (x[0] + shift) % spec.field.q) for x in sol.particular)
     return ProbeResult(rank=sol.rank, free_dims=sol.free_dims, a0_witnesses=witnesses)

@@ -92,7 +92,7 @@ class TestShareSampling:
         assert sample_distinct_shares(3, 2, Replay()) == [(0, 1), (1, 1), (1, 0)]
 
     def test_exhaustion_by_pigeonhole(self):
-        with pytest.raises(ShareSpaceExhausted):
+        with pytest.raises(ShareSpaceExhausted, match="^cannot draw 3 distinct shares of 1 bits$"):
             sample_distinct_shares(3, 1, Drbg(0))
 
     # the batch hash trusts these checks and scans no bits itself

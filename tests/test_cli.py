@@ -680,8 +680,9 @@ def _file_mode(path) -> int:
 
 @pytest.mark.parametrize("umask, public", [(0o022, 0o644), (0o077, 0o600)], ids=oct)
 def test_public_files_take_the_umask_and_shares_stay_private(tmp_path, monkeypatch, capsys, umask, public):
-    """The bulletin and the report are created like ``open`` creates a file,
-    mode 0666 less the umask; a share file is 0600 under any umask."""
+    """The bulletin is created like ``open`` creates a file, mode 0666 less
+    the umask; a share file and a recovery report, which holds the secret,
+    are 0600 under any umask."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "secrets.json").write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
     old = os.umask(umask)
@@ -693,7 +694,7 @@ def test_public_files_take_the_umask_and_shares_stay_private(tmp_path, monkeypat
         os.umask(old)
     capsys.readouterr()
     assert _file_mode(tmp_path / "out" / "bulletin.json") == public
-    assert _file_mode(tmp_path / "recovered_1.json") == public
+    assert _file_mode(tmp_path / "recovered_1.json") == 0o600
     for j in range(1, 6):
         assert _file_mode(tmp_path / "out" / f"share_{j}.json") == 0o600
 

@@ -13,6 +13,7 @@ from mss.errors import (
     BadShares,
     DimMismatch,
     NotConsecutive,
+    RngSuspect,
 )
 from mss.field import DEFAULT_PRIME, solve_linear, vandermonde
 from mss.ilr import fold_value, forward_extend
@@ -280,6 +281,24 @@ class TestConstruct:
         params = SchemeParams(variant=Variant.S1, n=6, k=3, thresholds=(2, 2, 2), q=97)
         assert scheme._draw_constants(params, Replay()) == ((1, 2), (3, 4), (5, 6))
 
+    def test_constants_that_keep_repeating_raise_rng_suspect(self):
+        # the stub gives one vector forever; it stops after 5,000 draws, so
+        # an unbounded redraw loop fails here instead of hanging
+        class Stuck:
+            drawn = 0
+
+            def randbelow_many(self, q, dim):
+                self.drawn += 1
+                if self.drawn > 5000:
+                    raise AssertionError("constant draws are not bounded")
+                return (1, 2)
+
+        params = SchemeParams(variant=Variant.S1, n=6, k=2, thresholds=(2, 2), q=97)
+        rng = Stuck()
+        with pytest.raises(RngSuspect, match="^1000 repeated constant vectors in a row$"):
+            scheme._draw_constants(params, rng)
+        assert rng.drawn == 1 + ajtai.MAX_SHARE_RESAMPLES
+
     def test_shared_constant_single_vector(self):
         params, _, _, board = make_deal(
             Variant.S4, n=6, k=3, thresholds=(2, 3, 2), seed="shared"
@@ -399,23 +418,41 @@ def test_bad_group_raises_one_class_everywhere(variant, group, error):
 
 
 @pytest.mark.parametrize("variant, unknowns", [("s1", 5), ("s2", 5), ("s3", 7), ("s4", 7)])
-@pytest.mark.parametrize("method", (recover_way1_vandermonde, recover_way1_lagrange))
+@pytest.mark.parametrize(
+    "method", (recover_way1_vandermonde, recover_way1_lagrange, privacy_rank_probe)
+)
 def test_hand_built_extras_fail_the_general_term_checks(variant, unknowns, method):
     """A bulletin built in code, not decoded, with an extra term dropped or
-    of the wrong dimension: both interpolating recoveries raise the
-    ValueError of fit_general_term's checks instead of interpolating."""
+    of the wrong dimension: both interpolating recoveries and the probe,
+    which build one sample system, raise the ValueError of
+    fit_general_term's checks instead of interpolating."""
     _, _, shares, board = make_deal(variant, n=6, k=1, thresholds=(3,), seed="extras")
     sub = participant_subshadows(board, 1, shares[:3])
     (extras,) = board.extras
     cases = {
         f"expected {unknowns} samples, got {unknowns - 1}": extras[:-1],
         "expected vectors of dimension 3, got 4": (extras[0] + (0,),) + extras[1:],
+        "expected vectors of dimension 3, got 2": (extras[0][:-1],) + extras[1:],
     }
     for message, bad in cases.items():
         with pytest.raises(ValueError) as raised:
             method(dataclasses.replace(board, extras=(bad,)), 1, sub)
         assert type(raised.value) is ValueError
         assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("variant, unknowns", [("s1", 5), ("s2", 5), ("s3", 7), ("s4", 7)])
+def test_probe_below_the_threshold_counts_the_missing_extra(variant, unknowns):
+    """A group one short of the threshold, on a bulletin missing one extra,
+    is refused by the probe rather than ranked as if one more member were
+    missing."""
+    _, _, shares, board = make_deal(variant, n=6, k=1, thresholds=(3,), seed="extras")
+    sub = participant_subshadows(board, 1, shares[:2])
+    (extras,) = board.extras
+    short = dataclasses.replace(board, extras=(extras[:-1],))
+    with pytest.raises(ValueError, match=f"^expected {unknowns - 1} samples, got {unknowns - 2}$"):
+        privacy_rank_probe(short, 1, sub)
+    assert privacy_rank_probe(board, 1, sub).free_dims == 1
 
 
 class TestRecovery:
