@@ -37,7 +37,7 @@ field = params.field()
 print("participants verify their shares against the published commitments:")
 for share in shares:
     ok = verify_commitment(
-        field, board.commit_matrix, share, board.commitments[share.owner - 1]
+        field, board.setup.commit_matrix, share, board.setup.commitments[share.owner - 1]
     )
     print(f"  participant {share.owner}: {'ok' if ok else 'BAD'}")
 print()
@@ -65,7 +65,7 @@ bits = list(victim.bits)
 bits[3] ^= 1
 forged = Share(owner=victim.owner, bits=tuple(bits))
 caught = not verify_commitment(
-    field, board.commit_matrix, forged, board.commitments[victim.owner - 1]
+    field, board.setup.commit_matrix, forged, board.setup.commitments[victim.owner - 1]
 )
 print("flipping one bit of participant 1's share is detected:", caught)
 

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .field import Matrix
 from .rng import _bits
-from .scheme import Bulletin, SchemeParams, Variant
+from .scheme import Bulletin, DealSetup, SchemeParams, Variant
 
 FORMAT_VERSION = 1
 
@@ -233,7 +233,8 @@ def _parse_params(value) -> SchemeParams:
 def _setup_obj(
     params: SchemeParams, masks: list[dict], commit_matrix: dict, commitments: list
 ) -> dict:
-    """The setup section, from matrix objects and commitment string lists.
+    """The setup section, a ``DealSetup`` with its matrices as objects and
+    its commitments as string lists.
 
     Encode and decode both build it here, so the digest that binds share
     files to a deal is taken over one layout.
@@ -247,9 +248,9 @@ def _setup_obj(
     }
 
 
-def _setup_section(bulletin: Bulletin) -> dict:
-    parts = (bulletin.mask_matrices, bulletin.commit_matrix, bulletin.commitments)
-    return _setup_obj(bulletin.params, *map(_strs, parts))
+def _setup_section(setup: DealSetup) -> dict:
+    parts = (setup.mask_matrices, setup.commit_matrix, setup.commitments)
+    return _setup_obj(setup.params, *map(_strs, parts))
 
 
 def _digest(setup: dict) -> str:
@@ -257,14 +258,15 @@ def _digest(setup: dict) -> str:
 
 
 def deal_id(bulletin: Bulletin) -> str:
-    """Digest binding shares to one deal: the hash of the setup section."""
-    return _digest(_setup_section(bulletin))
+    """Digest binding shares to one deal: the hash of ``bulletin.setup``'s
+    section, so no round field enters it."""
+    return _digest(_setup_section(bulletin.setup))
 
 
 def encode_bulletin(bulletin: Bulletin) -> tuple[bytes, str]:
     """The bulletin's bytes and its ``deal_id``, with the setup section
     turned into strings once for both; ``read_bulletin`` undoes it."""
-    setup = _setup_section(bulletin)
+    setup = _setup_section(bulletin.setup)
     obj = dict(setup, kind="bulletin", secret_hashes=list(bulletin.secret_hashes))
     for key in ("constants", "offsets", "extras"):
         obj[key] = _strs(getattr(bulletin, key))
@@ -276,7 +278,7 @@ def read_bulletin(data: bytes | str) -> tuple[Bulletin, str]:
 
     The digest is hashed from the setup section rebuilt from the file's own
     residue strings.  Decode has checked each to be ``str`` of its value,
-    so the section equals ``_setup_section`` of the bulletin; keys that
+    so the section equals ``_setup_section`` of ``bulletin.setup``; keys that
     decode ignores never reach it.
     """
     obj = _load_json(data, "bulletin")
@@ -306,14 +308,8 @@ def read_bulletin(data: bytes | str) -> tuple[Bulletin, str]:
         key: _parse_nested(_get(obj, key), q, shape, key) for key, shape in shapes.items()
     }
 
-    bulletin = Bulletin(
-        params=params,
-        mask_matrices=tuple(m for m, _ in masks),
-        commit_matrix=commit_matrix,
-        commitments=commitments,
-        secret_hashes=tuple(raw_hashes),
-        **per_secret,
-    )
+    deal_setup = DealSetup(params, tuple(m for m, _ in masks), commit_matrix, commitments)
+    bulletin = Bulletin(setup=deal_setup, secret_hashes=tuple(raw_hashes), **per_secret)
     setup = _setup_obj(
         params, [m_obj for _, m_obj in masks], commit_obj, list(map(_Residues, raw_commitments))
     )
@@ -371,7 +367,7 @@ def bind_share(share_file: ShareFile, bulletin: Bulletin, deal: str) -> Share:
     by the caller for all the share files it binds; a share file that names
     another deal raises WrongDeal.
     """
-    params = bulletin.params
+    params = bulletin.setup.params
     share = share_file.share
     if share_file.deal is not None and share_file.deal != deal:
         raise WrongDeal(f"share of owner {share.owner} belongs to another deal")

@@ -110,9 +110,9 @@ def cmd_verify_share(args) -> int:
     board, digest = bio.read_bulletin(_read(args.bulletin))
     share_file = bio.decode_share(_read(args.share))
     share = bio.bind_share(share_file, board, digest)
-    field = board.params.field()
-    commitment = board.commitments[share.owner - 1]
-    if verify_commitment(field, board.commit_matrix, share, commitment):
+    field = board.setup.params.field()
+    commitment = board.setup.commitments[share.owner - 1]
+    if verify_commitment(field, board.setup.commit_matrix, share, commitment):
         print(f"share {share.owner}: OK")
         return EXIT_OK
     print(f"share {share.owner}: FAIL", file=sys.stderr)
@@ -155,9 +155,9 @@ def cmd_recover(args) -> int:
 
     # one batch hash; the first failure in the order given is reported
     shares = list(by_owner.values())
-    hashes = ajtai_hash_many(board.params.field(), board.commit_matrix, shares)
+    hashes = ajtai_hash_many(board.setup.params.field(), board.setup.commit_matrix, shares)
     for share, values in zip(shares, hashes):
-        if values != board.commitments[share.owner - 1]:
+        if values != board.setup.commitments[share.owner - 1]:
             print(f"share {share.owner}: FAIL", file=sys.stderr)
             return EXIT_VERIFY_FAILED
 
@@ -175,7 +175,7 @@ def cmd_recover(args) -> int:
 
 def cmd_verify_secret(args) -> int:
     board, digest = bio.read_bulletin(_read(args.bulletin))
-    report = bio.decode_recovered(_read(args.recovered), board.params.q)
+    report = bio.decode_recovered(_read(args.recovered), board.setup.params.q)
     if report.deal != digest:
         raise WrongDeal("report belongs to another deal")
     if verify_secret(board, report.secret_index, report.candidate):
@@ -226,22 +226,22 @@ def cmd_bench(args) -> int:
         secrets = [field.rand_vec(rng, t) for _ in range(k)]
         times: dict[str, list[float]] = {phase: [] for phase in phases}
         for _ in range(args.trials):
-            setup_result = setup(params, rng)
-            board = _timed(times["construct"], construct, params, secrets, setup_result, rng)
-            share = setup_result.shares[rng.randbelow(n)]
-            commitment = board.commitments[share.owner - 1]
+            shares, deal_setup = setup(params, rng)
+            board = _timed(times["construct"], construct, deal_setup, shares, secrets, rng)
+            share = shares[rng.randbelow(n)]
+            commitment = board.setup.commitments[share.owner - 1]
             _timed(times["verify_share"], verify_commitment,
-                   field, board.commit_matrix, share, commitment)
+                   field, board.setup.commit_matrix, share, commitment)
             # random quorum for the interpolating methods
             owners = list(range(1, n + 1))
             quorum = [owners.pop(rng.randbelow(len(owners))) for _ in range(t)]
-            group = [setup_result.shares[j - 1] for j in quorum]
+            group = [shares[j - 1] for j in quorum]
             subshadows = participant_subshadows(board, 1, group)
             _timed(times["recover_vandermonde"], recover_way1_vandermonde, board, 1, subshadows)
             _timed(times["recover_lagrange"], recover_way1_lagrange, board, 1, subshadows)
             # random consecutive window for backward recovery
             start = 1 + rng.randbelow(n - t + 1)
-            window_group = setup_result.shares[start - 1 : start - 1 + t]
+            window_group = shares[start - 1 : start - 1 + t]
             window = participant_subshadows(board, 1, window_group)
             _timed(times["recover_backward"], recover_way2, board, 1, window)
         for phase, samples in times.items():

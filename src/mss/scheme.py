@@ -134,13 +134,15 @@ class SchemeParams:
 
 
 @dataclass(frozen=True)
-class SetupResult:
-    """Dealer state after the setup phase: shares plus the public matrices.
+class DealSetup:
+    """What share files are bound to: the parameters, the per-secret mask
+    matrices G_i, the commitment matrix F and the commitments.
 
-    commitments[j - 1] is owner j's commitment F * sh_j, as residues.
+    This is the section that ``deal_id`` digests.  commitments[j - 1] is
+    owner j's commitment F * sh_j, as residues.
     """
 
-    shares: tuple[Share, ...]
+    params: SchemeParams
     mask_matrices: tuple[Matrix, ...]
     commit_matrix: Matrix
     commitments: tuple[tuple[int, ...], ...]
@@ -153,39 +155,36 @@ def _check_secret_index(params: SchemeParams, i: int) -> None:
 
 @dataclass(frozen=True)
 class Bulletin:
-    """Every public value of one deal.
+    """Every public value of one deal: its setup and one round's values.
 
-    commitments[j - 1] is owner j's commitment; offsets[i-1][j - t_i] is
-    the published offset for secret i and participant j (t_i <= j <= n);
-    extras[i-1][m-1] is the published sequence term at index n + m.
+    offsets[i-1][j - t_i] is the published offset for secret i and
+    participant j (t_i <= j <= n); extras[i-1][m-1] is the published
+    sequence term at index n + m.
     """
 
-    params: SchemeParams
-    mask_matrices: tuple[Matrix, ...]
-    commit_matrix: Matrix
-    commitments: tuple[tuple[int, ...], ...]
+    setup: DealSetup
     secret_hashes: tuple[str, ...]
     constants: tuple[tuple[int, ...], ...]
     offsets: tuple[tuple[tuple[int, ...], ...], ...]
     extras: tuple[tuple[tuple[int, ...], ...], ...]
 
     def threshold(self, i: int) -> int:
-        _check_secret_index(self.params, i)
-        return self.params.thresholds[i - 1]
+        _check_secret_index(self.setup.params, i)
+        return self.setup.params.thresholds[i - 1]
 
     def ilr_spec(self, i: int) -> IlrSpec:
-        return ilr_spec_for(self.params, i, self.constants)
+        return ilr_spec_for(self.setup.params, i, self.constants)
 
     def offset_for(self, i: int, j: int) -> tuple[int, ...]:
         t_i = self.threshold(i)
-        if not t_i <= j <= self.params.n:
+        if not t_i <= j <= self.setup.params.n:
             raise BadIndex(f"no offset published for participant {j}")
         return self.offsets[i - 1][j - t_i]
 
     def extra_points(self, i: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Published samples (n+1, u_{n+1}), ..., beyond the participants."""
-        _check_secret_index(self.params, i)
-        n = self.params.n
+        _check_secret_index(self.setup.params, i)
+        n = self.setup.params.n
         return tuple(
             (n + m, vec) for m, vec in enumerate(self.extras[i - 1], start=1)
         )
@@ -238,8 +237,9 @@ def secret_hash(q: int, secret: Sequence[int]) -> str:
     return h.hexdigest()
 
 
-def setup(params: SchemeParams, rng) -> SetupResult:
-    """Sample shares, per-secret mask matrices, and the commitment matrix.
+def setup(params: SchemeParams, rng) -> tuple[tuple[Share, ...], DealSetup]:
+    """Sample shares, per-secret mask matrices, and the commitment matrix:
+    the shares, and the ``DealSetup`` that binds them.
 
     Draw order (fixed for reproducibility): shares 1..n, then mask matrices
     1..k, then the commitment matrix.
@@ -256,12 +256,8 @@ def setup(params: SchemeParams, rng) -> SetupResult:
     commit_matrix = sample_matrix_full_rank(
         field, params.max_threshold, params.r, rng
     )
-    return SetupResult(
-        shares=shares,
-        mask_matrices=mask_matrices,
-        commit_matrix=commit_matrix,
-        commitments=tuple(ajtai_hash_many(field, commit_matrix, shares)),
-    )
+    commitments = tuple(ajtai_hash_many(field, commit_matrix, shares))
+    return shares, DealSetup(params, mask_matrices, commit_matrix, commitments)
 
 
 def _validate_secrets(params: SchemeParams, secrets: Sequence[Sequence[int]]) -> None:
@@ -273,6 +269,8 @@ def _validate_secrets(params: SchemeParams, secrets: Sequence[Sequence[int]]) ->
             raise ValueError(
                 f"secret {i} must have {t_i} components, got {len(secret)}"
             )
+        if any(type(x) is not int for x in secret):
+            raise ValueError(f"secret {i} has components that are not ints")
         if any(not 0 <= x < params.q for x in secret):
             raise ValueError(f"secret {i} has components outside [0, q)")
 
@@ -287,23 +285,23 @@ def _draw_constants(params: SchemeParams, rng) -> tuple[tuple[int, ...], ...]:
 
 
 def construct(
-    params: SchemeParams,
+    setup: DealSetup,
+    shares: Sequence[Share],
     secrets: Sequence[Sequence[int]],
-    setup_result: SetupResult,
     rng,
 ) -> Bulletin:
     """Build the public bulletin that hides the given secrets.
 
-    Per secret i the sequence starts (S_i, d_1, ..., d_{t_i-1}) with
+    ``shares`` are the ones ``setup`` was drawn with, ordered by owner.  Per
+    secret i the sequence starts (S_i, d_1, ..., d_{t_i-1}) with
     d_j = G_i * sh_j, runs forward to index n plus the variant's extras, and
     publishes offsets u_j - d_j for j = t_i..n plus the extra terms.
     """
+    params = setup.params
     _validate_secrets(params, secrets)
-    if len(setup_result.shares) != params.n:
-        raise BadShares(
-            f"expected {params.n} shares, got {len(setup_result.shares)}"
-        )
-    for j, share in enumerate(setup_result.shares, start=1):
+    if len(shares) != params.n:
+        raise BadShares(f"expected {params.n} shares, got {len(shares)}")
+    for j, share in enumerate(shares, start=1):
         if share.owner != j:
             raise BadShares("shares must be ordered by owner 1..n")
         if len(share.bits) != params.r:
@@ -315,9 +313,8 @@ def construct(
     hashes = []
     for i in range(1, params.k + 1):
         t_i = params.thresholds[i - 1]
-        g_i = setup_result.mask_matrices[i - 1]
         # shadows[j - 1] is owner j's, as the shares are ordered by owner
-        shadows = ajtai_hash_many(field, g_i, setup_result.shares)
+        shadows = ajtai_hash_many(field, setup.mask_matrices[i - 1], shares)
         spec = ilr_spec_for(params, i, constants)
         initial = [field.vec(secrets[i - 1])]
         initial.extend(shadows[: t_i - 1])
@@ -332,10 +329,7 @@ def construct(
         extras.append(seq[params.n + 1 :])
         hashes.append(secret_hash(params.q, secrets[i - 1]))
     return Bulletin(
-        params=params,
-        mask_matrices=setup_result.mask_matrices,
-        commit_matrix=setup_result.commit_matrix,
-        commitments=setup_result.commitments,
+        setup=setup,
         secret_hashes=tuple(hashes),
         constants=constants,
         offsets=tuple(offsets),
@@ -351,16 +345,15 @@ def deal(
     Raises ValueError for a malformed secret before any randomness is drawn.
     """
     _validate_secrets(params, secrets)
-    setup_result = setup(params, rng)
-    bulletin = construct(params, secrets, setup_result, rng)
-    return setup_result.shares, bulletin
+    shares, deal_setup = setup(params, rng)
+    return shares, construct(deal_setup, shares, secrets, rng)
 
 
 def compute_shadow(bulletin: Bulletin, i: int, share: Share) -> tuple[int, ...]:
     """Shadow d_j = G_i * sh_j of one participant for secret i."""
-    _check_secret_index(bulletin.params, i)
-    field = bulletin.params.field()
-    return ajtai_hash(field, bulletin.mask_matrices[i - 1], share.bits)
+    _check_secret_index(bulletin.setup.params, i)
+    field = bulletin.setup.params.field()
+    return ajtai_hash(field, bulletin.setup.mask_matrices[i - 1], share.bits)
 
 
 def _checked_group(
@@ -372,8 +365,8 @@ def _checked_group(
     for a vector whose length is not t_i.
     """
     t_i = bulletin.threshold(i)
-    n = bulletin.params.n
-    field = bulletin.params.field()
+    n = bulletin.setup.params.n
+    field = bulletin.setup.params.field()
     pairs = []
     for j in sorted(vectors):
         if not 1 <= j <= n:
@@ -393,7 +386,7 @@ def assemble_subshadows(
     Raises BadIndex and DimMismatch as the recoveries do for a bad group.
     """
     t_i = bulletin.threshold(i)
-    field = bulletin.params.field()
+    field = bulletin.setup.params.field()
     return {
         j: vec if j < t_i else field.vec_add(vec, bulletin.offset_for(i, j))
         for j, vec in _checked_group(bulletin, i, shadows)
@@ -409,12 +402,12 @@ def participant_subshadows(
     ``compute_shadow`` of each share.  Raises BadShares when two shares name
     one owner.
     """
-    _check_secret_index(bulletin.params, i)
+    _check_secret_index(bulletin.setup.params, i)
     shares = list(shares)
     if len({share.owner for share in shares}) != len(shares):
         raise BadShares("two shares name the same owner")
-    field = bulletin.params.field()
-    hashes = ajtai_hash_many(field, bulletin.mask_matrices[i - 1], shares)
+    field = bulletin.setup.params.field()
+    hashes = ajtai_hash_many(field, bulletin.setup.mask_matrices[i - 1], shares)
     shadows = {share.owner: values for share, values in zip(shares, hashes)}
     return assemble_subshadows(bulletin, i, shadows)
 
@@ -438,7 +431,7 @@ def _quorum_columns(
     len(pairs) + extras_count(t_i) of them, all of dimension t_i, and
     DuplicateNode for a repeated index."""
     samples = list(pairs) + list(bulletin.extra_points(i))
-    count = len(pairs) + bulletin.params.variant.extras_count(bulletin.threshold(i))
+    count = len(pairs) + bulletin.setup.params.variant.extras_count(bulletin.threshold(i))
     spec = bulletin.ilr_spec(i)
     return spec, _checked_nodes(spec, samples, count), fold_columns(spec, samples)
 
@@ -504,13 +497,13 @@ def recover_way2(
 def verify_secret(bulletin: Bulletin, i: int, candidate: Sequence[int]) -> bool:
     """True iff the candidate equals the dealt secret i.
 
-    The candidate must have t_i components, each reduced into [0, q), and
-    hash to the published digest; a congruent but unreduced candidate such
-    as (5 + q, 7) does not verify.
+    The candidate must have t_i components, each an int reduced into
+    [0, q), and hash to the published digest; a congruent but unreduced
+    candidate such as (5 + q, 7) does not verify, nor does (5.0, 7.0).
     """
     t_i = bulletin.threshold(i)
-    q = bulletin.params.q
-    if len(candidate) != t_i or any(not 0 <= x < q for x in candidate):
+    q = bulletin.setup.params.q
+    if len(candidate) != t_i or any(type(x) is not int or not 0 <= x < q for x in candidate):
         return False
     return secret_hash(q, candidate) == bulletin.secret_hashes[i - 1]
 

@@ -369,7 +369,7 @@ def test_criterion_8_serialization(verdict):
     expect(lambda o: o["params"].update(thresholds=[1, 3]), ValidationError)
     expect(lambda o: o["mask_matrices"][0].update(rows=9), ValidationError)
     expect(
-        lambda o: o["commit_matrix"]["data"].__setitem__(0, str(board.params.q)),
+        lambda o: o["commit_matrix"]["data"].__setitem__(0, str(board.setup.params.q)),
         ValidationError,
     )
     expect(lambda o: o["commitments"].pop(), ValidationError)

@@ -1,5 +1,6 @@
 """Serialization: canonical encoding, round trips, and strict decoding."""
 
+import dataclasses
 import errno
 import json
 import os
@@ -131,6 +132,43 @@ class TestReadBulletin:
         assert digest == deal_id(decode_bulletin(blob)) == deal_id(board)
 
 
+class TestDealIdCoversTheSetup:
+    """deal_id is the digest of board.setup, and of nothing in the round."""
+
+    @staticmethod
+    def digests(board):
+        """deal_id, encode_bulletin's digest and read_bulletin's digest."""
+        blob, encoded = encode_bulletin(board)
+        return deal_id(board), encoded, read_bulletin(blob)[1]
+
+    @staticmethod
+    def boards(variant):
+        """A deal's shares, its bulletin, and another deal's with the same params."""
+        shares, board = make_board(variant=variant, seed=f"cover-{variant}")
+        return shares, board, make_board(variant=variant, seed=f"other-{variant}")[1]
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_round_fields_leave_every_digest_alone(self, variant):
+        shares, board, other = self.boards(variant)
+        files = [decode_share(encode_share(s, deal=deal_id(board))) for s in shares]
+        for key in ("secret_hashes", "constants", "offsets", "extras"):
+            mixed = dataclasses.replace(board, **{key: getattr(other, key)})
+            assert getattr(mixed, key) != getattr(board, key)
+            assert self.digests(mixed) == self.digests(board)
+            assert tuple(bind_share(f, mixed, deal_id(mixed)) for f in files) == shares
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_another_setup_changes_every_digest(self, variant):
+        shares, board, other = self.boards(variant)
+        files = [decode_share(encode_share(s, deal=deal_id(board))) for s in shares]
+        swapped = dataclasses.replace(board, setup=other.setup)
+        for before, after in zip(self.digests(board), self.digests(swapped)):
+            assert before != after
+        for share_file in files:
+            with pytest.raises(WrongDeal):
+                bind_share(share_file, swapped, deal_id(swapped))
+
+
 #: Files that json.loads itself cannot take.
 HOSTILE_JSON = [
     pytest.param(b"[" * 400_000, id="nesting past the recursion limit"),
@@ -180,9 +218,9 @@ class TestBulletinValidation:
         # SchemeParams derives r from 0, so an unchecked r = 0 would decode
         # to the deal's own r, and its deal_id, from a file no encoder writes
         _, board = make_board()
-        assert SchemeParams(Variant.S1, 5, 2, (2, 3), 97, r=0).r == board.params.r
+        assert SchemeParams(Variant.S1, 5, 2, (2, 3), 97, r=0).r == board.setup.params.r
         blob = mutate(board, ["params", "r"], r)
-        if r == board.params.r:
+        if r == board.setup.params.r:
             assert read_bulletin(blob) == (board, deal_id(board))
         elif r == 0:
             with pytest.raises(ValidationError, match="^params.r must be positive$"):
@@ -228,7 +266,7 @@ class TestBulletinValidation:
 
     def test_unreduced_residue_rejected(self):
         _, board = make_board()
-        blob = mutate(board, ["constants", 0, 0], str(board.params.q))
+        blob = mutate(board, ["constants", 0, 0], str(board.setup.params.q))
         with pytest.raises(ValidationError):
             decode_bulletin(blob)
 
@@ -279,7 +317,7 @@ class TestBulletinValidation:
     def test_bad_residue_in_every_array(self, what, where, fault):
         _, board = make_board()
         if fault == "unreduced":
-            bad = str(board.params.q)
+            bad = str(board.setup.params.q)
             expected = (ValidationError, f"{what} is not reduced mod q")
         else:
             bad = self.MALFORMED[fault]

@@ -642,7 +642,7 @@ class TestBench:
         assert strip_time(a.stdout) == strip_time(b.stdout)
 
     def test_each_trial_draws_its_own_setup(self, monkeypatch, capsys):
-        """No SetupResult is reused: one setup per trial and threshold."""
+        """No DealSetup is reused: one setup per trial and threshold."""
         calls = []
         real_setup = cli.setup
 

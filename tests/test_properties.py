@@ -47,6 +47,7 @@ from mss.ilr import IlrSpec, fit_general_term, fold_columns
 from mss.rng import Drbg
 from mss.scheme import (
     Bulletin,
+    DealSetup,
     SchemeParams,
     Variant,
     _solved_weights,
@@ -87,7 +88,7 @@ def deals(draw):
 @given(dealt=deals(), data=st.data())
 def test_every_recovery_returns_the_dealt_secret(dealt, data):
     secrets, shares, board = dealt
-    n = board.params.n
+    n = board.setup.params.n
     for i, secret in enumerate(secrets, start=1):
         t_i = board.threshold(i)
         owners = data.draw(st.lists(st.integers(1, n), min_size=t_i, max_size=t_i, unique=True))
@@ -145,10 +146,7 @@ def hand_built_quorums(draw):
     params = SchemeParams(variant=variant, n=n, k=1, thresholds=(t,), q=q, r=1)
     owners = draw(st.lists(st.integers(1, n), min_size=t, max_size=t, unique=True))
     board = Bulletin(
-        params=params,
-        mask_matrices=(),
-        commit_matrix=None,
-        commitments=(),
+        setup=DealSetup(params, mask_matrices=(), commit_matrix=None, commitments=()),
         secret_hashes=("",),
         constants=(draw(residue_vectors(q, t, 1))[0],),
         offsets=((),),
@@ -412,7 +410,7 @@ def test_canonical_bytes_is_sorted_compact_json(obj):
 @given(dealt=deals())
 def test_setup_sections_write_as_sorted_compact_json(dealt):
     _, _, board = dealt
-    setup = _setup_section(board)
+    setup = _setup_section(board.setup)
     assert _canonical_bytes(setup) == canonical_json(setup)
     # read_bulletin hashes the section it rebuilds from the file's strings
     digest = read_bulletin(encode_bulletin(board)[0])[1]

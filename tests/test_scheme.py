@@ -52,11 +52,11 @@ def make_deal(variant, n, k, thresholds, seed, q=97):
 
 def dealer_sequence(board, i, shares):
     """Oracle: rebuild the dealer's sequence for secret i from scratch."""
-    params = board.params
+    params = board.setup.params
     field = params.field()
     t_i = board.threshold(i)
     shadows = {
-        s.owner: ajtai_hash(field, board.mask_matrices[i - 1], s.bits) for s in shares
+        s.owner: ajtai_hash(field, board.setup.mask_matrices[i - 1], s.bits) for s in shares
     }
     # index 0 must be the secret; reconstruct it from any full quorum first
     sub = participant_subshadows(board, i, shares[:t_i])
@@ -168,13 +168,13 @@ class TestSetup:
     def test_shapes_and_commitments(self):
         p = SchemeParams(variant=Variant.S1, n=5, k=2, thresholds=(2, 3), q=97)
         field = p.field()
-        result = setup(p, Drbg(42))
-        assert len(result.shares) == 5
-        assert len({s.bits for s in result.shares}) == 5
+        shares, result = setup(p, Drbg(42))
+        assert len(shares) == 5
+        assert len({s.bits for s in shares}) == 5
         for t_i, g in zip(p.thresholds, result.mask_matrices):
             assert (g.rows, g.cols) == (t_i, p.r)
         assert (result.commit_matrix.rows, result.commit_matrix.cols) == (3, p.r)
-        for share, commitment in zip(result.shares, result.commitments):
+        for share, commitment in zip(shares, result.commitments):
             assert verify_commitment(
                 field, result.commit_matrix, share, commitment
             )
@@ -227,17 +227,19 @@ class TestConstruct:
     def test_secret_shape_validation(self):
         p = SchemeParams(variant=Variant.S1, n=5, k=2, thresholds=(2, 3), q=97)
         rng = Drbg(1)
-        result = setup(p, rng)
+        shares, result = setup(p, rng)
         with pytest.raises(ValueError):
-            construct(p, [(1, 2)], result, rng)  # wrong count
+            construct(result, shares, [(1, 2)], rng)  # wrong count
         with pytest.raises(ValueError):
-            construct(p, [(1, 2, 3), (1, 2, 3)], result, rng)  # wrong length
+            construct(result, shares, [(1, 2, 3), (1, 2, 3)], rng)  # wrong length
         with pytest.raises(ValueError):
-            construct(p, [(1, 97), (1, 2, 3)], result, rng)  # unreduced
+            construct(result, shares, [(1, 97), (1, 2, 3)], rng)  # unreduced
 
     def test_deal_rejects_bad_secret_before_drawing(self):
         p = SchemeParams(variant=Variant.S1, n=5, k=2, thresholds=(2, 3), q=97)
-        for secrets in ([(1, 2)], [(1, 2, 3), (1, 2, 3)], [(1, 97), (1, 2, 3)]):
+        non_ints = ([(0.5, 1), (1, 2, 3)], [(1.0, 1), (1, 2, 3)], [(True, 1), (1, 2, 3)],
+                    [("1", 1), (1, 2, 3)], [(1, 2), (1, 2, 3.0)])
+        for secrets in ([(1, 2)], [(1, 2, 3), (1, 2, 3)], [(1, 97), (1, 2, 3)], *non_ints):
             rng = Drbg("shape")
             with pytest.raises(ValueError):
                 deal(p, secrets, rng)
@@ -246,23 +248,21 @@ class TestConstruct:
     def test_share_count_checked(self):
         p = SchemeParams(variant=Variant.S1, n=5, k=1, thresholds=(2,), q=97)
         rng = Drbg(2)
-        result = setup(p, rng)
-        truncated = dataclasses.replace(result, shares=result.shares[:4])
+        shares, result = setup(p, rng)
         with pytest.raises(BadShares):
-            construct(p, [(1, 2)], truncated, rng)
+            construct(result, shares[:4], [(1, 2)], rng)
 
     def test_share_order_and_length_checked(self):
         p = SchemeParams(variant=Variant.S1, n=5, k=1, thresholds=(2,), q=97)
         rng = Drbg(3)
-        result = setup(p, rng)
-        s = result.shares
-        swapped = dataclasses.replace(result, shares=(s[1], s[0], *s[2:]))
+        s, result = setup(p, rng)
+        swapped = (s[1], s[0], *s[2:])
         with pytest.raises(BadShares, match=r"^shares must be ordered by owner 1\.\.n$"):
-            construct(p, [(1, 2)], swapped, rng)
+            construct(result, swapped, [(1, 2)], rng)
         short = Share(owner=3, bits=s[2].bits[:-1])
-        cut = dataclasses.replace(result, shares=(*s[:2], short, *s[3:]))
+        cut = (*s[:2], short, *s[3:])
         with pytest.raises(BadShares, match="^share 3 has wrong bit-length$"):
-            construct(p, [(1, 2)], cut, rng)
+            construct(result, cut, [(1, 2)], rng)
 
     def test_constants_distinct_per_secret(self):
         params, _, _, board = make_deal(
@@ -594,6 +594,15 @@ class TestVerifySecret:
                 candidate = list(secrets[0])
                 candidate[pos] += delta
                 assert not verify_secret(board, 1, candidate)
+
+    def test_non_int_candidate_fails(self):
+        params, secrets, shares, board = make_deal(
+            Variant.S2, n=6, k=1, thresholds=(2,), seed="v5"
+        )
+        assert verify_secret(board, 1, secrets[0])
+        a, b = secrets[0]
+        for candidate in ((5.0, 7.0), (float(a), b), (a, str(b)), (a, b + 0.0)):
+            assert not verify_secret(board, 1, candidate)
 
     def test_hash_includes_modulus(self):
         assert secret_hash(97, (1, 2)) != secret_hash(101, (1, 2))

@@ -6,20 +6,26 @@ independent of the engine's coefficient machinery, and assert that dealt
 sequences satisfy them term by term.
 """
 
+import dataclasses
 import math
 
+from mss.ajtai import ajtai_hash
 from mss.rng import Drbg
 from mss.scheme import (
     SchemeParams,
     Variant,
+    construct,
     deal,
     participant_subshadows,
+    recover_way1_lagrange,
+    setup,
+    verify_secret,
 )
 
 
 def full_sequence(board, secret, shares, i=1):
     """u_0..u_{n+e} for secret i from public data plus the dealer's secret."""
-    n = board.params.n
+    n = board.setup.params.n
     sub = participant_subshadows(board, i, shares)
     terms = [tuple(secret)] + [sub[j] for j in range(1, n + 1)]
     terms.extend(vec for _, vec in board.extra_points(i))
@@ -155,33 +161,27 @@ class TestMultiUseShares:
     """One set of shares serves many deals: only the masking matrices change."""
 
     def test_same_shares_two_deals(self):
-        import dataclasses
-
-        from mss.ajtai import ajtai_hash
-        from mss.scheme import construct, recover_way1_lagrange, setup, verify_secret
-
         params = SchemeParams(variant=Variant.S1, n=6, k=2, thresholds=(2, 3), q=97)
         field = params.field()
         rng = Drbg("multi-use")
-        first_setup = setup(params, rng)
-        second_setup = setup(params, rng)
+        shares, first_setup = setup(params, rng)
+        _, second_setup = setup(params, rng)
         # participants keep their original share bits; the second deal only
         # publishes fresh matrices and commitments for those same bits
         reissued = dataclasses.replace(
             second_setup,
-            shares=first_setup.shares,
             commitments=tuple(
                 ajtai_hash(field, second_setup.commit_matrix, share.bits)
-                for share in first_setup.shares
+                for share in shares
             ),
         )
         secrets_a = [field.rand_vec(rng, t) for t in params.thresholds]
         secrets_b = [field.rand_vec(rng, t) for t in params.thresholds]
-        board_a = construct(params, secrets_a, first_setup, rng)
-        board_b = construct(params, secrets_b, reissued, rng)
+        board_a = construct(first_setup, shares, secrets_a, rng)
+        board_b = construct(reissued, shares, secrets_b, rng)
         for i in (1, 2):
             t_i = params.thresholds[i - 1]
-            group = first_setup.shares[:t_i]
+            group = shares[:t_i]
             got_a = recover_way1_lagrange(
                 board_a, i, participant_subshadows(board_a, i, group)
             )
@@ -192,3 +192,28 @@ class TestMultiUseShares:
             assert got_b == tuple(secrets_b[i - 1])
             assert verify_secret(board_a, i, got_a)
             assert verify_secret(board_b, i, got_b)
+
+    def test_construct_twice_on_one_setup_leaks_the_next_round(self):
+        """The gap README's security note names, pinned as it stands.
+
+        Two rounds on one DealSetup mask with the same G_i, so a quorum's
+        round-1 subshadows, less round 1's offsets plus round 2's, are its
+        round-2 subshadows: it opens round 2's secret without new shares.
+        A round step that redraws the masks must turn this assertion around.
+        """
+        for variant in Variant:
+            params = SchemeParams(variant=variant, n=8, k=2, thresholds=(3, 4))
+            field = params.field()
+            rng = Drbg(3)
+            shares, deal_setup = setup(params, rng)
+            rounds = [[field.rand_vec(rng, t) for t in params.thresholds] for _ in range(2)]
+            first, second = (construct(deal_setup, shares, s, rng) for s in rounds)
+            assert first.constants != second.constants
+            pooled = participant_subshadows(first, 2, shares[2:6])  # owners 3..6
+            moved = dict(pooled)
+            for j in (4, 5, 6):  # t_2 = 4: owner 3's subshadow is its bare shadow
+                shadow = field.vec_sub(pooled[j], first.offset_for(2, j))
+                moved[j] = field.vec_add(shadow, second.offset_for(2, j))
+            leaked = recover_way1_lagrange(second, 2, moved)
+            assert leaked == tuple(rounds[1][1]) != tuple(rounds[0][1])
+            assert verify_secret(second, 2, leaked)
