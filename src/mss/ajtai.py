@@ -123,8 +123,8 @@ def ajtai_hash_many(
 ) -> list[tuple[int, ...]]:
     """``ajtai_hash(field, a, share.bits)`` for every share.
 
-    A ``Share`` has binary bits by construction, so only their length is
-    checked here.
+    A ``Share`` has binary bits by construction, so the packed path checks
+    only their length.
 
     Each column of A is packed once into one integer, entry i in the
     w-bit slot i (see ``field._pack``), with w = bits(cols * (q - 1)): a
@@ -132,8 +132,10 @@ def ajtai_hash_many(
     into each other.  A vector's hash is then one sum of the packed
     columns it picks, unpacked and reduced mod q.  Packing costs more
     than one hash, so it pays when several vectors are hashed under the
-    same A.
+    same A; fewer than two go through ``ajtai_hash``.
     """
+    if len(shares) < 2:
+        return [ajtai_hash(field, a, share.bits) for share in shares]
     for share in shares:
         _check_length(a, share.bits)
     q, rows, cols = field.q, a.rows, a.cols

@@ -381,7 +381,10 @@ def bind_share(share_file: ShareFile, bulletin: Bulletin, deal: str) -> Share:
 
 
 def encode_secrets(q: int, secrets: Sequence[Sequence[int]]) -> bytes:
-    return _document("secrets", secrets=_strs([[v % q for v in vec] for vec in secrets]))
+    for i, secret in enumerate(secrets, start=1):
+        if any(type(x) is not int or not 0 <= x < q for x in secret):
+            raise ValueError(f"secret {i} has components that are not ints in [0, q)")
+    return _document("secrets", secrets=_strs(secrets))
 
 
 def decode_secrets(data: bytes | str, q: int) -> tuple[tuple[int, ...], ...]:

@@ -22,6 +22,7 @@ from .scheme import (
     Variant,
     construct,
     deal,
+    first_unbound,
     participant_subshadows,
     recover_way1_lagrange,
     recover_way1_vandermonde,
@@ -29,7 +30,6 @@ from .scheme import (
     setup,
     verify_secret,
 )
-from .ajtai import ajtai_hash_many, verify_commitment
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -108,11 +108,8 @@ def cmd_deal(args) -> int:
 
 def cmd_verify_share(args) -> int:
     board, digest = bio.read_bulletin(_read(args.bulletin))
-    share_file = bio.decode_share(_read(args.share))
-    share = bio.bind_share(share_file, board, digest)
-    field = board.setup.params.field()
-    commitment = board.setup.commitments[share.owner - 1]
-    if verify_commitment(field, board.setup.commit_matrix, share, commitment):
+    share = bio.bind_share(bio.decode_share(_read(args.share)), board, digest)
+    if first_unbound(board.setup, [share]) is None:
         print(f"share {share.owner}: OK")
         return EXIT_OK
     print(f"share {share.owner}: FAIL", file=sys.stderr)
@@ -153,13 +150,10 @@ def cmd_recover(args) -> int:
             raise MssError(f"duplicate share for owner {share.owner}")
         by_owner[share.owner] = share
 
-    # one batch hash; the first failure in the order given is reported
-    shares = list(by_owner.values())
-    hashes = ajtai_hash_many(board.setup.params.field(), board.setup.commit_matrix, shares)
-    for share, values in zip(shares, hashes):
-        if values != board.setup.commitments[share.owner - 1]:
-            print(f"share {share.owner}: FAIL", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
+    unbound = first_unbound(board.setup, list(by_owner.values()))
+    if unbound is not None:
+        print(f"share {unbound.owner}: FAIL", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
 
     ordered = [by_owner[j] for j in sorted(by_owner)]
     subshadows = participant_subshadows(board, i, _quorum(ordered, t_i, args.method))
@@ -222,16 +216,13 @@ def cmd_bench(args) -> int:
     lines = ["phase,t,trials,median_seconds"]
     for t in args.t_range:
         params = SchemeParams(variant=args.variant, n=n, k=k, thresholds=(t,) * k)
-        field = params.field()
-        secrets = [field.rand_vec(rng, t) for _ in range(k)]
+        secrets = [params.field().rand_vec(rng, t) for _ in range(k)]
         times: dict[str, list[float]] = {phase: [] for phase in phases}
         for _ in range(args.trials):
             shares, deal_setup = setup(params, rng)
             board = _timed(times["construct"], construct, deal_setup, shares, secrets, rng)
             share = shares[rng.randbelow(n)]
-            commitment = board.setup.commitments[share.owner - 1]
-            _timed(times["verify_share"], verify_commitment,
-                   field, board.setup.commit_matrix, share, commitment)
+            _timed(times["verify_share"], first_unbound, deal_setup, [share])
             # random quorum for the interpolating methods
             owners = list(range(1, n + 1))
             quorum = [owners.pop(rng.randbelow(len(owners))) for _ in range(t)]

@@ -260,6 +260,16 @@ def setup(params: SchemeParams, rng) -> tuple[tuple[Share, ...], DealSetup]:
     return shares, DealSetup(params, mask_matrices, commit_matrix, commitments)
 
 
+def first_unbound(setup: DealSetup, shares: Sequence[Share]) -> Share | None:
+    """The first share, in the order given, that F does not hash to its
+    owner's commitment, or None.  Raises BadIndex for an owner past n."""
+    if any(share.owner > setup.params.n for share in shares):
+        raise BadIndex(f"a share's owner is outside [1, {setup.params.n}]")
+    hashes = ajtai_hash_many(setup.params.field(), setup.commit_matrix, shares)
+    return next((share for share, values in zip(shares, hashes)
+                 if values != setup.commitments[share.owner - 1]), None)
+
+
 def _validate_secrets(params: SchemeParams, secrets: Sequence[Sequence[int]]) -> None:
     if len(secrets) != params.k:
         raise ValueError(f"expected {params.k} secrets, got {len(secrets)}")
@@ -292,7 +302,7 @@ def construct(
 ) -> Bulletin:
     """Build the public bulletin that hides the given secrets.
 
-    ``shares`` are the ones ``setup`` was drawn with, ordered by owner.  Per
+    ``shares`` are the ones ``setup`` commits to, ordered by owner.  Per
     secret i the sequence starts (S_i, d_1, ..., d_{t_i-1}) with
     d_j = G_i * sh_j, runs forward to index n plus the variant's extras, and
     publishes offsets u_j - d_j for j = t_i..n plus the extra terms.
@@ -306,6 +316,8 @@ def construct(
             raise BadShares("shares must be ordered by owner 1..n")
         if len(share.bits) != params.r:
             raise BadShares(f"share {j} has wrong bit-length")
+    if first_unbound(setup, shares) is not None:
+        raise BadShares("shares are not the ones the setup commits to")
     field = params.field()
     constants = _draw_constants(params, rng)
     offsets = []

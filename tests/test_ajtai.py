@@ -2,6 +2,7 @@
 
 import pytest
 
+from mss import ajtai
 from mss.ajtai import (
     MAX_RANK_RESAMPLES,
     Share,
@@ -250,6 +251,38 @@ class TestAjtaiHashMany:
         with pytest.raises(DimMismatch) as many:
             ajtai_hash_many(F97, a, [Share(1, (1, 1, 0)), Share(2, bad)])
         assert str(many.value) == str(single.value)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    @pytest.mark.parametrize("q", [97, (1 << 61) - 1, BIG_PRIME])
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 17), (32, 160)])
+    def test_fewer_than_two_shares_match_single_hash(self, count, q, rows, cols):
+        field = PrimeField(q)
+        rng = Drbg(f"few-{count}-{q}-{rows}-{cols}")
+        a = Matrix(rows, cols, field.rand_vec(rng, rows * cols))
+        shares = [Share(owner=j, bits=rng.bit_vector(cols)) for j in range(1, count + 1)]
+        assert ajtai_hash_many(field, a, shares) == [
+            ajtai_hash(field, a, share.bits) for share in shares
+        ]
+
+    @pytest.mark.parametrize("bad", [(1, 0), (1, 0, 1, 1)])
+    def test_one_share_of_wrong_length_raises_like_single_hash(self, bad):
+        a = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(DimMismatch) as single:
+            ajtai_hash(F97, a, bad)
+        with pytest.raises(DimMismatch) as many:
+            ajtai_hash_many(F97, a, [Share(1, bad)])
+        assert str(many.value) == str(single.value)
+
+    @pytest.mark.parametrize("count, packs", [(0, False), (1, False), (2, True), (5, True)])
+    def test_packs_columns_only_for_two_or_more_shares(self, monkeypatch, count, packs):
+        # one hash costs less than packing A's columns, so one share is not packed
+        packed = []
+        real_pack = ajtai._pack
+        monkeypatch.setattr(ajtai, "_pack", lambda *args: packed.append(1) or real_pack(*args))
+        a = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        shares = [Share(j, (1, j % 2, 1)) for j in range(1, count + 1)]
+        assert ajtai_hash_many(F97, a, shares) == [ajtai_hash(F97, a, s.bits) for s in shares]
+        assert bool(packed) is packs
 
 
 class TestVerifyCommitment:

@@ -554,6 +554,14 @@ class TestSecretsAndRecoveredFiles:
         blob = encode_secrets(97, vectors)
         assert decode_secrets(blob, 97) == vectors
 
+    @pytest.mark.parametrize("bad", [100, -1, True])
+    def test_secrets_encoded_as_given_or_refused(self, bad):
+        # reducing would write a secret other than the one given
+        refusal = r"^secret 2 has components that are not ints in \[0, q\)$"
+        with pytest.raises(ValueError, match=refusal):
+            encode_secrets(97, [(1, 2), (3, bad, 5)])
+        assert decode_secrets(encode_secrets(97, [(1, 2), (3, 96, 0)]), 97) == ((1, 2), (3, 96, 0))
+
     def test_secrets_must_be_reduced(self):
         blob = encode_secrets(101, ((99,),))
         with pytest.raises(ValidationError):

@@ -456,6 +456,26 @@ class TestRecover:
         assert capsys.readouterr().err == f"share {order[0]}: FAIL\n"
         assert not (dealt / "r_bad.json").exists()
 
+    def test_each_command_checks_its_shares_once(self, dealt, monkeypatch, capsys):
+        # verify-share and recover bind shares to the deal by one library call
+        calls = []
+        real = cli.first_unbound
+
+        def spy(deal_setup, shares):
+            calls.append([share.owner for share in shares])
+            return real(deal_setup, shares)
+
+        monkeypatch.setattr(cli, "first_unbound", spy)
+        bulletin = str(dealt / "bulletin.json")
+        assert cli.main(["verify-share", "--bulletin", bulletin,
+                         "--share", str(dealt / "share_4.json")]) == 0
+        assert calls == [[4]]
+        assert cli.main([
+            "recover", "--bulletin", bulletin, "--secret", "2", "--method", "lagrange",
+            "--out", str(dealt / "r_spy.json"), *[str(dealt / f"share_{j}.json") for j in (5, 1, 3)],
+        ]) == 0, capsys.readouterr().err
+        assert calls == [[4], [5, 1, 3]]
+
     @pytest.mark.parametrize(
         "out, error, code",
         [
@@ -730,6 +750,9 @@ class TestParserText:
         ["bench", "--seed", "-1"],
         ["deal", "--variant", "s1", "--n", "5", "--k", "1", "--thresholds", "2",
          "--secrets", "s.json", "--seed", "-1"],
+        ["deal", "--variant", "s1", "--n", "5", "--k", "2", "--thresholds", "2,x",
+         "--secrets", "s.json"],
+        ["bench", "--t-range", "2,x"],
     ]
 
     @staticmethod
@@ -746,6 +769,14 @@ class TestParserText:
         full = self.printed(cli.build_parser().parse_args, argv)
         assert self.printed(cli.main, argv) == full
         assert full[2] in (0, 2)
+
+    def test_bad_int_list_names_the_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["deal", "--variant", "s1", "--n", "5", "--k", "2",
+                      "--thresholds", "2,x", "--secrets", "s.json"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --thresholds: expected a comma list of integers" in err
 
     def test_unrecognized_option_lists_every_subcommand(self, capsys):
         with pytest.raises(SystemExit):

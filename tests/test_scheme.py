@@ -26,6 +26,7 @@ from mss.scheme import (
     compute_shadow,
     construct,
     deal,
+    first_unbound,
     ilr_spec_for,
     participant_subshadows,
     privacy_rank_probe,
@@ -201,6 +202,41 @@ class TestSetup:
         assert deal(p, secrets, Drbg("scan")) == expected
 
 
+class TestFirstUnbound:
+    """The one check that shares are the ones a setup commits to."""
+
+    @staticmethod
+    def tampered(share):
+        return Share(owner=share.owner, bits=share.bits[:-1] + (share.bits[-1] ^ 1,))
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_own_shares_in_any_order_are_bound(self, variant):
+        p = SchemeParams(variant=variant, n=7, k=2, thresholds=(2, 4), q=97)
+        shares, deal_setup = setup(p, Drbg(f"bound-{variant}"))
+        shuffled = [shares[j] for j in (4, 0, 6, 2, 5, 1, 3)]
+        assert first_unbound(deal_setup, shuffled) is None
+        assert first_unbound(deal_setup, shuffled[:1]) is None
+        assert first_unbound(deal_setup, []) is None
+
+    @pytest.mark.parametrize("order", [(2, 5), (5, 2)])
+    def test_first_tampered_share_in_the_order_given(self, order):
+        p = SchemeParams(variant=Variant.S2, n=6, k=1, thresholds=(3,), q=97)
+        shares, deal_setup = setup(p, Drbg("tampered"))
+        bad = {j: self.tampered(shares[j - 1]) for j in (2, 5)}
+        given = [shares[0], bad[order[0]], shares[3], bad[order[1]], shares[5]]
+        assert first_unbound(deal_setup, given) is bad[order[0]]
+        assert first_unbound(deal_setup, [bad[order[1]]]) is bad[order[1]]
+
+    def test_owner_past_n_raises_bad_index(self):
+        p = SchemeParams(variant=Variant.S1, n=5, k=1, thresholds=(2,), q=97)
+        shares, deal_setup = setup(p, Drbg("past"))
+        past = Share(owner=6, bits=shares[0].bits)
+        with pytest.raises(BadIndex, match=r"^a share's owner is outside \[1, 5\]$"):
+            first_unbound(deal_setup, [*shares, past])
+        with pytest.raises(BadIndex):
+            first_unbound(deal_setup, [past])
+
+
 class TestConstruct:
     def test_offsets_extend_shadows_into_sequence(self):
         for variant in ALL_VARIANTS:
@@ -263,6 +299,15 @@ class TestConstruct:
         cut = (*s[:2], short, *s[3:])
         with pytest.raises(BadShares, match="^share 3 has wrong bit-length$"):
             construct(result, cut, [(1, 2)], rng)
+
+    def test_shares_of_another_setup_refused(self):
+        # same params, second setup call: its shares are not the first one's
+        p = SchemeParams(variant=Variant.S1, n=6, k=2, thresholds=(2, 3), q=97)
+        rng = Drbg("other-setup")
+        _, first = setup(p, rng)
+        others, _ = setup(p, rng)
+        with pytest.raises(BadShares, match="^shares are not the ones the setup commits to$"):
+            construct(first, others, [(1, 2), (3, 4, 5)], rng)
 
     def test_constants_distinct_per_secret(self):
         params, _, _, board = make_deal(
