@@ -9,7 +9,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from mss import (
+from mss.field import (
     DEFAULT_PRIME,
     PrimeField,
     binom_mod,

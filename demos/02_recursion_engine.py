@@ -9,14 +9,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from mss import (
+from mss.field import PrimeField, poly_eval
+from mss.ilr import (
     IlrSpec,
-    PrimeField,
     backward_recover,
     fit_general_term,
     fold_value,
     forward_extend,
-    poly_eval,
     recursion_coeffs,
     rhs_term,
     to_homogeneous,

@@ -15,12 +15,12 @@ from mss import (
     Share,
     Variant,
     deal,
+    first_unbound,
     participant_subshadows,
     privacy_rank_probe,
     recover_way1_lagrange,
     recover_way1_vandermonde,
     recover_way2,
-    verify_commitment,
     verify_secret,
 )
 
@@ -33,12 +33,9 @@ print(f"dealt {params.k} secrets to {params.n} participants, r = {params.r} bits
 print("thresholds:", params.thresholds)
 print()
 
-field = params.field()
 print("participants verify their shares against the published commitments:")
 for share in shares:
-    ok = verify_commitment(
-        field, board.setup.commit_matrix, share, board.setup.commitments[share.owner - 1]
-    )
+    ok = first_unbound(board.setup, [share]) is None
     print(f"  participant {share.owner}: {'ok' if ok else 'BAD'}")
 print()
 
@@ -64,9 +61,7 @@ victim = shares[0]
 bits = list(victim.bits)
 bits[3] ^= 1
 forged = Share(owner=victim.owner, bits=tuple(bits))
-caught = not verify_commitment(
-    field, board.setup.commit_matrix, forged, board.setup.commitments[victim.owner - 1]
-)
+caught = first_unbound(board.setup, [forged]) is forged
 print("flipping one bit of participant 1's share is detected:", caught)
 
 # A wrong recovered value fails the published digest.

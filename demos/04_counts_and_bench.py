@@ -13,8 +13,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from mss import FIGURE1_TUPLES, counts_csv
 from mss.cli import main
+from mss.counts import FIGURE1_TUPLES, counts_csv
 
 print("published-value counts at the reference parameter tuples:")
 print(counts_csv(FIGURE1_TUPLES))

@@ -7,13 +7,13 @@ recovery works by interpolation over any quorum or by backward recursion
 over a consecutive one, and both shares and recovered secrets are
 verifiable against published digests.
 
-The package exports the protocol, the field and recursion toolkit, the
-count tables, and every error class; everything else (codecs, samplers,
-helpers) is imported from its submodule.
+The package exports the protocol and every error class. The toolkits are
+imported from their submodules: the field from `mss.field`, the recursion
+from `mss.ilr`, the count tables from `mss.counts`; so is everything else
+(codecs, samplers, helpers).
 """
 
-from .ajtai import Share, verify_commitment
-from .counts import FIGURE1_TUPLES, counts_csv
+from .ajtai import Share
 from .errors import (
     BadIndex,
     BadInitial,
@@ -34,31 +34,13 @@ from .errors import (
     ValidationError,
     WrongDeal,
 )
-from .field import (
-    DEFAULT_PRIME,
-    PrimeField,
-    binom_mod,
-    lagrange_at_zero,
-    poly_eval,
-    solve_linear,
-    vandermonde,
-)
-from .ilr import (
-    IlrSpec,
-    backward_recover,
-    fit_general_term,
-    fold_value,
-    forward_extend,
-    recursion_coeffs,
-    rhs_term,
-    to_homogeneous,
-)
 from .rng import Drbg
 from .scheme import (
     Bulletin,
     SchemeParams,
     Variant,
     deal,
+    first_unbound,
     participant_subshadows,
     privacy_rank_probe,
     recover_way1_lagrange,

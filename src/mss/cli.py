@@ -328,6 +328,3 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,6 +1,7 @@
 """Every demo script runs to completion against the library in src, the
-demos that print no timings print the same bytes every run, and the
-package exports exactly what the demos and README import from it."""
+demos that print no timings print the same bytes every run, every Python
+example in the README runs, and the package exports exactly what the demos
+and README import from it."""
 
 import hashlib
 import os
@@ -34,6 +35,13 @@ def test_demo_exits_zero(demo):
     assert result.returncode == 0, result.stderr.decode()
     if demo.name in STDOUT_SHA256:
         assert hashlib.sha256(result.stdout).hexdigest() == STDOUT_SHA256[demo.name]
+
+
+def test_readme_python_examples_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
 
 
 def test_package_exports_what_readme_and_demos_import():

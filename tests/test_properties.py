@@ -3,6 +3,9 @@
 For a random variant, modulus, participant count n <= 12, thresholds,
 secrets and DRBG seed, every recovery path returns the dealt secret exactly
 from a random quorum, and decoding an encoded bulletin gives it back.
+``first_unbound`` returns the first share, of any shares of a seeded deal
+in any order with up to two of them tampered, that ``verify_commitment``
+refuses against its owner's commitment.
 The weights at zero that one linear solve gives a node set turn any
 samples into the constant coefficients that ``fit_general_term`` fits, and
 the Vandermonde recovery of any bulletin's quorum equals those.
@@ -20,6 +23,7 @@ Examples are derived from the test itself (derandomized), so every run
 checks the same inputs.
 """
 
+import functools
 import hashlib
 import json
 
@@ -27,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mss.ajtai import Share, verify_commitment
 from mss.bulletin import (
     _Residues,
     _canonical_bytes,
@@ -52,6 +57,7 @@ from mss.scheme import (
     Variant,
     _solved_weights,
     deal,
+    first_unbound,
     participant_subshadows,
     recover_way1_lagrange,
     recover_way1_vandermonde,
@@ -98,6 +104,53 @@ def test_every_recovery_returns_the_dealt_secret(dealt, data):
         start = data.draw(st.integers(1, n - t_i + 1))
         window = participant_subshadows(board, i, shares[start - 1 : start - 1 + t_i])
         assert recover_way2(board, i, window) == secret
+
+
+@functools.cache
+def seeded_deal(variant, q):
+    """(shares, setup) of one seeded n = 8 deal."""
+    params = SchemeParams(variant=variant, n=8, k=2, thresholds=(3, 5), q=q)
+    shares, board = deal(params, [(1, 2, 3), (4, 5, 6, 7, 8)], Drbg(f"unbound-{variant}-{q}"))
+    return shares, board.setup
+
+
+@st.composite
+def pooled_shares(draw):
+    """A setup and one or more of its shares in random order, with one bit
+    flipped in up to two of them."""
+    shares, setup = seeded_deal(
+        draw(st.sampled_from(list(Variant))), draw(st.sampled_from(MODULI))
+    )
+    owners = draw(
+        st.lists(st.integers(1, len(shares)), min_size=1, max_size=len(shares), unique=True)
+    )
+    given = [shares[j - 1] for j in owners]
+    flipped = draw(st.lists(st.sampled_from(range(len(given))), max_size=2, unique=True))
+    for at in flipped:
+        bits = list(given[at].bits)
+        bits[draw(st.integers(0, len(bits) - 1))] ^= 1
+        given[at] = Share(owner=given[at].owner, bits=tuple(bits))
+    return setup, given
+
+
+@settings(
+    max_examples=max(200, settings.default.max_examples),
+    deadline=None, derandomize=True, database=None,
+)
+@given(pooled_shares())
+def test_first_unbound_is_the_first_share_failing_its_commitment(case):
+    setup, given = case
+    field = setup.params.field()
+
+    def reference(shares):
+        return next((share for share in shares if not verify_commitment(
+            field, setup.commit_matrix, share, setup.commitments[share.owner - 1]
+        )), None)
+
+    # one share goes through the per-row hash, two or more through packed columns
+    assert first_unbound(setup, given) is reference(given)
+    for share in given:
+        assert first_unbound(setup, [share]) is reference([share])
 
 
 def residue_vectors(q, dim, count):
