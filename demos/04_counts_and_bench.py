@@ -14,10 +14,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mss.cli import main
-from mss.counts import FIGURE1_TUPLES, counts_csv
+from mss.counts import counts_csv
 
 print("published-value counts at the reference parameter tuples:")
-print(counts_csv(FIGURE1_TUPLES))
+print(counts_csv())
 
 print("live timings (medians over 5 trials, n = 24, one secret):")
 csv = io.StringIO()

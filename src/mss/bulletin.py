@@ -1,14 +1,15 @@
 """Canonical serialization of bulletins, share files, and reports.
 
 Everything is JSON with sorted keys and no insignificant whitespace, so
-identical structures always encode to identical bytes.  Residues travel as
+identical structures encode to identical bytes, and ``_document`` puts every
+file under the envelope that ``_load_json`` checks.  Residues travel as
 decimal strings because the default modulus exceeds the 53-bit range where
 JSON numbers stay exact.  One writer, ``_strs``, turns residue arrays into
 lists of decimal strings that ``_dump`` writes by ``join``, and one reader,
 ``_parse_nested``, checks them back against the shape the parameters give,
 each vector or level of vectors in one byte scan and one JSON array read.
-Share bits become hex by ``bytes.translate`` and ``int``, and bits again
-by ``rng._bits``, which the generator's bit vectors use too.  Decoding
+Share bits become hex by ``bytes.translate`` and ``int``, and bits again by
+``rng._bits``, which the generator's bit vectors use too.  Decoding
 re-validates every structural invariant and fails loudly on anything off.
 """
 
@@ -68,8 +69,7 @@ def _canonical_bytes(obj) -> bytes:
 
 
 def _document(kind: str, **fields) -> bytes:
-    """A share, secrets or report file: the fields under the envelope that
-    ``_load_json`` checks.  The bulletin's version is in its setup section."""
+    """Any file of the codec: its fields under the envelope ``_load_json`` checks."""
     return _canonical_bytes(dict(fields, format_version=FORMAT_VERSION, kind=kind))
 
 
@@ -267,10 +267,9 @@ def encode_bulletin(bulletin: Bulletin) -> tuple[bytes, str]:
     """The bulletin's bytes and its ``deal_id``, with the setup section
     turned into strings once for both; ``read_bulletin`` undoes it."""
     setup = _setup_section(bulletin.setup)
-    obj = dict(setup, kind="bulletin", secret_hashes=list(bulletin.secret_hashes))
-    for key in ("constants", "offsets", "extras"):
-        obj[key] = _strs(getattr(bulletin, key))
-    return _canonical_bytes(obj), _digest(setup)
+    rounds = {key: _strs(getattr(bulletin, key)) for key in ("constants", "offsets", "extras")}
+    data = _document("bulletin", **setup, **rounds, secret_hashes=list(bulletin.secret_hashes))
+    return data, _digest(setup)
 
 
 def read_bulletin(data: bytes | str) -> tuple[Bulletin, str]:

@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import bulletin as bio
-from .counts import FIGURE1_TUPLES, SCHEME_LABELS, counts_csv, public_value_counts
+from .counts import SCHEME_LABELS, counts_csv, public_value_counts
 from .errors import MssError, WrongDeal
 from .field import DEFAULT_PRIME
 from .rng import Drbg
@@ -181,7 +181,7 @@ def cmd_verify_secret(args) -> int:
 
 def cmd_counts(args) -> int:
     if args.figure1:
-        sys.stdout.write(counts_csv(FIGURE1_TUPLES))
+        sys.stdout.write(counts_csv())
         return EXIT_OK
     counts = public_value_counts(args.t, args.k, args.n)
     print(f"t={args.t} k={args.k} n={args.n}")
@@ -202,16 +202,15 @@ def cmd_bench(args) -> int:
     """Median wall time of each phase, as CSV rows per threshold value.
 
     Each trial draws its own setup, untimed, then times construction on it,
-    one share verification, and one recovery per method over freshly drawn
-    quorums.
+    one share verification, and one recovery per method: over a random
+    quorum, or a random consecutive window for the backward walk.
     """
     import statistics  # only here; importing it costs every other command
 
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
     n, k = args.n, args.k
-    phases = ("construct", "verify_share", "recover_vandermonde", "recover_lagrange",
-              "recover_backward")
+    phases = ("construct", "verify_share", *(f"recover_{method}" for method in _METHODS))
     rng = _rng_for(args)
     lines = ["phase,t,trials,median_seconds"]
     for t in args.t_range:
@@ -223,18 +222,14 @@ def cmd_bench(args) -> int:
             board = _timed(times["construct"], construct, deal_setup, shares, secrets, rng)
             share = shares[rng.randbelow(n)]
             _timed(times["verify_share"], first_unbound, deal_setup, [share])
-            # random quorum for the interpolating methods
-            owners = list(range(1, n + 1))
-            quorum = [owners.pop(rng.randbelow(len(owners))) for _ in range(t)]
-            group = [shares[j - 1] for j in quorum]
-            subshadows = participant_subshadows(board, 1, group)
-            _timed(times["recover_vandermonde"], recover_way1_vandermonde, board, 1, subshadows)
-            _timed(times["recover_lagrange"], recover_way1_lagrange, board, 1, subshadows)
-            # random consecutive window for backward recovery
-            start = 1 + rng.randbelow(n - t + 1)
-            window_group = shares[start - 1 : start - 1 + t]
-            window = participant_subshadows(board, 1, window_group)
-            _timed(times["recover_backward"], recover_way2, board, 1, window)
+            unpicked = list(shares)
+            quorum = [unpicked.pop(rng.randbelow(len(unpicked))) for _ in range(t)]
+            drawn = participant_subshadows(board, 1, quorum)
+            start = rng.randbelow(n - t + 1)
+            window = participant_subshadows(board, 1, shares[start : start + t])
+            for method, recover in _METHODS.items():
+                subshadows = window if method == "backward" else drawn
+                _timed(times[f"recover_{method}"], recover, board, 1, subshadows)
         for phase, samples in times.items():
             lines.append(f"{phase},{t},{args.trials},{statistics.median(samples):.9f}")
     sys.stdout.write("\n".join(lines) + "\n")

@@ -30,10 +30,10 @@ def public_value_counts(t: int, k: int, n: int) -> dict[str, int]:
     }
 
 
-def counts_csv(tuples=FIGURE1_TUPLES) -> str:
-    """CSV table of counts, one row per (t, k, n) tuple."""
+def counts_csv() -> str:
+    """CSV table of counts, one row per tuple of ``FIGURE1_TUPLES``."""
     lines = ["t,k,n," + ",".join(SCHEME_LABELS)]
-    for t, k, n in tuples:
+    for t, k, n in FIGURE1_TUPLES:
         counts = public_value_counts(t, k, n)
         lines.append(
             f"{t},{k},{n}," + ",".join(str(counts[label]) for label in SCHEME_LABELS)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from mss.counts import FIGURE1_TUPLES, counts_csv, public_value_counts
+from mss.counts import counts_csv, public_value_counts
 
 GOLDEN_CSV = """t,k,n,hd,lh,sm,pe,os12,os34
 3,4,7,28,16,25,23,48,53
@@ -40,4 +40,4 @@ class TestCountFormulas:
             public_value_counts(3, 0, 7)
 
     def test_reference_csv_matches_golden(self):
-        assert counts_csv(FIGURE1_TUPLES) == GOLDEN_CSV
+        assert counts_csv() == GOLDEN_CSV
