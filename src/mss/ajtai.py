@@ -4,6 +4,10 @@ A random matrix A over F_q maps a binary vector x to A*x mod q; since x is
 binary this is a subset sum of A's columns.  Finding a second binary
 preimage for a uniformly random A is assumed hard at cryptographic sizes,
 which is what makes the published commitments h_j = F*sh_j binding.
+
+A public matrix is published as a 32-byte seed, which ``expand_matrix``
+turns into the matrix by SHAKE-256, as Kyber and NewHope publish theirs;
+the matrices are then pseudorandom, with SHAKE-256 as a random oracle.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from typing import Sequence
 
 from .errors import DimMismatch, MssError, NotBinary, RngSuspect, ShareSpaceExhausted
 from .field import Matrix, PrimeField, _pack, _unpack, matrix_rank
+from .rng import Xof
 
 #: Keep the share space at >= 2^16 vectors even for tiny test parameters.
 MIN_SHARE_BITS = 16
@@ -25,6 +30,9 @@ MAX_SHARE_RESAMPLES = 1000
 #: for r >= t log t the failure probability per draw is negligible, so
 #: hitting this limit signals broken randomness rather than bad luck.
 MAX_RANK_RESAMPLES = 100
+
+#: Bytes of the seed a public matrix is published as.
+SEED_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -83,16 +91,24 @@ def sample_distinct_shares(n: int, r: int, rng) -> list[tuple[int, ...]]:
     return _distinct_draws(rng.bit_vector, [r] * n, exhausted)
 
 
+def expand_matrix(field: PrimeField, rows: int, cols: int, seed: bytes) -> Matrix:
+    """The matrix a seed stands for: rows * cols uniform residues, row by
+    row, drawn by ``Drbg.randbelow_many`` from the seed's SHAKE-256 stream."""
+    return Matrix(rows, cols, field.rand_vec(Xof(seed), rows * cols))
+
+
 def sample_matrix_full_rank(
     field: PrimeField, rows: int, cols: int, rng
-) -> Matrix:
-    """Uniform matrix, resampled until it has full row rank."""
+) -> tuple[bytes, Matrix]:
+    """A seed drawn from rng and the matrix it expands to, redrawn until
+    that matrix has full row rank."""
     if rows > cols:
         raise DimMismatch("full row rank needs rows <= cols")
     for _attempt in range(MAX_RANK_RESAMPLES):
-        m = Matrix(rows, cols, field.rand_vec(rng, rows * cols))
+        seed = rng.randbytes(SEED_BYTES)
+        m = expand_matrix(field, rows, cols, seed)
         if matrix_rank(field, m) == rows:
-            return m
+            return seed, m
     raise RngSuspect(f"{MAX_RANK_RESAMPLES} rank-deficient draws in a row")
 
 

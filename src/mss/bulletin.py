@@ -11,6 +11,11 @@ each vector or level of vectors in one byte scan and one JSON array read.
 Share bits become hex by ``bytes.translate`` and ``int``, and bits again by
 ``rng._bits``, which the generator's bit vectors use too.  Decoding
 re-validates every structural invariant and fails loudly on anything off.
+
+This is the one module that knows bulletin formats.  Format 2, which
+``deal`` writes, publishes each public matrix as the seed it expands from;
+format 1 published the matrices, and is still read and written for a
+``DealSetup`` that holds matrices.  Every other file is format 1.
 """
 
 from __future__ import annotations
@@ -36,7 +41,13 @@ from .field import Matrix
 from .rng import _bits
 from .scheme import Bulletin, DealSetup, SchemeParams, Variant
 
+#: The format ``_document`` writes: that of every file but a bulletin, which
+#: is written in the format its setup holds (see ``_setup_section``).
 FORMAT_VERSION = 1
+
+#: The keys under which each bulletin format publishes F and the G_i: as
+#: matrices in format 1, as the seeds ``ajtai.expand_matrix`` expands in 2.
+_MATRIX_KEYS = {1: ("commit_matrix", "mask_matrices"), 2: ("commit_seed", "mask_seeds")}
 
 # Matched with fullmatch: "$" would also accept a value ending in "\n".
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")
@@ -69,13 +80,14 @@ def _canonical_bytes(obj) -> bytes:
 
 
 def _document(kind: str, **fields) -> bytes:
-    """Any file of the codec: its fields under the envelope ``_load_json`` checks."""
-    return _canonical_bytes(dict(fields, format_version=FORMAT_VERSION, kind=kind))
+    """Any file of the codec: its fields under the envelope ``_load_json``
+    checks, at FORMAT_VERSION unless the fields hold a format_version."""
+    return _canonical_bytes({"format_version": FORMAT_VERSION, **fields, "kind": kind})
 
 
-def _load_json(data: bytes | str, kind: str) -> dict:
+def _load_json(data: bytes | str, kind: str, versions=(FORMAT_VERSION,)) -> dict:
     """The document's top-level object, once the envelope checks out: UTF-8,
-    JSON, an object, the expected kind, and the supported format_version."""
+    JSON, an object, the expected kind, and a format_version in versions."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -93,7 +105,7 @@ def _load_json(data: bytes | str, kind: str) -> dict:
     version = obj.get("format_version")
     if not isinstance(version, int) or isinstance(version, bool):
         raise ParseError("format_version must be an integer")
-    if version != FORMAT_VERSION:
+    if version not in versions:
         raise UnsupportedVersion(f"unsupported format_version {version}")
     return obj
 
@@ -196,6 +208,33 @@ def _parse_matrix(value, q: int, rows: int, cols: int, what: str) -> tuple[Matri
     return Matrix(rows, cols, data), {"rows": rows, "cols": cols, "data": _Residues(raw)}
 
 
+def _parse_seed(value, what: str) -> tuple[bytes, str]:
+    """The seed, and the string it was read from."""
+    if not isinstance(value, str) or not _HEX_DIGEST.fullmatch(value):
+        raise ValidationError(f"{what} must be 64 lowercase hex digits")
+    return bytes.fromhex(value), value
+
+
+def _parse_public_matrices(obj: dict, params: SchemeParams, version: int):
+    """The setup's matrices as ``DealSetup`` holds them, F first, and the
+    values its section holds for F and for the G_i, from the checked input:
+    format 1's matrices, or format 2's seeds, which are not expanded here."""
+    commit_key, masks_key = _MATRIX_KEYS[version]
+    raw_masks = _array(_get(obj, masks_key), params.k, masks_key)
+    if version == 1:
+        q, r = params.q, params.r
+        masks = [
+            _parse_matrix(m, q, t, r, f"{masks_key}[{i}]")
+            for i, (m, t) in enumerate(zip(raw_masks, params.thresholds))
+        ]
+        commit = _parse_matrix(_get(obj, commit_key), q, params.max_threshold, r, commit_key)
+    else:
+        masks = [_parse_seed(s, f"{masks_key}[{i}]") for i, s in enumerate(raw_masks)]
+        commit = _parse_seed(_get(obj, commit_key), commit_key)
+    matrices, values = zip(commit, *masks)
+    return matrices, values[0], list(values[1:])
+
+
 def _params_obj(params: SchemeParams) -> dict:
     return {
         "variant": params.variant.value,
@@ -231,26 +270,31 @@ def _parse_params(value) -> SchemeParams:
 
 
 def _setup_obj(
-    params: SchemeParams, masks: list[dict], commit_matrix: dict, commitments: list
+    version: int, params: SchemeParams, commit, masks: list, commitments: list
 ) -> dict:
-    """The setup section, a ``DealSetup`` with its matrices as objects and
-    its commitments as string lists.
+    """The setup section of a bulletin format: a ``DealSetup`` with F and the
+    G_i as the format publishes them, and its commitments as string lists.
 
     Encode and decode both build it here, so the digest that binds share
     files to a deal is taken over one layout.
     """
+    commit_key, masks_key = _MATRIX_KEYS[version]
     return {
-        "format_version": FORMAT_VERSION,
+        "format_version": version,
         "params": _params_obj(params),
-        "mask_matrices": masks,
-        "commit_matrix": commit_matrix,
+        masks_key: masks,
+        commit_key: commit,
         "commitments": commitments,
     }
 
 
 def _setup_section(setup: DealSetup) -> dict:
-    parts = (setup.mask_matrices, setup.commit_matrix, setup.commitments)
-    return _setup_obj(setup.params, *map(_strs, parts))
+    """The section of the format the setup holds: 1 for matrices, 2 for seeds."""
+    version = 1 if isinstance(setup.matrices[0], Matrix) else 2
+    if any(isinstance(m, Matrix) != (version == 1) for m in setup.matrices):
+        raise ValueError("a setup holds either every matrix or every seed")
+    commit, *masks = map(_strs if version == 1 else bytes.hex, setup.matrices)
+    return _setup_obj(version, setup.params, commit, masks, _strs(setup.commitments))
 
 
 def _digest(setup: dict) -> str:
@@ -275,22 +319,19 @@ def encode_bulletin(bulletin: Bulletin) -> tuple[bytes, str]:
 def read_bulletin(data: bytes | str) -> tuple[Bulletin, str]:
     """The bulletin and its ``deal_id``, in one pass.
 
+    Both bulletin formats are read; a format 2 seed is checked and kept,
+    and ``DealSetup.matrix`` expands it when an op first needs its matrix.
     The digest is hashed from the setup section rebuilt from the file's own
-    residue strings.  Decode has checked each to be ``str`` of its value,
-    so the section equals ``_setup_section`` of ``bulletin.setup``; keys that
-    decode ignores never reach it.
+    residue and seed strings.  Decode has checked each to be ``str`` of its
+    value, so the section equals ``_setup_section`` of ``bulletin.setup``;
+    keys that decode ignores never reach it.
     """
-    obj = _load_json(data, "bulletin")
+    obj = _load_json(data, "bulletin", versions=tuple(_MATRIX_KEYS))
+    version = obj["format_version"]
     params = _parse_params(_get(obj, "params"))
     q, n, k, ts = params.q, params.n, params.k, params.thresholds
     t_max = params.max_threshold
-    masks = [
-        _parse_matrix(m, q, ts[i], params.r, f"mask_matrices[{i}]")
-        for i, m in enumerate(_array(_get(obj, "mask_matrices"), k, "mask_matrices"))
-    ]
-    commit_matrix, commit_obj = _parse_matrix(
-        _get(obj, "commit_matrix"), q, t_max, params.r, "commit_matrix"
-    )
+    matrices, commit_value, mask_values = _parse_public_matrices(obj, params, version)
     raw_commitments = _get(obj, "commitments")
     commitments = _parse_nested(raw_commitments, q, [t_max] * n, "commitments")
     raw_hashes = _array(_get(obj, "secret_hashes"), k, "secret_hashes")
@@ -307,10 +348,10 @@ def read_bulletin(data: bytes | str) -> tuple[Bulletin, str]:
         key: _parse_nested(_get(obj, key), q, shape, key) for key, shape in shapes.items()
     }
 
-    deal_setup = DealSetup(params, tuple(m for m, _ in masks), commit_matrix, commitments)
+    deal_setup = DealSetup(params, matrices, commitments)
     bulletin = Bulletin(setup=deal_setup, secret_hashes=tuple(raw_hashes), **per_secret)
     setup = _setup_obj(
-        params, [m_obj for _, m_obj in masks], commit_obj, list(map(_Residues, raw_commitments))
+        version, params, commit_value, mask_values, list(map(_Residues, raw_commitments))
     )
     return bulletin, _digest(setup)
 

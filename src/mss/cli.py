@@ -93,7 +93,7 @@ def cmd_deal(args) -> int:
         )
 
     published = {
-        "matrices": params.k + 1,  # a mask matrix per secret, and the commitment matrix
+        "matrices": params.k + 1,  # a mask matrix per secret and F, published as seeds
         "commitments": params.n,
         "hashes": params.k,
         "constants": len(board.constants),
@@ -203,7 +203,8 @@ def cmd_bench(args) -> int:
 
     Each trial draws its own setup, untimed, then times construction on it,
     one share verification, and one recovery per method: over a random
-    quorum, or a random consecutive window for the backward walk.
+    quorum, or a random consecutive window for the backward walk.  Trial m
+    recovers secret 1 + m % k, so the trials cycle through every secret.
     """
     import statistics  # only here; importing it costs every other command
 
@@ -217,19 +218,20 @@ def cmd_bench(args) -> int:
         params = SchemeParams(variant=args.variant, n=n, k=k, thresholds=(t,) * k)
         secrets = [params.field().rand_vec(rng, t) for _ in range(k)]
         times: dict[str, list[float]] = {phase: [] for phase in phases}
-        for _ in range(args.trials):
+        for trial in range(args.trials):
+            i = 1 + trial % k
             shares, deal_setup = setup(params, rng)
             board = _timed(times["construct"], construct, deal_setup, shares, secrets, rng)
             share = shares[rng.randbelow(n)]
             _timed(times["verify_share"], first_unbound, deal_setup, [share])
             unpicked = list(shares)
             quorum = [unpicked.pop(rng.randbelow(len(unpicked))) for _ in range(t)]
-            drawn = participant_subshadows(board, 1, quorum)
+            drawn = participant_subshadows(board, i, quorum)
             start = rng.randbelow(n - t + 1)
-            window = participant_subshadows(board, 1, shares[start : start + t])
+            window = participant_subshadows(board, i, shares[start : start + t])
             for method, recover in _METHODS.items():
                 subshadows = window if method == "backward" else drawn
-                _timed(times[f"recover_{method}"], recover, board, 1, subshadows)
+                _timed(times[f"recover_{method}"], recover, board, i, subshadows)
         for phase, samples in times.items():
             lines.append(f"{phase},{t},{args.trials},{statistics.median(samples):.9f}")
     sys.stdout.write("\n".join(lines) + "\n")

@@ -12,6 +12,9 @@ The bulk conversions run in C: a pull's candidates are read with one
 ``struct.unpack`` of big-endian 8-byte words, and ``_bits`` turns a value
 into 0/1 bytes by ``format`` and ``translate``.  It is the share-bit codec's
 one int-to-bits step: bit vectors and ``bulletin``'s share decoder use it.
+
+``Xof`` is the same reader over the SHAKE-256 output of a public seed, which
+is how a seeded public matrix draws its residues.
 """
 
 from __future__ import annotations
@@ -135,3 +138,29 @@ class Drbg:
     def bit_vector(self, r: int) -> tuple[int, ...]:
         """Uniform binary vector of length r, most significant bit first."""
         return _bits(self.getrandbits(r), r)
+
+
+class Xof(Drbg):
+    """The SHAKE-256 output of a seed, read as a ``Drbg`` stream is read.
+
+    A public matrix is published as the seed of this stream: its residues
+    are the stream's ``randbelow_many`` draws.  SHAKE has no incremental
+    read, so a request past the squeezed bytes squeezes again, at least
+    twice as many.
+    """
+
+    __slots__ = ("_seed",)
+
+    def __init__(self, seed: bytes):
+        self._seed = seed
+        self._pool = b""
+        self._pos = 0
+
+    def randbytes(self, n: int) -> bytes:
+        if n < 0:
+            raise ValueError("number of bytes must be nonnegative")
+        pos, end = self._pos, self._pos + n
+        if end > len(self._pool):
+            self._pool = hashlib.shake_256(self._seed).digest(max(end, 2 * len(self._pool)))
+        self._pos = end
+        return self._pool[pos:end]

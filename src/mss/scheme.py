@@ -19,6 +19,7 @@ secret recovers independently, in any order.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import hashlib
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .ajtai import (
     _distinct_draws,
     ajtai_hash,
     ajtai_hash_many,
+    expand_matrix,
     sample_distinct_shares,
     sample_matrix_full_rank,
     share_length,
@@ -135,17 +137,33 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class DealSetup:
-    """What share files are bound to: the parameters, the per-secret mask
-    matrices G_i, the commitment matrix F and the commitments.
+    """What share files are bound to: the parameters, the public matrices
+    and the commitments.
 
-    This is the section that ``deal_id`` digests.  commitments[j - 1] is
-    owner j's commitment F * sh_j, as residues.
+    This is the section that ``deal_id`` digests.  matrices[0] stands for
+    the commitment matrix F and matrices[i] for secret i's mask matrix G_i:
+    each is a ``Matrix``, or the seed ``expand_matrix`` turns into one.
+    commitments[j - 1] is owner j's commitment F * sh_j, as residues.
     """
 
     params: SchemeParams
-    mask_matrices: tuple[Matrix, ...]
-    commit_matrix: Matrix
+    matrices: tuple[Matrix | bytes, ...]
     commitments: tuple[tuple[int, ...], ...]
+    #: Matrices already expanded, by index; the dealer fills in those it drew.
+    expanded: dict[int, Matrix] = dataclasses.field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def matrix(self, i: int) -> Matrix:
+        """F for i = 0 and G_i for i = 1..k, a seed expanded on first use."""
+        source = self.matrices[i]
+        if isinstance(source, Matrix):
+            return source
+        if i not in self.expanded:
+            params = self.params
+            rows = params.thresholds[i - 1] if i else params.max_threshold
+            self.expanded[i] = expand_matrix(params.field(), rows, params.r, source)
+        return self.expanded[i]
 
 
 def _check_secret_index(params: SchemeParams, i: int) -> None:
@@ -241,23 +259,20 @@ def setup(params: SchemeParams, rng) -> tuple[tuple[Share, ...], DealSetup]:
     """Sample shares, per-secret mask matrices, and the commitment matrix:
     the shares, and the ``DealSetup`` that binds them.
 
-    Draw order (fixed for reproducibility): shares 1..n, then mask matrices
-    1..k, then the commitment matrix.
+    Draw order (fixed for reproducibility): shares 1..n, then the seeds of
+    mask matrices 1..k, then the commitment matrix's seed.
     """
     field = params.field()
     shares = tuple(
         Share(owner=j + 1, bits=bits)
         for j, bits in enumerate(sample_distinct_shares(params.n, params.r, rng))
     )
-    mask_matrices = tuple(
-        sample_matrix_full_rank(field, t_i, params.r, rng)
-        for t_i in params.thresholds
-    )
-    commit_matrix = sample_matrix_full_rank(
-        field, params.max_threshold, params.r, rng
-    )
-    commitments = tuple(ajtai_hash_many(field, commit_matrix, shares))
-    return shares, DealSetup(params, mask_matrices, commit_matrix, commitments)
+    rows = (*params.thresholds, params.max_threshold)  # G_1..G_k, then F
+    *masks, commit = (sample_matrix_full_rank(field, t, params.r, rng) for t in rows)
+    seeds, matrices = zip(commit, *masks)  # F first, as DealSetup indexes them
+    deal_setup = DealSetup(params, seeds, tuple(ajtai_hash_many(field, matrices[0], shares)))
+    deal_setup.expanded.update(enumerate(matrices))
+    return shares, deal_setup
 
 
 def first_unbound(setup: DealSetup, shares: Sequence[Share]) -> Share | None:
@@ -265,7 +280,7 @@ def first_unbound(setup: DealSetup, shares: Sequence[Share]) -> Share | None:
     owner's commitment, or None.  Raises BadIndex for an owner past n."""
     if any(share.owner > setup.params.n for share in shares):
         raise BadIndex(f"a share's owner is outside [1, {setup.params.n}]")
-    hashes = ajtai_hash_many(setup.params.field(), setup.commit_matrix, shares)
+    hashes = ajtai_hash_many(setup.params.field(), setup.matrix(0), shares)
     return next((share for share, values in zip(shares, hashes)
                  if values != setup.commitments[share.owner - 1]), None)
 
@@ -326,7 +341,7 @@ def construct(
     for i in range(1, params.k + 1):
         t_i = params.thresholds[i - 1]
         # shadows[j - 1] is owner j's, as the shares are ordered by owner
-        shadows = ajtai_hash_many(field, setup.mask_matrices[i - 1], shares)
+        shadows = ajtai_hash_many(field, setup.matrix(i), shares)
         spec = ilr_spec_for(params, i, constants)
         initial = [field.vec(secrets[i - 1])]
         initial.extend(shadows[: t_i - 1])
@@ -365,7 +380,7 @@ def compute_shadow(bulletin: Bulletin, i: int, share: Share) -> tuple[int, ...]:
     """Shadow d_j = G_i * sh_j of one participant for secret i."""
     _check_secret_index(bulletin.setup.params, i)
     field = bulletin.setup.params.field()
-    return ajtai_hash(field, bulletin.setup.mask_matrices[i - 1], share.bits)
+    return ajtai_hash(field, bulletin.setup.matrix(i), share.bits)
 
 
 def _checked_group(
@@ -419,7 +434,7 @@ def participant_subshadows(
     if len({share.owner for share in shares}) != len(shares):
         raise BadShares("two shares name the same owner")
     field = bulletin.setup.params.field()
-    hashes = ajtai_hash_many(field, bulletin.setup.mask_matrices[i - 1], shares)
+    hashes = ajtai_hash_many(field, bulletin.setup.matrix(i), shares)
     shadows = {share.owner: values for share, values in zip(shares, hashes)}
     return assemble_subshadows(bulletin, i, shadows)
 

@@ -42,6 +42,7 @@ from mss.scheme import (
     verify_secret,
 )
 from mss.ajtai import Share
+from format1 import format1_deal
 
 
 @pytest.fixture
@@ -350,13 +351,18 @@ def test_criterion_8_serialization(verdict):
             objects += 1
         boards.append(board)
 
-    # one corrupted-field mutation per field class, each with its error
+    # one corrupted-field mutation per field class, each with its error; the
+    # matrices are mutated in a format 1 deal of the first deal's params
     board = boards[0]
     base = json.loads(encode_bulletin(board)[0])
+    params, rng = board.setup.params, Drbg("acc8-format1")
+    secrets = [params.field().rand_vec(rng, t) for t in params.thresholds]
+    format1_board = format1_deal(params, secrets, rng)[1]
+    format1_base = json.loads(encode_bulletin(format1_board)[0])
 
-    def expect(mutator, error):
+    def expect(mutator, error, format1=False):
         nonlocal failures
-        obj = json.loads(json.dumps(base))
+        obj = json.loads(json.dumps(format1_base if format1 else base))
         mutator(obj)
         try:
             decode_bulletin(json.dumps(obj).encode())
@@ -367,11 +373,14 @@ def test_criterion_8_serialization(verdict):
     expect(lambda o: o.update(format_version=9), UnsupportedVersion)
     expect(lambda o: o["params"].update(variant="s9"), ValidationError)
     expect(lambda o: o["params"].update(thresholds=[1, 3]), ValidationError)
-    expect(lambda o: o["mask_matrices"][0].update(rows=9), ValidationError)
+    expect(lambda o: o["mask_matrices"][0].update(rows=9), ValidationError, format1=True)
     expect(
         lambda o: o["commit_matrix"]["data"].__setitem__(0, str(board.setup.params.q)),
         ValidationError,
+        format1=True,
     )
+    expect(lambda o: o["mask_seeds"].__setitem__(0, "zz"), ValidationError)
+    expect(lambda o: o.update(commit_seed=o["commit_seed"].upper()), ValidationError)
     expect(lambda o: o["commitments"].pop(), ValidationError)
     expect(lambda o: o["secret_hashes"].__setitem__(0, "zz"), ValidationError)
     expect(lambda o: o["constants"][0].append("0"), ValidationError)
@@ -397,5 +406,5 @@ def test_criterion_8_serialization(verdict):
     verdict(
         8,
         failures == 0,
-        f"{objects} round-trip objects exact; 13 mutation classes rejected",
+        f"{objects} round-trip objects exact; 15 mutation classes rejected",
     )

@@ -5,9 +5,11 @@ import pytest
 from mss import ajtai
 from mss.ajtai import (
     MAX_RANK_RESAMPLES,
+    SEED_BYTES,
     Share,
     ajtai_hash,
     ajtai_hash_many,
+    expand_matrix,
     sample_distinct_shares,
     sample_matrix_full_rank,
     share_length,
@@ -15,7 +17,7 @@ from mss.ajtai import (
 )
 from mss.errors import DimMismatch, NotBinary, RngSuspect, ShareSpaceExhausted
 from mss.field import Matrix, PrimeField, matrix_rank
-from mss.rng import Drbg
+from mss.rng import Drbg, Xof
 
 F97 = PrimeField(97)
 
@@ -39,12 +41,20 @@ def reference_rank(field, m):
     return rank
 
 
+def reference_expansion(field, rows, cols, seed):
+    """A seed's matrix drawn from its SHAKE-256 stream one residue at a time."""
+    stream = Xof(seed)
+    return Matrix(rows, cols, tuple(stream.randbelow(field.q) for _ in range(rows * cols)))
+
+
 def reference_full_rank_sample(field, rows, cols, rng):
-    """The sampler drawn one residue at a time and ranked in full on every draw."""
+    """The sampler with each matrix expanded one residue at a time and
+    ranked in full on every draw."""
     for _ in range(MAX_RANK_RESAMPLES):
-        m = Matrix(rows, cols, tuple(rng.randbelow(field.q) for _ in range(rows * cols)))
+        seed = rng.randbytes(SEED_BYTES)
+        m = reference_expansion(field, rows, cols, seed)
         if reference_rank(field, m) == rows:
-            return m
+            return seed, m
     raise RngSuspect("reference sampler gave up")
 
 
@@ -136,7 +146,7 @@ class TestAjtaiHash:
 
     def test_linearity_on_disjoint_support(self):
         rng = Drbg(12)
-        a = sample_matrix_full_rank(F97, 3, 8, rng)
+        _, a = sample_matrix_full_rank(F97, 3, 8, rng)
         x = (1, 0, 1, 0, 0, 1, 0, 0)
         y = (0, 1, 0, 0, 1, 0, 0, 1)
         both = tuple(xi | yi for xi, yi in zip(x, y))
@@ -146,7 +156,7 @@ class TestAjtaiHash:
 
     def test_deterministic(self):
         rng = Drbg(12)
-        a = sample_matrix_full_rank(F97, 3, 8, rng)
+        _, a = sample_matrix_full_rank(F97, 3, 8, rng)
         x = Drbg(4).bit_vector(8)
         assert ajtai_hash(F97, a, x) == ajtai_hash(F97, a, x)
 
@@ -170,11 +180,11 @@ class TestMatrixRank:
 
 class TestMatrixSampling:
     def test_single_row_is_nonzero(self):
-        m = sample_matrix_full_rank(F97, 1, 4, Drbg(5))
+        _, m = sample_matrix_full_rank(F97, 1, 4, Drbg(5))
         assert any(v != 0 for v in m.data)
 
     def test_square_sample_is_invertible(self):
-        m = sample_matrix_full_rank(F97, 4, 4, Drbg(6))
+        _, m = sample_matrix_full_rank(F97, 4, 4, Drbg(6))
         assert matrix_rank(F97, m) == 4
 
     def test_seeded_sampling_identical(self):
@@ -186,36 +196,78 @@ class TestMatrixSampling:
         with pytest.raises(DimMismatch):
             sample_matrix_full_rank(F97, 5, 4, Drbg(8))
 
-    # Seeds whose first 2x3 draw at q = 97 has a singular leading 2x2 block:
-    # 67's has full row rank anyway, 245's is rank-deficient and is redrawn.
-    @pytest.mark.parametrize("seed, first_rank", [(67, 2), (245, 1)])
+    # Generator seeds whose first 2x3 matrix at q = 97 has a singular leading
+    # 2x2 block: 41's has full row rank anyway, 3272's is rank-deficient and
+    # is redrawn.
+    @pytest.mark.parametrize("seed, first_rank", [(41, 2), (3272, 1)])
     def test_singular_leading_block_matches_full_ranking(self, seed, first_rank):
-        draws = Drbg(seed)
-        first = Matrix(2, 3, tuple(draws.randbelow(97) for _ in range(6)))
+        first = reference_expansion(F97, 2, 3, Drbg(seed).randbytes(SEED_BYTES))
         assert reference_rank(F97, leading_block(first)) < 2
         assert reference_rank(F97, first) == first_rank
         rng, ref_rng = Drbg(seed), Drbg(seed)
-        m = sample_matrix_full_rank(F97, 2, 3, rng)
-        assert m == reference_full_rank_sample(F97, 2, 3, ref_rng)
+        seed_bytes, m = sample_matrix_full_rank(F97, 2, 3, rng)
+        assert (seed_bytes, m) == reference_full_rank_sample(F97, 2, 3, ref_rng)
         assert (m == first) == (first_rank == 2)
         assert rng.randbytes(32) == ref_rng.randbytes(32)
 
-    def test_constant_randomness_raises_rng_suspect(self):
-        class ZeroDrbg(Drbg):
-            """Every byte it returns is zero, so every matrix is zero."""
-
+    def test_rank_deficient_draws_raise_rng_suspect(self, monkeypatch):
+        class CountingDrbg(Drbg):
             def __init__(self):
                 super().__init__(0)
                 self.drawn = 0
 
             def randbytes(self, n):
                 self.drawn += n
-                return bytes(n)
+                return super().randbytes(n)
 
-        rng = ZeroDrbg()
+        # every seed expands to the zero matrix, so every draw is rank-deficient
+        monkeypatch.setattr(ajtai, "expand_matrix", lambda field, rows, cols, seed: Matrix(
+            rows, cols, (0,) * (rows * cols)))
+        rng = CountingDrbg()
         with pytest.raises(RngSuspect):
             sample_matrix_full_rank(F97, 2, 6, rng)
-        assert rng.drawn == MAX_RANK_RESAMPLES * 2 * 6  # one byte per residue below 97
+        assert rng.drawn == MAX_RANK_RESAMPLES * SEED_BYTES  # one seed per draw
+
+    def test_sample_is_its_seed_expanded(self):
+        rng, ref_rng = Drbg(9), Drbg(9)
+        seed, m = sample_matrix_full_rank(F97, 3, 10, rng)
+        assert seed == ref_rng.randbytes(SEED_BYTES)  # a full-rank first draw
+        assert m == expand_matrix(F97, 3, 10, seed) == reference_expansion(F97, 3, 10, seed)
+        assert rng.randbytes(32) == ref_rng.randbytes(32)
+
+
+def undecided_field(q):
+    """A field of modulus q that PrimeField refuses as undecidable: expansion
+    reads only q, and does not depend on primality."""
+    field = object.__new__(PrimeField)
+    object.__setattr__(field, "q", q)
+    return field
+
+
+class TestExpandMatrix:
+    MODULI = [97, (1 << 61) - 1, (1 << 127) - 1]
+
+    @pytest.mark.parametrize("q", MODULI)
+    def test_deterministic_and_reduced(self, q):
+        field = undecided_field(q) if q > (1 << 64) else PrimeField(q)
+        seed = bytes(range(SEED_BYTES))
+        m = expand_matrix(field, 24, 111, seed)
+        assert m == expand_matrix(field, 24, 111, seed)
+        assert (m.rows, m.cols) == (24, 111)
+        assert all(0 <= v < q for v in m.data)
+        assert len(set(m.data)) > min(q, 24 * 111) // 2  # not stuck on a few values
+
+    @pytest.mark.parametrize("q", MODULI)
+    def test_distinct_seeds_distinct_matrices(self, q):
+        field = undecided_field(q) if q > (1 << 64) else PrimeField(q)
+        seeds = [Drbg(j).randbytes(SEED_BYTES) for j in range(20)]
+        assert len({expand_matrix(field, 4, 16, seed) for seed in seeds}) == 20
+
+    @pytest.mark.parametrize("q", MODULI)
+    def test_matches_draws_one_residue_at_a_time(self, q):
+        field = undecided_field(q) if q > (1 << 64) else PrimeField(q)
+        seed = Drbg(f"one-at-a-time-{q}").randbytes(SEED_BYTES)
+        assert expand_matrix(field, 5, 40, seed) == reference_expansion(field, 5, 40, seed)
 
 
 # A prime above 2^64, so the packed slots of the batch hash are wider than
@@ -288,7 +340,7 @@ class TestAjtaiHashMany:
 class TestVerifyCommitment:
     def _setup(self, seed=9):
         rng = Drbg(seed)
-        f = sample_matrix_full_rank(F97, 4, 16, rng)
+        _, f = sample_matrix_full_rank(F97, 4, 16, rng)
         bits = rng.bit_vector(16)
         return f, Share(owner=1, bits=bits), ajtai_hash(F97, f, bits)
 

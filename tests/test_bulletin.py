@@ -10,6 +10,7 @@ import sys
 import time
 
 import pytest
+from format1 import format1_deal
 
 from mss.bulletin import (
     bind_share,
@@ -44,12 +45,13 @@ needs_digit_limit = pytest.mark.skipif(
 )
 
 
-def make_board(variant=Variant.S1, n=5, k=2, thresholds=(2, 3), q=97, seed="ser"):
+def make_board(variant=Variant.S1, n=5, k=2, thresholds=(2, 3), q=97, seed="ser", format1=False):
+    """A seeded deal, in format 2 or, with format1, with explicit matrices."""
     params = SchemeParams(variant=variant, n=n, k=k, thresholds=thresholds, q=q)
     rng = Drbg(seed)
     field = params.field()
     secrets = [field.rand_vec(rng, t) for t in thresholds]
-    shares, board = deal(params, secrets, rng)
+    shares, board = (format1_deal if format1 else deal)(params, secrets, rng)
     return shares, board
 
 
@@ -67,21 +69,47 @@ class TestBulletinRoundTrip:
     def test_all_variants_and_moduli(self):
         for variant in Variant:
             for q in (97, DEFAULT_PRIME):
-                shares, board = make_board(
-                    variant=variant, q=q, seed=f"rt-{variant}-{q}"
-                )
-                blob = encode_bulletin(board)[0]
-                assert decode_bulletin(blob) == board
+                for format1 in (True, False):
+                    shares, board = make_board(
+                        variant=variant, q=q, seed=f"rt-{variant}-{q}", format1=format1
+                    )
+                    blob = encode_bulletin(board)[0]
+                    assert decode_bulletin(blob) == board
 
     def test_encoding_is_canonical(self):
-        shares, board = make_board()
-        blob = encode_bulletin(board)[0]
-        assert blob == encode_bulletin(decode_bulletin(blob))[0]
-        # sorted keys, no whitespace variance
-        reordered = json.dumps(
-            json.loads(blob), sort_keys=True, separators=(",", ":")
-        ).encode() + b"\n"
-        assert reordered == blob
+        for format1 in (True, False):
+            shares, board = make_board(format1=format1)
+            blob = encode_bulletin(board)[0]
+            assert blob == encode_bulletin(decode_bulletin(blob))[0]
+            # sorted keys, no whitespace variance
+            reordered = json.dumps(
+                json.loads(blob), sort_keys=True, separators=(",", ":")
+            ).encode() + b"\n"
+            assert reordered == blob
+
+    @pytest.mark.parametrize("format1", [True, False])
+    def test_written_in_the_format_the_setup_holds(self, format1):
+        # matrices write format 1 and seeds format 2, and both read back to
+        # the setup they were written from
+        _, board = make_board(variant=Variant.S2, q=DEFAULT_PRIME, seed="fmt", format1=format1)
+        obj = json.loads(encode_bulletin(board)[0])
+        assert obj["format_version"] == (1 if format1 else 2)
+        format1_keys = {"mask_matrices", "commit_matrix"}
+        format2_keys = {"mask_seeds", "commit_seed"}
+        assert set(obj) >= (format1_keys if format1 else format2_keys)
+        assert not set(obj) & (format2_keys if format1 else format1_keys)
+        setup = decode_bulletin(encode_bulletin(board)[0]).setup
+        assert setup.matrices == board.setup.matrices
+        assert all(setup.matrix(i) == board.setup.matrix(i) for i in range(3))
+
+    def test_a_setup_of_matrices_and_seeds_is_refused(self):
+        _, board = make_board()
+        _, board1 = make_board(format1=True)
+        mixed = dataclasses.replace(
+            board.setup, matrices=(board1.setup.matrices[0], *board.setup.matrices[1:])
+        )
+        with pytest.raises(ValueError, match="either every matrix or every seed"):
+            encode_bulletin(dataclasses.replace(board, setup=mixed))
 
     def test_identical_structures_identical_bytes(self):
         a = make_board(seed="same")[1]
@@ -117,19 +145,24 @@ def reordered(value, rnd):
 
 class TestReadBulletin:
     def test_digest_ignores_what_decode_ignores(self):
-        # an accepted file that is not canonical: unknown keys at three
-        # levels, indentation and shuffled key order
-        _, board = make_board(variant=Variant.S3, q=DEFAULT_PRIME, seed="loose")
-        obj = json.loads(encode_bulletin(board)[0])
-        obj["comment"] = "dealt by hand"
-        obj["params"]["note"] = ["x", 1]
-        obj["mask_matrices"][1]["label"] = {"rows": 7}
-        obj["commit_matrix"]["data_sha"] = "0"
-        blob = json.dumps(reordered(obj, random.Random(5)), indent=2).encode()
-        assert blob != encode_bulletin(board)[0]
-        decoded, digest = read_bulletin(blob)
-        assert decoded == decode_bulletin(blob) == board
-        assert digest == deal_id(decode_bulletin(blob)) == deal_id(board)
+        # an accepted file that is not canonical: unknown keys at two levels,
+        # and in format 1 inside the matrices too, indentation and shuffled
+        # key order
+        for format1 in (True, False):
+            _, board = make_board(
+                variant=Variant.S3, q=DEFAULT_PRIME, seed="loose", format1=format1
+            )
+            obj = json.loads(encode_bulletin(board)[0])
+            obj["comment"] = "dealt by hand"
+            obj["params"]["note"] = ["x", 1]
+            if format1:
+                obj["mask_matrices"][1]["label"] = {"rows": 7}
+                obj["commit_matrix"]["data_sha"] = "0"
+            blob = json.dumps(reordered(obj, random.Random(5)), indent=2).encode()
+            assert blob != encode_bulletin(board)[0]
+            decoded, digest = read_bulletin(blob)
+            assert decoded == decode_bulletin(blob) == board
+            assert digest == deal_id(decode_bulletin(blob)) == deal_id(board)
 
 
 class TestDealIdCoversTheSetup:
@@ -192,6 +225,14 @@ def test_hostile_json_is_parse_error(decoder, data):
 
 
 class TestBulletinValidation:
+    """Strict decoding of format 1 bulletins; TestFormat2BulletinValidation
+    runs the checks of the sections both formats share on format 2."""
+
+    FORMAT1 = True
+
+    def board(self, **kwargs):
+        return make_board(format1=self.FORMAT1, **kwargs)
+
     def test_garbage_is_parse_error(self):
         with pytest.raises(ParseError):
             decode_bulletin(b"{not json")
@@ -199,7 +240,7 @@ class TestBulletinValidation:
             decode_bulletin(b"[1,2,3]\n")
 
     def test_non_utf8_is_parse_error(self):
-        blob = encode_bulletin(make_board()[1])[0]
+        blob = encode_bulletin(self.board()[1])[0]
         with pytest.raises(ParseError, match="^not valid UTF-8: "):
             decode_bulletin(b"\xff" + blob)
 
@@ -207,7 +248,7 @@ class TestBulletinValidation:
         "path", [["params"], ["commit_matrix"], ["mask_matrices", 1]], ids=str
     )
     def test_non_object_is_parse_error(self, path):
-        _, board = make_board()
+        _, board = self.board()
         what = "mask_matrices[1]" if len(path) == 2 else path[0]
         with pytest.raises(ParseError) as excinfo:
             decode_bulletin(mutate(board, path, ["rows", 2]))
@@ -217,7 +258,7 @@ class TestBulletinValidation:
     def test_r_must_be_positive(self, r):
         # SchemeParams derives r from 0, so an unchecked r = 0 would decode
         # to the deal's own r, and its deal_id, from a file no encoder writes
-        _, board = make_board()
+        _, board = self.board()
         assert SchemeParams(Variant.S1, 5, 2, (2, 3), 97, r=0).r == board.setup.params.r
         blob = mutate(board, ["params", "r"], r)
         if r == board.setup.params.r:
@@ -230,7 +271,7 @@ class TestBulletinValidation:
                 decode_bulletin(blob)
 
     def test_missing_key_is_parse_error(self):
-        _, board = make_board()
+        _, board = self.board()
         obj = json.loads(encode_bulletin(board)[0])
         del obj["extras"]
         with pytest.raises(ParseError):
@@ -244,52 +285,52 @@ class TestBulletinValidation:
             decode_bulletin(blob)
 
     def test_unknown_version_rejected(self):
-        _, board = make_board()
-        with pytest.raises(UnsupportedVersion):
-            decode_bulletin(mutate(board, ["format_version"], 2))
+        _, board = self.board()
+        with pytest.raises(UnsupportedVersion, match="^unsupported format_version 3$"):
+            decode_bulletin(mutate(board, ["format_version"], 3))
 
     @pytest.mark.parametrize("version", [True, False])
     def test_boolean_version_is_parse_error(self, version):
-        _, board = make_board()
+        _, board = self.board()
         with pytest.raises(ParseError, match="format_version must be an integer"):
             decode_bulletin(mutate(board, ["format_version"], version))
 
     def test_unknown_variant_rejected(self):
-        _, board = make_board()
+        _, board = self.board()
         with pytest.raises(ValidationError):
             decode_bulletin(mutate(board, ["params", "variant"], "s9"))
 
     def test_bad_threshold_rejected(self):
-        _, board = make_board()
+        _, board = self.board()
         with pytest.raises(ValidationError):
             decode_bulletin(mutate(board, ["params", "thresholds"], [1, 3]))
 
     def test_unreduced_residue_rejected(self):
-        _, board = make_board()
+        _, board = self.board()
         blob = mutate(board, ["constants", 0, 0], str(board.setup.params.q))
         with pytest.raises(ValidationError):
             decode_bulletin(blob)
 
     def test_malformed_residue_string_is_parse_error(self):
-        _, board = make_board()
+        _, board = self.board()
         for bad in ("  12", "+3", "1e3", "03", ""):
             with pytest.raises(ParseError):
                 decode_bulletin(mutate(board, ["constants", 0, 0], bad))
 
     def test_matrix_shape_mismatch_rejected(self):
-        _, board = make_board()
+        _, board = self.board()
         with pytest.raises(ValidationError):
             decode_bulletin(mutate(board, ["commit_matrix", "rows"], 7))
 
     def test_commitment_count_checked(self):
-        _, board = make_board()
+        _, board = self.board()
         obj = json.loads(encode_bulletin(board)[0])
         obj["commitments"].pop()
         with pytest.raises(ValidationError):
             decode_bulletin(json.dumps(obj).encode())
 
     def test_secret_hash_format_checked(self):
-        _, board = make_board()
+        _, board = self.board()
         with pytest.raises(ValidationError):
             decode_bulletin(mutate(board, ["secret_hashes", 0], "ABC"))
         with pytest.raises(ValidationError):
@@ -298,15 +339,19 @@ class TestBulletinValidation:
             )
 
     # Every decimal array of a 5-owner s1 deal with thresholds (2, 3), named
-    # as the decoder names it, with the JSON path to it.
-    ARRAYS = {
-        "mask_matrices[0].data": ["mask_matrices", 0, "data"],
-        "mask_matrices[1].data": ["mask_matrices", 1, "data"],
-        "commit_matrix.data": ["commit_matrix", "data"],
+    # as the decoder names it, with the JSON path to it; SHARED_ARRAYS are
+    # those of both formats.
+    SHARED_ARRAYS = {
         "commitments[4]": ["commitments", 4],
         "constants[1]": ["constants", 1],
         "offsets[0][3]": ["offsets", 0, 3],
         "extras[1][0]": ["extras", 1, 0],
+    }
+    ARRAYS = {
+        "mask_matrices[0].data": ["mask_matrices", 0, "data"],
+        "mask_matrices[1].data": ["mask_matrices", 1, "data"],
+        "commit_matrix.data": ["commit_matrix", "data"],
+        **SHARED_ARRAYS,
     }
     MALFORMED = {"non-string": 5, "leading zero": "05", "embedded comma": "1,2",
                  "trailing newline": "5\n"}
@@ -315,7 +360,7 @@ class TestBulletinValidation:
     @pytest.mark.parametrize("where", [0, -1])
     @pytest.mark.parametrize("what", ARRAYS)
     def test_bad_residue_in_every_array(self, what, where, fault):
-        _, board = make_board()
+        _, board = self.board()
         if fault == "unreduced":
             bad = str(board.setup.params.q)
             expected = (ValidationError, f"{what} is not reduced mod q")
@@ -327,8 +372,7 @@ class TestBulletinValidation:
         assert str(excinfo.value) == expected[1]
 
     # Every array that holds arrays, as the decoder names it, with its path.
-    CONTAINERS = {
-        "mask_matrices": ["mask_matrices"],
+    SHARED_CONTAINERS = {
         "commitments": ["commitments"],
         "secret_hashes": ["secret_hashes"],
         "constants": ["constants"],
@@ -337,11 +381,12 @@ class TestBulletinValidation:
         "extras": ["extras"],
         "extras[1]": ["extras", 1],
     }
+    CONTAINERS = {"mask_matrices": ["mask_matrices"], **SHARED_CONTAINERS}
 
     @pytest.mark.parametrize("fault", ["non-list", "one too many"])
     @pytest.mark.parametrize("what", CONTAINERS)
     def test_bad_container_at_every_level(self, what, fault):
-        _, board = make_board()
+        _, board = self.board()
         path = self.CONTAINERS[what]
         value = json.loads(encode_bulletin(board)[0])
         for key in path:
@@ -359,20 +404,20 @@ class TestBulletinValidation:
 
     @pytest.mark.parametrize("bad", [97, "097", "97,1", "97\n"])
     def test_bad_modulus_string(self, bad):
-        _, board = make_board()
+        _, board = self.board()
         with pytest.raises(ParseError) as excinfo:
             decode_bulletin(mutate(board, ["params", "q"], bad))
         assert str(excinfo.value) == "params.q must be a canonical decimal string"
 
     def test_undecidable_modulus_rejected(self):
-        _, board = make_board()
+        _, board = self.board()
         with pytest.raises(ValidationError, match="cannot decide"):
             decode_bulletin(mutate(board, ["params", "q"], "318665857834031151167461"))
 
     @needs_digit_limit
     @pytest.mark.parametrize("what", [*ARRAYS, "params.q"])
     def test_decimal_past_digit_limit_is_parse_error(self, what):
-        _, board = make_board()
+        _, board = self.board()
         path = ["params", "q"] if what == "params.q" else [*self.ARRAYS[what], -1]
         with pytest.raises(ParseError) as excinfo:
             decode_bulletin(mutate(board, path, TOO_LONG))
@@ -383,7 +428,7 @@ class TestBulletinValidation:
         params = {"variant": "s1", "n": 10**6, "k": 1, "thresholds": [10**6],
                   "q": str(DEFAULT_PRIME), "r": 0}
         blob = json.dumps({
-            "kind": "bulletin", "format_version": 1, "params": params,
+            "kind": "bulletin", "format_version": 1 if self.FORMAT1 else 2, "params": params,
             "mask_matrices": [], "commit_matrix": {}, "commitments": [],
             "secret_hashes": [], "constants": [], "offsets": [], "extras": [],
         }).encode()
@@ -394,32 +439,114 @@ class TestBulletinValidation:
         assert str(excinfo.value) == "at most 4096 participants, got 1000000"
 
     def test_offset_vector_wrong_length_rejected(self):
-        _, board = make_board()
+        _, board = self.board()
         obj = json.loads(encode_bulletin(board)[0])
         obj["offsets"][1][0].append("0")
         with pytest.raises(ValidationError):
             decode_bulletin(json.dumps(obj).encode())
 
     def test_offset_count_checked(self):
-        _, board = make_board()
+        _, board = self.board()
         obj = json.loads(encode_bulletin(board)[0])
         obj["offsets"][0].pop()
         with pytest.raises(ValidationError):
             decode_bulletin(json.dumps(obj).encode())
 
     def test_extras_count_checked(self):
-        _, board = make_board()
+        _, board = self.board()
         obj = json.loads(encode_bulletin(board)[0])
         obj["extras"][0].pop()
         with pytest.raises(ValidationError):
             decode_bulletin(json.dumps(obj).encode())
 
     def test_constants_count_checked(self):
-        _, board = make_board(variant=Variant.S3, seed="cc")
+        _, board = self.board(variant=Variant.S3, seed="cc")
         obj = json.loads(encode_bulletin(board)[0])
         obj["constants"].append(obj["constants"][0])
         with pytest.raises(ValidationError):
             decode_bulletin(json.dumps(obj).encode())
+
+
+class TestFormat2BulletinValidation(TestBulletinValidation):
+    """The shared sections' checks on format 2, where seeds stand for the
+    matrices: a seed is checked as a string and never expanded on decode."""
+
+    FORMAT1 = False
+    MALFORMED = TestBulletinValidation.MALFORMED
+    SHARED_ARRAYS = TestBulletinValidation.SHARED_ARRAYS
+    SHARED_CONTAINERS = TestBulletinValidation.SHARED_CONTAINERS
+    CONTAINERS = {"mask_seeds": ["mask_seeds"], **SHARED_CONTAINERS}
+
+    # format 1's matrix objects, which format 2 does not have
+    test_matrix_shape_mismatch_rejected = None
+
+    def test_non_object_is_parse_error(self):
+        _, board = self.board()
+        with pytest.raises(ParseError, match="^params must be an object$"):
+            decode_bulletin(mutate(board, ["params"], ["rows", 2]))
+
+    @pytest.mark.parametrize("r", [0, 1, 16])
+    def test_r_must_be_positive(self, r):
+        # the seeds fit any r: another r reads as another deal
+        _, board = self.board()
+        blob = mutate(board, ["params", "r"], r)
+        if r == 0:
+            with pytest.raises(ValidationError, match="^params.r must be positive$"):
+                decode_bulletin(blob)
+        else:
+            decoded, digest = read_bulletin(blob)
+            assert decoded.setup.params.r == r
+            assert (digest == deal_id(board)) == (r == board.setup.params.r)
+
+    @pytest.mark.parametrize("fault", [*MALFORMED, "unreduced"])
+    @pytest.mark.parametrize("where", [0, -1])
+    @pytest.mark.parametrize("what", SHARED_ARRAYS)
+    def test_bad_residue_in_every_array(self, what, where, fault):
+        super().test_bad_residue_in_every_array(what, where, fault)
+
+    @pytest.mark.parametrize("fault", ["non-list", "one too many"])
+    @pytest.mark.parametrize("what", CONTAINERS)
+    def test_bad_container_at_every_level(self, what, fault):
+        super().test_bad_container_at_every_level(what, fault)
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("what", [*SHARED_ARRAYS, "params.q"])
+    def test_decimal_past_digit_limit_is_parse_error(self, what):
+        super().test_decimal_past_digit_limit_is_parse_error(what)
+
+    SEEDS = {"commit_seed": ["commit_seed"], "mask_seeds[0]": ["mask_seeds", 0],
+             "mask_seeds[1]": ["mask_seeds", 1]}
+
+    @pytest.mark.parametrize(
+        "bad", ["AB" * 32, "ab" * 31, "ab" * 33, "ab" * 32 + "\n", "g" * 64, 5, None, ["ab" * 32]],
+        ids=["uppercase", "short", "long", "trailing newline", "not hex", "number", "null",
+             "array"],
+    )
+    @pytest.mark.parametrize("what", SEEDS)
+    def test_bad_seed_names_its_key(self, what, bad):
+        _, board = self.board()
+        with pytest.raises(ValidationError) as excinfo:
+            decode_bulletin(mutate(board, self.SEEDS[what], bad))
+        assert str(excinfo.value) == f"{what} must be 64 lowercase hex digits"
+
+    @pytest.mark.parametrize("key", ["commit_seed", "mask_seeds"])
+    def test_missing_seed_names_its_key(self, key):
+        _, board = self.board()
+        obj = json.loads(encode_bulletin(board)[0])
+        del obj[key]
+        with pytest.raises(ParseError) as excinfo:
+            decode_bulletin(json.dumps(obj).encode())
+        assert str(excinfo.value) == f"missing key {key!r}"
+
+    def test_format1_keys_are_not_read(self):
+        # a format 2 file is read by format 2's keys alone: format 1's
+        # matrices beside them are ignored, as any unknown key is
+        _, board = self.board()
+        _, board1 = make_board(format1=True)
+        obj = json.loads(encode_bulletin(board)[0])
+        old = json.loads(encode_bulletin(board1)[0])
+        obj.update(mask_matrices=old["mask_matrices"], commit_matrix=old["commit_matrix"])
+        assert read_bulletin(json.dumps(obj).encode()) == (board, deal_id(board))
 
 
 class TestShareFiles:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from mss import ajtai, scheme
 from mss import bulletin as bio
 from mss import cli
 from mss.bulletin import encode_secrets
@@ -635,6 +636,84 @@ def test_hostile_json_exits_two_with_parse_error(dealt, text, capsys):
     assert "Traceback" not in result.stderr
 
 
+class TestExpansion:
+    """A format 2 bulletin publishes seeds: each command expands only the
+    matrices it uses, and none before the shares it was given are bound."""
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        """The row count of every matrix expanded, in order."""
+        rows = []
+        real = ajtai.expand_matrix
+
+        def spy(field, n_rows, cols, seed):
+            rows.append(n_rows)
+            return real(field, n_rows, cols, seed)
+
+        monkeypatch.setattr(ajtai, "expand_matrix", spy)
+        monkeypatch.setattr(scheme, "expand_matrix", spy)
+        return rows
+
+    def test_deal_expands_each_matrix_it_draws_once(
+        self, tmp_path, monkeypatch, capsys, expansions
+    ):
+        ranks = []  # per rank check, whether the matrix was kept
+        real_rank = ajtai.matrix_rank
+
+        def rank(field, m):
+            ranks.append(real_rank(field, m) == m.rows)
+            return real_rank(field, m)
+
+        monkeypatch.setattr(ajtai, "matrix_rank", rank)
+        secrets = tmp_path / "secrets.json"
+        secrets.write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
+        argv = [*DEAL_ARGS, "--secrets", str(secrets), "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        redraws = ranks.count(False)
+        assert len(expansions) == len(ranks) == 2 + 1 + redraws
+        assert [rows for rows, kept in zip(expansions, ranks) if kept] == [2, 3, 3]  # G_1, G_2, F
+
+    def test_each_reading_command_expands_only_what_it_uses(self, dealt, expansions, capsys):
+        bulletin = str(dealt / "bulletin.json")
+        assert cli.main(["verify-share", "--bulletin", bulletin,
+                         "--share", str(dealt / "share_4.json")]) == 0
+        assert expansions == [3]  # F
+        report = str(dealt / "r_expand.json")
+        assert cli.main([
+            "recover", "--bulletin", bulletin, "--secret", "1", "--method", "lagrange",
+            "--out", report, str(dealt / "share_2.json"), str(dealt / "share_5.json"),
+        ]) == 0, capsys.readouterr().err
+        assert expansions == [3, 3, 2]  # F, then G_1
+        assert cli.main(["verify-secret", "--bulletin", bulletin, "--recovered", report]) == 0
+        assert expansions == [3, 3, 2]  # none
+
+    def test_huge_r_reads_at_once_and_refuses_shares_before_expanding(
+        self, dealt, expansions, capsys
+    ):
+        obj = json.loads((dealt / "bulletin.json").read_bytes())
+        obj["params"]["r"] = 10**9
+        bulletin = dealt / "huge_r.json"
+        bulletin.write_text(json.dumps(obj))
+        start = time.perf_counter()
+        board, _ = bio.read_bulletin(bulletin.read_bytes())
+        assert time.perf_counter() - start < 0.1
+        assert board.setup.params.r == 10**9
+        share = dealt / "unbound_2.json"  # without the deal binding, which r changed
+        unbound = bio.decode_share((dealt / "share_2.json").read_bytes()).share
+        share.write_bytes(bio.encode_share(unbound))
+        message = (
+            "error: ValidationError: share length 16 does not match the deal's r=1000000000\n"
+        )
+        assert cli.main(["verify-share", "--bulletin", str(bulletin), "--share", str(share)]) == 2
+        assert capsys.readouterr().err == message
+        assert cli.main([
+            "recover", "--bulletin", str(bulletin), "--secret", "1", "--method", "lagrange",
+            "--out", str(dealt / "r_huge.json"), str(share),
+        ]) == 2
+        assert capsys.readouterr().err == message
+        assert expansions == []
+
+
 class TestCounts:
     def test_table_output(self):
         result = run_cli("counts", "--t", "3", "--k", "4", "--n", "7")
@@ -701,6 +780,19 @@ class TestBench:
         args = ["bench", "--n", "6", "--t-range", "3,4", "--trials", "3", "--seed", "1"]
         assert cli.main(args) == 0, capsys.readouterr().err
         assert len(calls) == 6
+
+    def test_trials_cycle_through_every_secret(self, monkeypatch, capsys):
+        # trial m recovers secret 1 + m % k, by every method
+        recovered = []
+        for method, recover in cli._METHODS.items():
+            def spy(board, i, subshadows, recover=recover, method=method):
+                recovered.append((i, method))
+                return recover(board, i, subshadows)
+
+            monkeypatch.setitem(cli._METHODS, method, spy)
+        args = ["bench", "--n", "6", "--k", "4", "--t-range", "3", "--trials", "4", "--seed", "1"]
+        assert cli.main(args) == 0, capsys.readouterr().err
+        assert recovered == [(i, method) for i in (1, 2, 3, 4) for method in cli._METHODS]
 
     def test_negative_seed_refused_by_the_parser(self):
         result = run_cli("bench", "--n", "6", "--t-range", "2", "--trials", "1", "--seed", "-1")

@@ -24,7 +24,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 STDOUT_SHA256 = {
     "01_field_toolkit.py": "64ad6824af314b97e4000def099c45d7163e283331991da936e3943ca6ec1511",
     "02_recursion_engine.py": "3b894f0a08b192cbddaece349e9afa423f6286283230b20db3724088b44d2cb6",
-    "03_deal_and_recover.py": "40d4d4c0f2359f141f6237372eb2dfa7e2f829b7c5dc733d519fc3e1294b6b79",
+    "03_deal_and_recover.py": "1ea5141009c254a98e418cb39f10ecfdd238b8dafb5ab543a732bbb1de5daff6",
 }
 
 

@@ -17,7 +17,9 @@ writer gives the bytes of ``json.dumps`` with sorted keys.  The
 generator's byte stream is SHA-256 in counter mode however it is split,
 a negative length is refused before the stream moves, and a batch draw
 gives the values, and leaves the stream, of the single draws it replaces;
-a bit vector is the bits of one draw.  Share files and reports
+a bit vector is the bits of one draw.  A seed's ``Xof`` stream is its
+SHAKE-256 output however it is split, and batch draws from it equal single
+draws too.  Share files and reports
 with any JSON value in any header field decode or raise an ``MssError``.
 Examples are derived from the test itself (derandomized), so every run
 checks the same inputs.
@@ -49,7 +51,7 @@ from mss.bulletin import (
 from mss.errors import MssError, ParseError, ValidationError
 from mss.field import Matrix, PrimeField, _weighted_sums
 from mss.ilr import IlrSpec, fit_general_term, fold_columns
-from mss.rng import Drbg
+from mss.rng import Drbg, Xof
 from mss.scheme import (
     Bulletin,
     DealSetup,
@@ -144,7 +146,7 @@ def test_first_unbound_is_the_first_share_failing_its_commitment(case):
 
     def reference(shares):
         return next((share for share in shares if not verify_commitment(
-            field, setup.commit_matrix, share, setup.commitments[share.owner - 1]
+            field, setup.matrix(0), share, setup.commitments[share.owner - 1]
         )), None)
 
     # one share goes through the per-row hash, two or more through packed columns
@@ -199,7 +201,7 @@ def hand_built_quorums(draw):
     params = SchemeParams(variant=variant, n=n, k=1, thresholds=(t,), q=q, r=1)
     owners = draw(st.lists(st.integers(1, n), min_size=t, max_size=t, unique=True))
     board = Bulletin(
-        setup=DealSetup(params, mask_matrices=(), commit_matrix=None, commitments=()),
+        setup=DealSetup(params, matrices=(), commitments=()),
         secret_hashes=("",),
         constants=(draw(residue_vectors(q, t, 1))[0],),
         offsets=((),),
@@ -532,6 +534,21 @@ def test_randbytes_is_one_counter_mode_stream(seed, splits):
     rng = Drbg(seed)
     drawn = b"".join(rng.randbytes(size) for size in splits)
     assert drawn == reference_stream(seed, sum(splits))
+
+
+@given(seed=st.binary(min_size=32, max_size=32), splits=SPLITS)
+def test_xof_is_one_shake_stream(seed, splits):
+    stream = Xof(seed)
+    drawn = b"".join(stream.randbytes(size) for size in splits)
+    assert drawn == hashlib.shake_256(seed).digest(sum(splits))
+
+
+@given(seed=st.binary(min_size=32, max_size=32), n=st.sampled_from(BOUNDS),
+       count=st.integers(0, 70))
+def test_xof_batch_draw_equals_single_draws(seed, n, count):
+    batch, single = Xof(seed), Xof(seed)
+    assert batch.randbelow_many(n, count) == tuple(single.randbelow(n) for _ in range(count))
+    assert batch.randbytes(32) == single.randbytes(32)
 
 
 @settings(

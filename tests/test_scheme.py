@@ -57,7 +57,7 @@ def dealer_sequence(board, i, shares):
     field = params.field()
     t_i = board.threshold(i)
     shadows = {
-        s.owner: ajtai_hash(field, board.setup.mask_matrices[i - 1], s.bits) for s in shares
+        s.owner: ajtai_hash(field, board.setup.matrix(i), s.bits) for s in shares
     }
     # index 0 must be the secret; reconstruct it from any full quorum first
     sub = participant_subshadows(board, i, shares[:t_i])
@@ -172,12 +172,13 @@ class TestSetup:
         shares, result = setup(p, Drbg(42))
         assert len(shares) == 5
         assert len({s.bits for s in shares}) == 5
-        for t_i, g in zip(p.thresholds, result.mask_matrices):
+        for i, t_i in enumerate(p.thresholds, start=1):
+            g = result.matrix(i)
             assert (g.rows, g.cols) == (t_i, p.r)
-        assert (result.commit_matrix.rows, result.commit_matrix.cols) == (3, p.r)
+        assert (result.matrix(0).rows, result.matrix(0).cols) == (3, p.r)
         for share, commitment in zip(shares, result.commitments):
             assert verify_commitment(
-                field, result.commit_matrix, share, commitment
+                field, result.matrix(0), share, commitment
             )
 
     def test_seeded_setup_deterministic(self):

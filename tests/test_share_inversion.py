@@ -94,7 +94,7 @@ def test_lll_recovers_a_default_length_share_from_its_commitment():
     shares, board = deal(params, [field.rand_vec(rng, 8)], rng)
     owner = 3
     h = board.setup.commitments[owner - 1]
-    f = board.setup.commit_matrix
+    f = board.setup.matrix(0)
     x = invert_commitment(field, f, h)
     assert x == shares[owner - 1].bits
     # exact integer arithmetic, independent of the library's field code

@@ -171,7 +171,7 @@ class TestMultiUseShares:
         reissued = dataclasses.replace(
             second_setup,
             commitments=tuple(
-                ajtai_hash(field, second_setup.commit_matrix, share.bits)
+                ajtai_hash(field, second_setup.matrix(0), share.bits)
                 for share in shares
             ),
         )
