@@ -216,9 +216,9 @@ def _parse_seed(value, what: str) -> tuple[bytes, str]:
 
 
 def _parse_public_matrices(obj: dict, params: SchemeParams, version: int):
-    """The setup's matrices as ``DealSetup`` holds them, F first, and the
-    values its section holds for F and for the G_i, from the checked input:
-    format 1's matrices, or format 2's seeds, which are not expanded here."""
+    """The setup's matrices as ``DealSetup`` holds them, and the values its
+    section holds for them, both F first, from the checked input: format 1's
+    matrices, or format 2's seeds, which are not expanded here."""
     commit_key, masks_key = _MATRIX_KEYS[version]
     raw_masks = _array(_get(obj, masks_key), params.k, masks_key)
     if version == 1:
@@ -232,7 +232,7 @@ def _parse_public_matrices(obj: dict, params: SchemeParams, version: int):
         masks = [_parse_seed(s, f"{masks_key}[{i}]") for i, s in enumerate(raw_masks)]
         commit = _parse_seed(_get(obj, commit_key), commit_key)
     matrices, values = zip(commit, *masks)
-    return matrices, values[0], list(values[1:])
+    return matrices, values
 
 
 def _params_obj(params: SchemeParams) -> dict:
@@ -269,16 +269,16 @@ def _parse_params(value) -> SchemeParams:
     return params
 
 
-def _setup_obj(
-    version: int, params: SchemeParams, commit, masks: list, commitments: list
-) -> dict:
-    """The setup section of a bulletin format: a ``DealSetup`` with F and the
-    G_i as the format publishes them, and its commitments as string lists.
+def _setup_obj(version: int, params: SchemeParams, values, commitments: list) -> dict:
+    """The setup section of a bulletin format: a ``DealSetup`` with the values
+    the format publishes for F and the G_i, F first, split under their keys,
+    and its commitments as string lists.
 
     Encode and decode both build it here, so the digest that binds share
     files to a deal is taken over one layout.
     """
     commit_key, masks_key = _MATRIX_KEYS[version]
+    commit, *masks = values
     return {
         "format_version": version,
         "params": _params_obj(params),
@@ -293,8 +293,8 @@ def _setup_section(setup: DealSetup) -> dict:
     version = 1 if isinstance(setup.matrices[0], Matrix) else 2
     if any(isinstance(m, Matrix) != (version == 1) for m in setup.matrices):
         raise ValueError("a setup holds either every matrix or every seed")
-    commit, *masks = map(_strs if version == 1 else bytes.hex, setup.matrices)
-    return _setup_obj(version, setup.params, commit, masks, _strs(setup.commitments))
+    values = map(_strs if version == 1 else bytes.hex, setup.matrices)
+    return _setup_obj(version, setup.params, values, _strs(setup.commitments))
 
 
 def _digest(setup: dict) -> str:
@@ -331,7 +331,7 @@ def read_bulletin(data: bytes | str) -> tuple[Bulletin, str]:
     params = _parse_params(_get(obj, "params"))
     q, n, k, ts = params.q, params.n, params.k, params.thresholds
     t_max = params.max_threshold
-    matrices, commit_value, mask_values = _parse_public_matrices(obj, params, version)
+    matrices, values = _parse_public_matrices(obj, params, version)
     raw_commitments = _get(obj, "commitments")
     commitments = _parse_nested(raw_commitments, q, [t_max] * n, "commitments")
     raw_hashes = _array(_get(obj, "secret_hashes"), k, "secret_hashes")
@@ -350,9 +350,7 @@ def read_bulletin(data: bytes | str) -> tuple[Bulletin, str]:
 
     deal_setup = DealSetup(params, matrices, commitments)
     bulletin = Bulletin(setup=deal_setup, secret_hashes=tuple(raw_hashes), **per_secret)
-    setup = _setup_obj(
-        version, params, commit_value, mask_values, list(map(_Residues, raw_commitments))
-    )
+    setup = _setup_obj(version, params, values, list(map(_Residues, raw_commitments)))
     return bulletin, _digest(setup)
 
 

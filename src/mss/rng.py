@@ -13,8 +13,8 @@ The bulk conversions run in C: a pull's candidates are read with one
 into 0/1 bytes by ``format`` and ``translate``.  It is the share-bit codec's
 one int-to-bits step: bit vectors and ``bulletin``'s share decoder use it.
 
-``Xof`` is the same reader over the SHAKE-256 output of a public seed, which
-is how a seeded public matrix draws its residues.
+``Xof`` is a ``Drbg`` whose pool is refilled from the SHAKE-256 output of
+a public seed, which is how a seeded public matrix draws its residues.
 """
 
 from __future__ import annotations
@@ -55,10 +55,8 @@ class Drbg:
             material = seed.to_bytes(max(1, (seed.bit_length() + 7) // 8), "big")
         else:
             raise TypeError(f"unsupported seed type: {type(seed).__name__}")
-        self._key = hashlib.sha256(_DOMAIN + material).digest()
-        self._counter = 0
-        self._pool = b""
-        self._pos = 0
+        key = hashlib.sha256(_DOMAIN + material).digest()
+        self._key, self._counter, self._pool, self._pos = key, 0, b"", 0
 
     def randbytes(self, n: int) -> bytes:
         if n < 0:
@@ -68,18 +66,17 @@ class Drbg:
         if end <= len(pool):
             self._pos = end
             return pool[pos:end]
-        # one refill of every counter block the rest of the request needs
-        need = end - len(pool)
-        blocks = -(-need // 32)
-        key, counter = self._key, self._counter
-        fresh = b"".join(
-            hashlib.sha256(key + (counter + b).to_bytes(8, "big")).digest()
-            for b in range(blocks)
-        )
-        self._counter = counter + blocks
-        self._pool = fresh
-        self._pos = need
+        self._pos = need = end - len(pool)
+        self._pool = fresh = self._squeeze(need)
         return pool[pos:] + fresh[:need]
+
+    def _squeeze(self, need: int) -> bytes:
+        """The stream's next ``need`` bytes or more: whole counter blocks."""
+        start, key = self._counter, self._key
+        self._counter = end = start + -(-need // 32)
+        return b"".join(
+            hashlib.sha256(key + c.to_bytes(8, "big")).digest() for c in range(start, end)
+        )
 
     def getrandbits(self, k: int) -> int:
         if k <= 0:
@@ -141,26 +138,20 @@ class Drbg:
 
 
 class Xof(Drbg):
-    """The SHAKE-256 output of a seed, read as a ``Drbg`` stream is read.
+    """A ``Drbg`` whose pool is refilled from the SHAKE-256 output of a seed.
 
     A public matrix is published as the seed of this stream: its residues
     are the stream's ``randbelow_many`` draws.  SHAKE has no incremental
-    read, so a request past the squeezed bytes squeezes again, at least
-    twice as many.
+    read, so a refill squeezes again, at least twice the ``_counter`` bytes
+    squeezed so far, and keeps only the tail; ``_key`` holds the seed.
     """
 
-    __slots__ = ("_seed",)
+    __slots__ = ()
 
     def __init__(self, seed: bytes):
-        self._seed = seed
-        self._pool = b""
-        self._pos = 0
+        self._key, self._counter, self._pool, self._pos = seed, 0, b"", 0
 
-    def randbytes(self, n: int) -> bytes:
-        if n < 0:
-            raise ValueError("number of bytes must be nonnegative")
-        pos, end = self._pos, self._pos + n
-        if end > len(self._pool):
-            self._pool = hashlib.shake_256(self._seed).digest(max(end, 2 * len(self._pool)))
-        self._pos = end
-        return self._pool[pos:end]
+    def _squeeze(self, need: int) -> bytes:
+        done = self._counter
+        self._counter = max(done + need, 2 * done)
+        return hashlib.shake_256(self._key).digest(self._counter)[done:]

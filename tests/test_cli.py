@@ -19,6 +19,7 @@ from mss import bulletin as bio
 from mss import cli
 from mss.bulletin import encode_secrets
 from mss.counts import public_value_counts
+from mss.rng import Drbg
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -712,6 +713,32 @@ class TestExpansion:
         ]) == 2
         assert capsys.readouterr().err == message
         assert expansions == []
+
+    def test_a_share_of_the_declared_r_expands_t_max_times_r_residues(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A bulletin stays small whatever r it declares, but a share of that
+        length makes ``verify-share`` expand F: t_max * r residues."""
+        params = scheme.SchemeParams(variant=scheme.Variant.S1, n=8, k=1, thresholds=(4,))
+        _shares, board = scheme.deal(params, [(1, 2, 3, 4)], Drbg(1))
+        obj = json.loads(bio.encode_bulletin(board)[0])
+        r = obj["params"]["r"] = 20_000
+        bulletin = tmp_path / "bulletin.json"
+        bulletin.write_text(json.dumps(obj, separators=(",", ":")))
+        assert bulletin.stat().st_size < 2_000
+        share = tmp_path / "share.json"
+        share.write_bytes(bio.encode_share(ajtai.Share(owner=1, bits=Drbg(2).bit_vector(r))))
+        sizes = []
+        real = scheme.expand_matrix
+
+        def spy(field, rows, cols, seed):
+            sizes.append((rows, cols))
+            return real(field, rows, cols, seed)
+
+        monkeypatch.setattr(scheme, "expand_matrix", spy)
+        assert cli.main(["verify-share", "--bulletin", str(bulletin), "--share", str(share)]) == 1
+        assert "share 1: FAIL" in capsys.readouterr().err
+        assert sizes == [(params.max_threshold, r)]  # F, t_max * r residues
 
 
 class TestCounts:

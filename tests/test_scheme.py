@@ -273,14 +273,24 @@ class TestConstruct:
             construct(result, shares, [(1, 97), (1, 2, 3)], rng)  # unreduced
 
     def test_deal_rejects_bad_secret_before_drawing(self):
+        class NoDraws:
+            """A generator whose every method raises."""
+
+            def __getattr__(self, name):
+                raise AssertionError(f"deal used the generator's {name}")
+
         p = SchemeParams(variant=Variant.S1, n=5, k=2, thresholds=(2, 3), q=97)
-        non_ints = ([(0.5, 1), (1, 2, 3)], [(1.0, 1), (1, 2, 3)], [(True, 1), (1, 2, 3)],
-                    [("1", 1), (1, 2, 3)], [(1, 2), (1, 2, 3.0)])
-        for secrets in ([(1, 2)], [(1, 2, 3), (1, 2, 3)], [(1, 97), (1, 2, 3)], *non_ints):
-            rng = Drbg("shape")
-            with pytest.raises(ValueError):
-                deal(p, secrets, rng)
-            assert rng.randbytes(32) == Drbg("shape").randbytes(32)
+        not_ints = "secret {} has components that are not ints"
+        cases = [
+            ([(1, 2)], "expected 2 secrets, got 1"),
+            ([(1, 2, 3), (1, 2, 3)], "secret 1 must have 2 components, got 3"),
+            ([(1, 97), (1, 2, 3)], r"secret 1 has components outside \[0, q\)"),
+            *(([(x, 1), (1, 2, 3)], not_ints.format(1)) for x in (0.5, 1.0, True, "1")),
+            ([(1, 2), (1, 2, 3.0)], not_ints.format(2)),
+        ]
+        for secrets, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                deal(p, secrets, NoDraws())
 
     def test_share_count_checked(self):
         p = SchemeParams(variant=Variant.S1, n=5, k=1, thresholds=(2,), q=97)
