@@ -10,7 +10,9 @@ lists of decimal strings that ``_dump`` writes by ``join``, and one reader,
 each vector or level of vectors in one byte scan and one JSON array read.
 Share bits become hex by ``bytes.translate`` and ``int``, and bits again by
 ``rng._bits``, which the generator's bit vectors use too.  Decoding
-re-validates every structural invariant and fails loudly on anything off.
+re-validates every structural invariant and fails loudly on anything off,
+except that ``read_bulletin`` checks only the shape of the offsets and
+extras of a secret it is not asked to read.
 
 This is the one module that knows bulletin formats.  Format 2, which
 ``deal`` writes, publishes each public matrix as the seed it expands from;
@@ -185,6 +187,16 @@ def _parse_nested(value, q: int, shape, what: str):
     )
 
 
+def _check_shape(value, shape, what: str) -> None:
+    """The array checks of ``_parse_nested`` alone, with its errors."""
+    if isinstance(shape, int):
+        _array(value, shape, what)
+    elif not all(isinstance(v, list) and len(v) == s
+                 for v, s in zip(_array(value, len(shape), what), shape)):
+        for i, (v, s) in enumerate(zip(value, shape)):
+            _check_shape(v, s, f"{what}[{i}]")
+
+
 def _strs(value):
     """Residue tuples at any depth as lists of decimal strings, and a
     Matrix as its rows/cols/data object; the decoders read them back."""
@@ -310,13 +322,15 @@ def deal_id(bulletin: Bulletin) -> str:
 def encode_bulletin(bulletin: Bulletin) -> tuple[bytes, str]:
     """The bulletin's bytes and its ``deal_id``, with the setup section
     turned into strings once for both; ``read_bulletin`` undoes it."""
+    if None in bulletin.offsets + bulletin.extras:
+        raise ValueError("a bulletin read without every secret's round values cannot be written")
     setup = _setup_section(bulletin.setup)
     rounds = {key: _strs(getattr(bulletin, key)) for key in ("constants", "offsets", "extras")}
     data = _document("bulletin", **setup, **rounds, secret_hashes=list(bulletin.secret_hashes))
     return data, _digest(setup)
 
 
-def read_bulletin(data: bytes | str) -> tuple[Bulletin, str]:
+def read_bulletin(data: bytes | str, secrets=None) -> tuple[Bulletin, str]:
     """The bulletin and its ``deal_id``, in one pass.
 
     Both bulletin formats are read; a format 2 seed is checked and kept,
@@ -325,6 +339,10 @@ def read_bulletin(data: bytes | str) -> tuple[Bulletin, str]:
     residue and seed strings.  Decode has checked each to be ``str`` of its
     value, so the section equals ``_setup_section`` of ``bulletin.setup``;
     keys that decode ignores never reach it.
+
+    ``secrets``, if given, names the secrets whose offsets and extras are
+    parsed, ignoring any index outside 1..k; every other secret's are
+    checked for shape alone and read as None.  The rest is read in full.
     """
     obj = _load_json(data, "bulletin", versions=tuple(_MATRIX_KEYS))
     version = obj["format_version"]
@@ -340,13 +358,18 @@ def read_bulletin(data: bytes | str) -> tuple[Bulletin, str]:
             raise ValidationError("secret hash must be 64 lowercase hex digits")
 
     shapes = {
-        "constants": [t_max] if params.variant.shared_constant else list(ts),
         "offsets": [[t] * (n - t + 1) for t in ts],
         "extras": [[t] * params.variant.extras_count(t) for t in ts],
     }
-    per_secret = {
-        key: _parse_nested(_get(obj, key), q, shape, key) for key, shape in shapes.items()
-    }
+    constants = [t_max] if params.variant.shared_constant else list(ts)
+    per_secret = {"constants": _parse_nested(_get(obj, "constants"), q, constants, "constants")}
+    read = range(1, k + 1) if secrets is None else secrets
+    for key, shape in shapes.items():  # a secret read is parsed as the full read parses it
+        per_secret[key] = tuple(
+            _parse_nested(v, q, s, f"{key}[{i}]") if i + 1 in read
+            else _check_shape(v, s, f"{key}[{i}]")
+            for i, (v, s) in enumerate(zip(_array(_get(obj, key), k, key), shape))
+        )
 
     deal_setup = DealSetup(params, matrices, commitments)
     bulletin = Bulletin(setup=deal_setup, secret_hashes=tuple(raw_hashes), **per_secret)

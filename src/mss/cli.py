@@ -107,7 +107,7 @@ def cmd_deal(args) -> int:
 
 
 def cmd_verify_share(args) -> int:
-    board, digest = bio.read_bulletin(_read(args.bulletin))
+    board, digest = bio.read_bulletin(_read(args.bulletin), secrets=())
     share = bio.bind_share(bio.decode_share(_read(args.share)), board, digest)
     if first_unbound(board.setup, [share]) is None:
         print(f"share {share.owner}: OK")
@@ -139,7 +139,7 @@ def _quorum(shares: list, t_i: int, method: str) -> list:
 
 
 def cmd_recover(args) -> int:
-    board, digest = bio.read_bulletin(_read(args.bulletin))
+    board, digest = bio.read_bulletin(_read(args.bulletin), secrets=(args.secret,))
     i = args.secret
     t_i = board.threshold(i)
 
@@ -168,7 +168,7 @@ def cmd_recover(args) -> int:
 
 
 def cmd_verify_secret(args) -> int:
-    board, digest = bio.read_bulletin(_read(args.bulletin))
+    board, digest = bio.read_bulletin(_read(args.bulletin), secrets=())
     report = bio.decode_recovered(_read(args.recovered), board.setup.params.q)
     if report.deal != digest:
         raise WrongDeal("report belongs to another deal")

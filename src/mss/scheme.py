@@ -177,14 +177,15 @@ class Bulletin:
 
     offsets[i-1][j - t_i] is the published offset for secret i and
     participant j (t_i <= j <= n); extras[i-1][m-1] is the published
-    sequence term at index n + m.
+    sequence term at index n + m; both are None for a secret that
+    ``read_bulletin`` did not parse, and the accessors then raise BadIndex.
     """
 
     setup: DealSetup
     secret_hashes: tuple[str, ...]
     constants: tuple[tuple[int, ...], ...]
-    offsets: tuple[tuple[tuple[int, ...], ...], ...]
-    extras: tuple[tuple[tuple[int, ...], ...], ...]
+    offsets: tuple[tuple[tuple[int, ...], ...] | None, ...]
+    extras: tuple[tuple[tuple[int, ...], ...] | None, ...]
 
     def threshold(self, i: int) -> int:
         _check_secret_index(self.setup.params, i)
@@ -193,18 +194,23 @@ class Bulletin:
     def ilr_spec(self, i: int) -> IlrSpec:
         return ilr_spec_for(self.setup.params, i, self.constants)
 
+    def _parsed(self, values, i: int):
+        if values[i - 1] is None:  # offsets or extras that read_bulletin left out
+            raise BadIndex(f"secret {i}'s offsets and extras were not read from the bulletin")
+        return values[i - 1]
+
     def offset_for(self, i: int, j: int) -> tuple[int, ...]:
         t_i = self.threshold(i)
         if not t_i <= j <= self.setup.params.n:
             raise BadIndex(f"no offset published for participant {j}")
-        return self.offsets[i - 1][j - t_i]
+        return self._parsed(self.offsets, i)[j - t_i]
 
     def extra_points(self, i: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Published samples (n+1, u_{n+1}), ..., beyond the participants."""
         _check_secret_index(self.setup.params, i)
         n = self.setup.params.n
         return tuple(
-            (n + m, vec) for m, vec in enumerate(self.extras[i - 1], start=1)
+            (n + m, vec) for m, vec in enumerate(self._parsed(self.extras, i), start=1)
         )
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import functools
 import json
 import os
 import random
@@ -27,6 +28,8 @@ from mss.bulletin import (
     write_atomic,
 )
 from mss.errors import (
+    BadIndex,
+    MssError,
     ParseError,
     UnsupportedVersion,
     ValidationError,
@@ -34,7 +37,14 @@ from mss.errors import (
 )
 from mss.field import DEFAULT_PRIME
 from mss.rng import Drbg
-from mss.scheme import SchemeParams, Variant, deal
+from mss.scheme import (
+    Bulletin,
+    SchemeParams,
+    Variant,
+    deal,
+    participant_subshadows,
+    recover_way1_lagrange,
+)
 
 
 #: The interpreter's digit limit for int(str); 0 where it has none.
@@ -547,6 +557,146 @@ class TestFormat2BulletinValidation(TestBulletinValidation):
         old = json.loads(encode_bulletin(board1)[0])
         obj.update(mask_matrices=old["mask_matrices"], commit_matrix=old["commit_matrix"])
         assert read_bulletin(json.dumps(obj).encode()) == (board, deal_id(board))
+
+
+#: The secrets a partial read parses, for the k = 3 deals of TestPartialRead:
+#: all of them by default, none, each alone, and all of them by name.
+PARTIAL_READS = [None, (), (1,), (2,), (3,), (1, 2, 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def partial_deal(variant, format1, q=97):
+    """The shares, bulletin and bytes of a k = 3 deal whose secrets have
+    different thresholds."""
+    shares, board = make_board(
+        variant=variant, k=3, thresholds=(2, 3, 2), q=q, seed=f"partial-{variant}",
+        format1=format1,
+    )
+    return shares, board, encode_bulletin(board)[0]
+
+
+def is_read(secrets, i: int) -> bool:
+    return secrets is None or i in secrets
+
+
+def read_outcome(blob, secrets=None):
+    """read_bulletin's bulletin and digest, or the class and message it raised."""
+    try:
+        return read_bulletin(blob, secrets=secrets)
+    except MssError as exc:
+        return type(exc), str(exc)
+
+
+def narrowed_full_read(blob, secrets):
+    """The full read's outcome, with None for the offsets and extras of
+    every secret a read of ``secrets`` leaves out."""
+    outcome = read_outcome(blob)
+    if not isinstance(outcome[0], Bulletin):
+        return outcome
+    board, digest = outcome
+    return dataclasses.replace(board, **{
+        key: tuple(v if is_read(secrets, i) else None
+                   for i, v in enumerate(getattr(board, key), start=1))
+        for key in ("offsets", "extras")
+    }), digest
+
+
+@pytest.mark.parametrize(
+    "variant, format1",
+    [
+        pytest.param(v, f, id=f"{v.value}-format{1 if f else 2}")
+        for v in Variant
+        for f in (True, False)
+    ],
+)
+class TestPartialRead:
+    """read_bulletin(data, secrets) parses the offsets and extras of the
+    secrets named alone, and checks every other secret's for shape; the
+    rest of the file is read as the full read reads it."""
+
+    @pytest.mark.parametrize("secrets", PARTIAL_READS, ids=str)
+    def test_what_is_read_equals_the_full_read(self, variant, format1, secrets):
+        _, board, blob = partial_deal(variant, format1)
+        full, digest = read_bulletin(blob)
+        part, part_digest = read_bulletin(blob, secrets=secrets)
+        assert part_digest == digest == deal_id(board)
+        assert part.setup == full.setup
+        assert part.secret_hashes == full.secret_hashes
+        assert part.constants == full.constants
+        for key in ("offsets", "extras"):
+            for i in (1, 2, 3):
+                expected = getattr(full, key)[i - 1] if is_read(secrets, i) else None
+                assert getattr(part, key)[i - 1] == expected
+        if secrets is None or set(secrets) == {1, 2, 3}:
+            assert part == full == board
+
+    def test_an_index_outside_the_deal_is_ignored(self, variant, format1):
+        _, _, blob = partial_deal(variant, format1)
+        assert read_bulletin(blob, secrets=(0, 4, -1)) == read_bulletin(blob, secrets=())
+        assert read_bulletin(blob, secrets=(4, 2)) == read_bulletin(blob, secrets=(2,))
+
+    RESIDUE_FAULTS = {"leading zero": "01", "unreduced": "q", "negative": "-1",
+                      "non-string": 5, "underscore": "1_0", "lone surrogate": "\ud800"}
+
+    @pytest.mark.parametrize("key", ["offsets", "extras"])
+    @pytest.mark.parametrize("fault", RESIDUE_FAULTS)
+    def test_a_bad_residue_fails_the_reads_of_its_secret_alone(
+        self, variant, format1, key, fault
+    ):
+        _, board, blob = partial_deal(variant, format1)
+        bad = self.RESIDUE_FAULTS[fault]
+        bad = str(board.setup.params.q) if bad == "q" else bad
+        for m in range(3):
+            faulty = mutate(board, [key, m, -1, 0], bad)
+            full = read_outcome(faulty)
+            assert full[0] in (ParseError, ValidationError)
+            assert full[1].startswith(f"{key}[{m}]")
+            for secrets in PARTIAL_READS:
+                clean = narrowed_full_read(blob, secrets)
+                expected = full if is_read(secrets, m + 1) else clean
+                assert read_outcome(faulty, secrets) == expected
+
+    SHAPE_FAULTS = {
+        "non-list": lambda arr: {"0": arr},
+        "one vector too many": lambda arr: arr + arr[-1:],
+        "one vector too few": lambda arr: arr[:-1],
+        "a vector one short": lambda arr: [arr[0][:-1], *arr[1:]],
+    }
+
+    @pytest.mark.parametrize("key", ["offsets", "extras"])
+    @pytest.mark.parametrize("fault", SHAPE_FAULTS)
+    def test_a_shape_fault_fails_every_read(self, variant, format1, key, fault):
+        # at the level of all secrets, and of each secret's vectors
+        _, board, blob = partial_deal(variant, format1)
+        for path in ([key], [key, 0], [key, 1], [key, 2]):
+            value = json.loads(blob)
+            for step in path:
+                value = value[step]
+            faulty = mutate(board, path, self.SHAPE_FAULTS[fault](value))
+            full = read_outcome(faulty)
+            assert full[0] in (ParseError, ValidationError)
+            for secrets in PARTIAL_READS:
+                assert read_outcome(faulty, secrets) == full
+
+    def test_an_unread_secret_is_refused_by_name(self, variant, format1):
+        shares, board, blob = partial_deal(variant, format1)
+        part, _ = read_bulletin(blob, secrets=(1,))
+        quorum = shares[:2]
+        assert recover_way1_lagrange(part, 1, participant_subshadows(part, 1, quorum)) == (
+            recover_way1_lagrange(board, 1, participant_subshadows(board, 1, quorum))
+        )
+        refused = "^secret 2's offsets and extras were not read from the bulletin$"
+        with pytest.raises(BadIndex, match=refused):
+            part.offset_for(2, 4)
+        with pytest.raises(BadIndex, match=refused):
+            part.extra_points(2)
+        with pytest.raises(BadIndex, match=refused):
+            participant_subshadows(part, 2, shares[:3])
+        # an index outside the deal is refused as before
+        with pytest.raises(BadIndex, match=r"^secret index 4 outside \[1, 3\]$"):
+            part.extra_points(4)
+        with pytest.raises(ValueError, match="^a bulletin read without every secret's round"):
+            encode_bulletin(part)
 
 
 class TestShareFiles:

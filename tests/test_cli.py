@@ -19,6 +19,7 @@ from mss import bulletin as bio
 from mss import cli
 from mss.bulletin import encode_secrets
 from mss.counts import public_value_counts
+from mss.field import DEFAULT_PRIME
 from mss.rng import Drbg
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -739,6 +740,119 @@ class TestExpansion:
         assert cli.main(["verify-share", "--bulletin", str(bulletin), "--share", str(share)]) == 1
         assert "share 1: FAIL" in capsys.readouterr().err
         assert sizes == [(params.max_threshold, r)]  # F, t_max * r residues
+
+
+class TestPartialRead:
+    """recover parses the offsets and extras of the secret it recovers,
+    verify-secret and verify-share those of none: a residue fault in
+    another secret's passes them, a shape fault anywhere does not."""
+
+    @pytest.fixture(
+        params=[("s1", 97), ("s3", 97), ("s1", DEFAULT_PRIME), ("s3", DEFAULT_PRIME)],
+        ids=lambda p: f"{p[0]}-q{p[1]}",
+    )
+    def deal_dir(self, request, tmp_path, capsys):
+        variant, q = request.param
+        secrets = tmp_path / "secrets.json"
+        secrets.write_bytes(encode_secrets(q, ((7, 9), (1, 2, 3))))
+        argv = ["deal", "--variant", variant, "--n", "5", "--k", "2", "--thresholds", "2,3",
+                "--q", str(q), "--seed", "42", "--secrets", str(secrets),
+                "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        capsys.readouterr()
+        return tmp_path
+
+    @staticmethod
+    def faulty(directory, fault):
+        """A copy of the bulletin with secret 2's offsets changed by fault."""
+        obj = json.loads((directory / "bulletin.json").read_bytes())
+        fault(obj["offsets"][1], obj["params"]["q"])
+        path = directory / "faulty.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    @staticmethod
+    def unreduced(offsets, q):
+        offsets[0][0] = q
+
+    @staticmethod
+    def one_short(offsets, q):
+        offsets.pop()
+
+    @staticmethod
+    def run(capsys, *argv):
+        code = cli.main([str(a) for a in argv])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def recover(self, capsys, directory, bulletin, secret, method, out, owners):
+        return self.run(
+            capsys, "recover", "--bulletin", bulletin, "--secret", secret, "--method", method,
+            "--out", directory / out, *(directory / f"share_{j}.json" for j in owners),
+        )
+
+    def test_secret_one_recovers_and_verifies_as_from_the_clean_bulletin(self, deal_dir, capsys):
+        clean = str(deal_dir / "bulletin.json")
+        faulty = self.faulty(deal_dir, self.unreduced)
+        for method in ("vandermonde", "lagrange", "backward"):
+            reports = []
+            for bulletin in (clean, faulty):
+                code, out, err = self.recover(
+                    capsys, deal_dir, bulletin, 1, method, "r.json", [2, 3]
+                )
+                assert (code, err) == (0, ""), err
+                report = deal_dir / "r.json"
+                assert out == f"secret 1: verified -> {report}\n"
+                reports.append(report.read_bytes())
+                assert self.run(capsys, "verify-secret", "--bulletin", bulletin,
+                                "--recovered", report) == (0, "secret 1: verified\n", "")
+            assert reports[0] == reports[1]
+
+    def test_secret_two_is_refused_and_every_share_verifies(self, deal_dir, capsys):
+        faulty = self.faulty(deal_dir, self.unreduced)
+        assert self.recover(capsys, deal_dir, faulty, 2, "lagrange", "r2.json", [1, 2, 3]) == (
+            2, "", "error: ValidationError: offsets[1][0] is not reduced mod q\n"
+        )
+        assert not (deal_dir / "r2.json").exists()
+        for j in range(1, 6):
+            share = deal_dir / f"share_{j}.json"
+            assert self.run(capsys, "verify-share", "--bulletin", faulty, "--share", share) == (
+                0, f"share {j}: OK\n", ""
+            )
+
+    def test_a_shape_fault_in_secret_two_fails_every_command(self, deal_dir, capsys):
+        clean = str(deal_dir / "bulletin.json")
+        assert self.recover(capsys, deal_dir, clean, 1, "lagrange", "r.json", [1, 2])[0] == 0
+        faulty = self.faulty(deal_dir, self.one_short)
+        failed = (2, "", "error: ValidationError: offsets[1] must have length 3, got 2\n")
+        assert self.recover(capsys, deal_dir, faulty, 1, "lagrange", "r1.json", [1, 2]) == failed
+        assert self.run(
+            capsys, "verify-secret", "--bulletin", faulty, "--recovered", deal_dir / "r.json"
+        ) == failed
+        assert self.run(
+            capsys, "verify-share", "--bulletin", faulty, "--share", deal_dir / "share_1.json"
+        ) == failed
+
+    def test_each_command_reads_the_bulletin_once_for_what_it_uses(
+        self, deal_dir, capsys, monkeypatch
+    ):
+        reads = []
+        real = bio.read_bulletin
+
+        def spy(data, **kwargs):
+            reads.append(kwargs)
+            return real(data, **kwargs)
+
+        monkeypatch.setattr(bio, "read_bulletin", spy)
+        bulletin = deal_dir / "bulletin.json"
+        assert self.run(capsys, "verify-share", "--bulletin", bulletin,
+                        "--share", deal_dir / "share_4.json")[0] == 0
+        assert reads == [{"secrets": ()}]
+        assert self.recover(capsys, deal_dir, bulletin, 2, "backward", "r.json", [1, 2, 3])[0] == 0
+        assert reads[1:] == [{"secrets": (2,)}]
+        assert self.run(capsys, "verify-secret", "--bulletin", bulletin,
+                        "--recovered", deal_dir / "r.json")[0] == 0
+        assert reads[2:] == [{"secrets": ()}]
 
 
 class TestCounts:

@@ -13,7 +13,9 @@ the Vandermonde recovery of any bulletin's quorum equals those.
 with unknown keys, indentation and shuffled key order.  The
 bulletin's one-pass residue-array parser agrees with a per-element reference
 parser on hostile arrays and on levels of them, errors included, and its
-writer gives the bytes of ``json.dumps`` with sorted keys.  The
+writer gives the bytes of ``json.dumps`` with sorted keys.  One hostile
+element anywhere in a bulletin's round arrays gives a read of some
+secrets the full read's outcome, unless it lies in a secret not read.  The
 generator's byte stream is SHA-256 in counter mode however it is split,
 a negative length is refused before the stream moves, and a batch draw
 gives the values, and leaves the stream, of the single draws it replaces;
@@ -65,7 +67,16 @@ from mss.scheme import (
     recover_way1_vandermonde,
     recover_way2,
 )
-from test_bulletin import TOO_LONG, needs_digit_limit
+from test_bulletin import (
+    PARTIAL_READS,
+    TOO_LONG,
+    is_read,
+    mutate,
+    narrowed_full_read,
+    needs_digit_limit,
+    partial_deal,
+    read_outcome,
+)
 
 MODULI = (97, (1 << 61) - 1)
 
@@ -392,6 +403,34 @@ def test_level_parser_matches_per_vector_reference(case):
     assert outcome(_parse_nested, level, q, shape, "v") == outcome(
         reference_level, level, q, shape, "v"
     )
+
+
+@st.composite
+def round_faults(draw):
+    """(blob, faulty, secret): a k = 3 deal's bytes, and those bytes with
+    one hostile element anywhere in the constants, offsets or extras;
+    secret is the 1-based secret whose offsets or extras hold it, else None."""
+    q = draw(st.sampled_from(MODULI))
+    _, board, blob = partial_deal(draw(st.sampled_from(list(Variant))), draw(st.booleans()), q)
+    key = draw(st.sampled_from(["constants", "offsets", "extras"]))
+    path, vectors = [key], getattr(board, key)
+    if key != "constants":
+        path.append(draw(st.integers(0, 2)))
+        vectors = vectors[path[-1]]
+    path.append(draw(st.integers(0, len(vectors) - 1)))
+    path.append(draw(st.integers(0, len(vectors[path[-1]]) - 1)))
+    faulty = mutate(board, path, draw(hostile_elements(q)))
+    return blob, faulty, None if key == "constants" else path[1] + 1
+
+
+@DIFFERENTIAL
+@given(case=round_faults())
+def test_one_fault_reads_as_in_the_full_read_unless_in_a_secret_not_read(case):
+    blob, faulty, secret = case
+    for secrets in PARTIAL_READS:
+        unread_fault = secret is not None and not is_read(secrets, secret)
+        expected = narrowed_full_read(blob if unread_fault else faulty, secrets)
+        assert read_outcome(faulty, secrets) == expected
 
 
 @pytest.mark.parametrize(
