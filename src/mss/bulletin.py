@@ -276,8 +276,6 @@ def _parse_params(value) -> SchemeParams:
         params = SchemeParams(variant=variant, n=n, k=k, thresholds=t_list, q=q, r=r)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    if r < 1:  # SchemeParams derives r from 0, which no encoder writes
-        raise ValidationError("params.r must be positive")
     return params
 
 
@@ -340,9 +338,10 @@ def read_bulletin(data: bytes | str, secrets=None) -> tuple[Bulletin, str]:
     value, so the section equals ``_setup_section`` of ``bulletin.setup``;
     keys that decode ignores never reach it.
 
-    ``secrets``, if given, names the secrets whose offsets and extras are
-    parsed, ignoring any index outside 1..k; every other secret's are
-    checked for shape alone and read as None.  The rest is read in full.
+    ``secrets``, if given, is any iterable, read once, of the secrets whose
+    offsets and extras are parsed, ignoring any index outside 1..k; every
+    other secret's are checked for shape alone and read as None.  The rest
+    is read in full.
     """
     obj = _load_json(data, "bulletin", versions=tuple(_MATRIX_KEYS))
     version = obj["format_version"]
@@ -363,7 +362,7 @@ def read_bulletin(data: bytes | str, secrets=None) -> tuple[Bulletin, str]:
     }
     constants = [t_max] if params.variant.shared_constant else list(ts)
     per_secret = {"constants": _parse_nested(_get(obj, "constants"), q, constants, "constants")}
-    read = range(1, k + 1) if secrets is None else secrets
+    read = range(1, k + 1) if secrets is None else set(secrets)
     for key, shape in shapes.items():  # a secret read is parsed as the full read parses it
         per_secret[key] = tuple(
             _parse_nested(v, q, s, f"{key}[{i}]") if i + 1 in read

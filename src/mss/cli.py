@@ -1,8 +1,8 @@
 """Command-line front end: deal, verify, recover, counts, bench.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage or
-validation error.  With --seed (or the MSS_SEED environment variable) all
-non-timing output is reproducible bit for bit.
+validation error.  With --seed, the one way to seed a run, all non-timing
+output is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ EXIT_USAGE = 2
 
 
 def _seed(text: str) -> int:
-    """A --seed or MSS_SEED value: a nonnegative integer."""
+    """A --seed value, the one seed of a run: a nonnegative integer."""
     try:
         seed = int(text)
     except ValueError:
@@ -45,18 +45,6 @@ def _seed(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
     return seed
-
-
-def _rng_for(args) -> Drbg:
-    """The generator of --seed, else of MSS_SEED (read by ``_seed``; empty
-    counts as unset), else of OS entropy."""
-    env = os.environ.get("MSS_SEED")
-    if args.seed is not None or not env:
-        return Drbg(args.seed)
-    try:
-        return Drbg(_seed(env))
-    except argparse.ArgumentTypeError:
-        raise ValueError(f"MSS_SEED must be a nonnegative integer, got {env!r}") from None
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -80,7 +68,7 @@ def cmd_deal(args) -> int:
         q=args.q,
     )
     secrets = bio.decode_secrets(_read(args.secrets), params.q)
-    shares, board = deal(params, secrets, _rng_for(args))
+    shares, board = deal(params, secrets, Drbg(args.seed))
     board_bytes, deal_digest = bio.encode_bulletin(board)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -212,7 +200,7 @@ def cmd_bench(args) -> int:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
     n, k = args.n, args.k
     phases = ("construct", "verify_share", *(f"recover_{method}" for method in _METHODS))
-    rng = _rng_for(args)
+    rng = Drbg(args.seed)
     lines = ["phase,t,trials,median_seconds"]
     for t in args.t_range:
         params = SchemeParams(variant=args.variant, n=n, k=k, thresholds=(t,) * k)

@@ -91,8 +91,8 @@ MAX_PARTICIPANTS = 4096
 class SchemeParams:
     """Validated deal parameters.
 
-    r defaults to the share bit-length bound for (max threshold, n); pass
-    r=0 to derive it.
+    Omit r to derive it: the share bit-length bound for (max threshold, n).
+    An r that is given must be positive.
     """
 
     variant: Variant
@@ -100,7 +100,7 @@ class SchemeParams:
     k: int
     thresholds: tuple[int, ...]
     q: int = DEFAULT_PRIME
-    r: int = 0
+    r: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
@@ -120,10 +120,8 @@ class SchemeParams:
         PrimeField(self.q)  # primality check
         if self.q <= self.n + self.max_threshold + 1:
             raise ValueError("modulus too small for the evaluation points")
-        if self.r == 0:
-            object.__setattr__(
-                self, "r", share_length(self.max_threshold, self.n)
-            )
+        if self.r is None:
+            object.__setattr__(self, "r", share_length(self.max_threshold, self.n))
         if self.r < 1:
             raise ValueError("share length must be positive")
 

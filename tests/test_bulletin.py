@@ -266,15 +266,16 @@ class TestBulletinValidation:
 
     @pytest.mark.parametrize("r", [0, 1, 16])
     def test_r_must_be_positive(self, r):
-        # SchemeParams derives r from 0, so an unchecked r = 0 would decode
-        # to the deal's own r, and its deal_id, from a file no encoder writes
+        # SchemeParams refuses r = 0 as any r below 1; only an omitted r is derived
         _, board = self.board()
-        assert SchemeParams(Variant.S1, 5, 2, (2, 3), 97, r=0).r == board.setup.params.r
+        assert SchemeParams(Variant.S1, 5, 2, (2, 3), 97).r == board.setup.params.r
+        with pytest.raises(ValueError, match="^share length must be positive$"):
+            SchemeParams(Variant.S1, 5, 2, (2, 3), 97, r=0)
         blob = mutate(board, ["params", "r"], r)
         if r == board.setup.params.r:
             assert read_bulletin(blob) == (board, deal_id(board))
         elif r == 0:
-            with pytest.raises(ValidationError, match="^params.r must be positive$"):
+            with pytest.raises(ValidationError, match="^share length must be positive$"):
                 decode_bulletin(blob)
         else:
             with pytest.raises(ValidationError, match=r"^mask_matrices\[0\] must be "):
@@ -501,7 +502,7 @@ class TestFormat2BulletinValidation(TestBulletinValidation):
         _, board = self.board()
         blob = mutate(board, ["params", "r"], r)
         if r == 0:
-            with pytest.raises(ValidationError, match="^params.r must be positive$"):
+            with pytest.raises(ValidationError, match="^share length must be positive$"):
                 decode_bulletin(blob)
         else:
             decoded, digest = read_bulletin(blob)
@@ -634,6 +635,15 @@ class TestPartialRead:
         _, _, blob = partial_deal(variant, format1)
         assert read_bulletin(blob, secrets=(0, 4, -1)) == read_bulletin(blob, secrets=())
         assert read_bulletin(blob, secrets=(4, 2)) == read_bulletin(blob, secrets=(2,))
+
+    @pytest.mark.parametrize("secrets", PARTIAL_READS[1:], ids=str)
+    def test_a_one_shot_iterable_reads_as_its_tuple(self, variant, format1, secrets):
+        # each secret's offsets and extras test membership, so a generator
+        # read once would leave every secret after the first loop unread
+        _, _, blob = partial_deal(variant, format1)
+        expected = read_bulletin(blob, secrets=secrets)
+        assert read_bulletin(blob, secrets=(i for i in secrets)) == expected
+        assert read_bulletin(blob, secrets=map(int, secrets)) == expected
 
     RESIDUE_FAULTS = {"leading zero": "01", "unreduced": "q", "negative": "-1",
                       "non-string": 5, "underscore": "1_0", "lone surrogate": "\ud800"}
@@ -940,6 +950,32 @@ class TestAtomicWrite:
             write_atomic(str(target), b"payload")
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
         assert target.is_dir()
+
+    def test_failed_cleanup_keeps_the_write_error(self, tmp_path, monkeypatch):
+        """When the temp file cannot be removed either, the caller still gets
+        the rename's error, naming the path given, and the temp file stays."""
+        path = tmp_path / "out.json"
+
+        def refuse(code):
+            def fail(src, *args, **kwargs):
+                raise OSError(code, os.strerror(code), src)
+            return fail
+
+        monkeypatch.setattr(os, "replace", refuse(errno.EXDEV))
+        monkeypatch.setattr(os, "unlink", refuse(errno.EACCES))
+        with pytest.raises(OSError) as info:
+            write_atomic(str(path), b"payload")
+        monkeypatch.undo()
+        exc = info.value
+        assert type(exc) is OSError  # EACCES, the unlink's, would be PermissionError
+        assert (exc.errno, exc.strerror, exc.filename, exc.filename2) == (
+            errno.EXDEV, os.strerror(errno.EXDEV), str(path), None
+        )
+        assert ".mss-tmp-" not in str(exc)
+        (leftover,) = tmp_path.iterdir()
+        assert leftover.name.startswith(".mss-tmp-")
+        assert leftover.read_bytes() == b"payload"
+        leftover.unlink()
 
     def test_failed_write_removes_temp_and_raises_as_is(self, tmp_path):
         with pytest.raises(TypeError, match="bytes-like"):

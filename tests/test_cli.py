@@ -25,11 +25,9 @@ from mss.rng import Drbg
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args, cwd=None, env_extra=None):
+def run_cli(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "mss", *args],
         capture_output=True,
@@ -113,41 +111,24 @@ class TestDeal:
                 tmp_path / "b" / name
             ).read_bytes()
 
-    def test_env_seed_fallback(self, tmp_path):
-        """MSS_SEED stands in for a missing --seed, and --seed wins over it."""
-
-        def bulletin(sub, *args, env=None):
+    def test_mss_seed_is_not_read(self, tmp_path, monkeypatch):
+        """--seed alone seeds a run: with MSS_SEED set and no --seed, each
+        deal draws from OS entropy."""
+        monkeypatch.setenv("MSS_SEED", "42")
+        unseeded = [a for a in DEAL_ARGS if a not in ("--seed", "42")]
+        bulletins = []
+        for sub in ("a", "b"):
             d = tmp_path / sub
             d.mkdir()
             (d / "secrets.json").write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
             result = run_cli(
-                *args, "--secrets", str(d / "secrets.json"), "--out-dir", str(d), env_extra=env
+                *unseeded, "--secrets", str(d / "secrets.json"), "--out-dir", str(d)
             )
             assert result.returncode == 0, result.stderr
-            return (d / "bulletin.json").read_bytes()
-
-        unseeded = [a for a in DEAL_ARGS if a not in ("--seed", "42")]
-        env = {"MSS_SEED": "42"}
-        from_env = bulletin("a", *unseeded, env=env)
-        assert bulletin("b", *unseeded, env=env) == from_env
-        assert bulletin("c", *DEAL_ARGS) == from_env
-        seed_7 = bulletin("d", *unseeded, "--seed", "7", env=env)
-        assert seed_7 == bulletin("e", *unseeded, "--seed", "7")
-        assert seed_7 != from_env
-
-    @pytest.mark.parametrize("value", ["abc", "-1"])
-    def test_env_seed_must_be_a_nonnegative_integer(self, tmp_path, value):
-        (tmp_path / "secrets.json").write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
-        unseeded = [a for a in DEAL_ARGS if a not in ("--seed", "42")]
-        result = run_cli(
-            *unseeded, "--secrets", str(tmp_path / "secrets.json"), "--out-dir", str(tmp_path),
-            env_extra={"MSS_SEED": value},
-        )
-        assert result.returncode == 2
-        assert result.stderr == (
-            f"error: ValueError: MSS_SEED must be a nonnegative integer, got {value!r}\n"
-        )
-        assert not (tmp_path / "bulletin.json").exists()
+            bulletins.append((d / "bulletin.json").read_bytes())
+        (tmp_path / "seeded").mkdir()
+        seeded = (deal_into(tmp_path / "seeded") / "bulletin.json").read_bytes()
+        assert len({*bulletins, seeded}) == 3
 
     def test_negative_seed_refused_by_the_parser(self, tmp_path):
         (tmp_path / "secrets.json").write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
@@ -184,17 +165,15 @@ class TestDeal:
             ("7 7", "invalid int value: '7 7'"),
         ],
     )
-    def test_seed_flag_and_env_follow_one_rule(
-        self, tmp_path, monkeypatch, capsys, value, refusal
-    ):
-        """--seed X and MSS_SEED=X accept the same values, which deal the same
-        bulletin, and refuse the same values, each with its own message."""
+    def test_seed_flag_follows_one_rule(self, tmp_path, capsys, value, refusal):
+        """--seed X deals the bulletin of the integer X, or is refused by the
+        parser with its message."""
         (tmp_path / "secrets.json").write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
         unseeded = [a for a in DEAL_ARGS if a not in ("--seed", "42")]
 
-        def deal(sub, *seed_args):
+        def deal(sub, seed):
             out = tmp_path / sub
-            args = [*unseeded, *seed_args, "--secrets", str(tmp_path / "secrets.json"),
+            args = [*unseeded, "--seed", seed, "--secrets", str(tmp_path / "secrets.json"),
                     "--out-dir", str(out)]
             try:
                 code = cli.main(args)
@@ -204,36 +183,13 @@ class TestDeal:
             written = bulletin.read_bytes() if bulletin.exists() else None
             return code, capsys.readouterr().err, written
 
-        monkeypatch.delenv("MSS_SEED", raising=False)
-        from_flag = deal("flag", "--seed", value)
-        monkeypatch.setenv("MSS_SEED", value)
-        from_env = deal("env")
+        from_flag = deal("flag", value)
         if refusal is None:
-            assert from_flag[:2] == from_env[:2] == (0, "")
-            assert from_flag[2] == from_env[2]
+            assert from_flag == (0, "", deal("int", str(int(value)))[2])
         else:
-            assert from_flag[0] == from_env[0] == 2
+            assert from_flag[0] == 2
             assert from_flag[1].endswith(f"error: argument --seed: {refusal}\n")
-            assert from_env[1] == (
-                f"error: ValueError: MSS_SEED must be a nonnegative integer, got {value!r}\n"
-            )
-            assert from_flag[2] is from_env[2] is None
-
-    def test_empty_env_seed_counts_as_unset(self, tmp_path):
-        """An empty MSS_SEED falls back to OS entropy, as an unset one does."""
-        unseeded = [a for a in DEAL_ARGS if a not in ("--seed", "42")]
-        bulletins = []
-        for sub in ("a", "b"):
-            d = tmp_path / sub
-            d.mkdir()
-            (d / "secrets.json").write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
-            result = run_cli(
-                *unseeded, "--secrets", str(d / "secrets.json"), "--out-dir", str(d),
-                env_extra={"MSS_SEED": ""},
-            )
-            assert result.returncode == 0, result.stderr
-            bulletins.append((d / "bulletin.json").read_bytes())
-        assert bulletins[0] != bulletins[1]
+            assert from_flag[2] is None
 
     def test_malformed_secrets_file(self, tmp_path):
         bad = tmp_path / "secrets.json"
