@@ -7,32 +7,24 @@ recovery works by interpolation over any quorum or by backward recursion
 over a consecutive one, and both shares and recovered secrets are
 verifiable against published digests.
 
-The package exports the protocol and every error class. The toolkits are
-imported from their submodules: the field from `mss.field`, the recursion
-from `mss.ilr`, the count tables from `mss.counts`; so is everything else
-(codecs, samplers, helpers).
+The package exports the protocol and the error classes its functions can
+raise. The toolkits are imported from their submodules: the field from
+`mss.field`, the recursion from `mss.ilr`, the count tables from
+`mss.counts`; so is everything else (codecs, samplers, helpers), and the
+codec's and toolkits' errors come from `mss.errors`.
 """
 
 from .ajtai import Share
 from .errors import (
     BadIndex,
-    BadInitial,
     BadQuorum,
     BadShares,
-    BadWindow,
     DimMismatch,
-    DuplicateNode,
-    Inconsistent,
-    InvalidNode,
     MssError,
     NotBinary,
     NotConsecutive,
-    ParseError,
     RngSuspect,
     ShareSpaceExhausted,
-    UnsupportedVersion,
-    ValidationError,
-    WrongDeal,
 )
 from .rng import Drbg
 from .scheme import (

@@ -306,11 +306,9 @@ def _validate_secrets(params: SchemeParams, secrets: Sequence[Sequence[int]]) ->
 
 def _draw_constants(params: SchemeParams, rng) -> tuple[tuple[int, ...], ...]:
     field = params.field()
-    if params.variant.shared_constant:
-        return (field.rand_vec(rng, params.max_threshold),)
+    lengths = (params.max_threshold,) if params.variant.shared_constant else params.thresholds
     repeated = RngSuspect(f"{MAX_SHARE_RESAMPLES} repeated constant vectors in a row")
-    draws = _distinct_draws(lambda t: field.rand_vec(rng, t), params.thresholds, repeated)
-    return tuple(draws)
+    return tuple(_distinct_draws(lambda t: field.rand_vec(rng, t), lengths, repeated))
 
 
 def construct(
@@ -563,8 +561,8 @@ def privacy_rank_probe(
     system has one more unknown than independent equations, so the constant
     coefficient (the secret component) stays free; with a full quorum it is
     pinned uniquely.  Raises BadQuorum unless 1 to t_i subshadows are
-    given, and BadIndex, DimMismatch, ValueError and DuplicateNode as the
-    recoveries do for a bad group or bad extras.
+    given, and BadIndex, DimMismatch and ValueError as the recoveries do
+    for a bad group or bad extras.
     """
     t_i = bulletin.threshold(i)
     if not 1 <= len(subshadows) <= t_i:

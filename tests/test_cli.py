@@ -304,6 +304,7 @@ class TestVerifyShare:
             str(path),
         )
         assert result.returncode == 1
+        assert result.stderr == "share 2: FAIL\n"
 
     def test_wrong_deal_exits_one_with_message(self, dealt, other_deal):
         result = run_cli(
@@ -314,7 +315,18 @@ class TestVerifyShare:
             str(dealt / "share_1.json"),
         )
         assert result.returncode == 1
-        assert "WrongDeal" in result.stderr
+        assert result.stderr == "FAIL: WrongDeal: share of owner 1 belongs to another deal\n"
+
+    def test_bulletin_with_zero_share_length_exits_two(self, dealt):
+        path = dealt / "bulletin.json"
+        obj = json.loads(path.read_text())
+        obj["params"]["r"] = 0
+        path.write_text(json.dumps(obj))
+        result = run_cli(
+            "verify-share", "--bulletin", str(path), "--share", str(dealt / "share_3.json")
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: ValidationError: share length must be positive\n"
 
 
 class TestRecover:

@@ -134,7 +134,7 @@ def test_seeded_output_matches_format2_golden_hashes(variant, q, tmp_path, monke
 
 
 def test_format1_fixture_is_the_pinned_deal(tmp_path, monkeypatch, capsys):
-    # the committed files, which the console-script check in CI also recovers
+    # the committed files, recovered by each method for each secret
     monkeypatch.chdir(tmp_path)
     golden = json.loads(GOLDEN.read_text())["s1-q97"]
     assert sorted(p.name for p in FORMAT1_FIXTURE.iterdir()) == sorted(
@@ -142,6 +142,14 @@ def test_format1_fixture_is_the_pinned_deal(tmp_path, monkeypatch, capsys):
     )
     hashes = seeded_hashes("s1", 97, capsys, files=FORMAT1_FIXTURE)
     assert hashes == without_deal_stdout(golden)
+
+
+def test_format1_fixture_shares_verify(capsys):
+    bulletin = str(FORMAT1_FIXTURE / "bulletin.json")
+    for j in range(1, N + 1):
+        share = str(FORMAT1_FIXTURE / f"share_{j}.json")
+        assert cli.main(["verify-share", "--bulletin", bulletin, "--share", share]) == 0
+        assert capsys.readouterr() == (f"share {j}: OK\n", "")
 
 
 #: Deals at the benchmark's scale: the ``deal`` workload's shape, and s3 at
