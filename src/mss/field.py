@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from itertools import accumulate, repeat
+from operator import mul, sub
 from typing import Sequence
 
 from .errors import DimMismatch, DuplicateNode, Inconsistent, InvalidNode
@@ -26,6 +27,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # 399165290221 * 798330580441 (Sorenson and Webster, Math. Comp. 2017):
 # below it the test is deterministic, at or above it it cannot decide.
 _MR_LIMIT = 318665857834031151167461
+
+# Exact differences multiplied per reduction in lagrange_at_zero: enough to
+# save most reductions, few enough that a product of 61-bit differences
+# stays about 1,000 bits.
+_CHUNK = 16
 
 
 @lru_cache(maxsize=64)
@@ -316,8 +322,15 @@ def lagrange_at_zero(
     Column c holds the values at the given nodes, in node order; the result
     holds one value per column.  The weights
     w_j = prod_{i != j} x_i / (x_i - x_j) depend on the nodes only, so they
-    are computed once, with one inversion per node, and each column's value
-    is sum_j w_j * y_j.  All nodes must be distinct and nonzero.
+    are computed once, and each column's value is sum_j w_j * y_j.  All
+    nodes must be distinct and nonzero.
+
+    Each weight is w_j = (prod_i x_i) / den_j with
+    den_j = x_j * prod_{i != j} (x_i - x_j): the exact differences, ints in
+    (-q, q), with x_j in place of the zero at i = j, multiplied _CHUNK at a
+    time before each reduction mod q, so the int products stay short.  All
+    denominators are inverted with one inversion of their product, walked
+    back through the prefix products (Montgomery, Math. Comp. 48, 1987).
     """
     q = field.q
     xs = [x % q for x in nodes]
@@ -328,14 +341,23 @@ def lagrange_at_zero(
     for ys in columns:
         if len(ys) != len(xs):
             raise DimMismatch(f"{len(xs)} nodes, value column has {len(ys)}")
-    weights = []
+    dens = []
     for j, xj in enumerate(xs):
-        num = den = 1
-        for i, xi in enumerate(xs):
-            if i != j:
-                num = num * xi % q
-                den = den * (xi - xj) % q
-        weights.append(num * field.inv(den) % q)
+        factors = list(map(sub, xs, repeat(xj)))
+        factors[j] = xj  # in place of x_j - x_j = 0
+        den = 1
+        for start in range(0, len(factors), _CHUNK):
+            den = den * math.prod(factors[start : start + _CHUNK]) % q
+        dens.append(den)
+    prefix = list(accumulate(dens, lambda a, b: a * b % q, initial=1))
+    num = 1
+    for x in xs:
+        num = num * x % q
+    inv = field.inv(prefix[-1])  # 1 / prod_j den_j; prefix[-1] is 1 for no nodes
+    weights = [0] * len(xs)
+    for j in reversed(range(len(xs))):
+        weights[j] = num * inv * prefix[j] % q
+        inv = inv * dens[j] % q
     return _weighted_sums(q, weights, columns)
 
 

@@ -187,11 +187,10 @@ def fold_columns(
     """Polynomial samples per component: column s holds the folded s-th
     entries of the sample vectors, in sample order (see fold_value)."""
     q = spec.field.q
-    signs = [fold_value(spec, x, 1) for x, _ in samples]  # 1 or -1 mod q
-    return [
-        [sign * vec[s] % q for sign, (_, vec) in zip(signs, samples)]
-        for s in range(spec.dim)
+    vectors = [
+        [-v for v in vec] if spec.alternating and x % 2 else vec for x, vec in samples
     ]
+    return [[v % q for v in column] for column in zip(*vectors)]
 
 
 def _checked_nodes(

@@ -324,6 +324,23 @@ class TestLagrangeAtZero:
         with pytest.raises(InvalidNode):
             lagrange_at_zero(F97, [0, 1], [[5, 6]])
 
+    @pytest.mark.parametrize(
+        "nodes, error",
+        [([97, 97], DuplicateNode), ([98, 1], DuplicateNode), ([0, 1], InvalidNode)],
+    )
+    def test_node_checks_come_before_the_column_check(self, nodes, error):
+        # a repeat that is also 0 mod q is a repeat; both come before a short column
+        with pytest.raises(error):
+            lagrange_at_zero(F97, nodes, [[5]])
+
+    @pytest.mark.parametrize("field, node", [(F97, 5), (F97, 200), (FBIG, DEFAULT_PRIME - 1)])
+    def test_single_node_has_weight_one(self, field, node):
+        assert lagrange_at_zero(field, [node], [[1], [7]]) == (1, 7)
+
+    def test_no_nodes_give_zero(self):
+        assert lagrange_at_zero(F97, [], [[]]) == (0,)
+        assert lagrange_at_zero(F97, [], []) == ()
+
 
 class TestBinomMod:
     def test_zero_when_j_below_l(self):

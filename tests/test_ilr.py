@@ -8,6 +8,7 @@ from mss.ilr import (
     IlrSpec,
     backward_recover,
     fit_general_term,
+    fold_columns,
     fold_value,
     forward_extend,
     recursion_coeffs,
@@ -249,6 +250,20 @@ class TestFitGeneralTerm:
             sol = solve_linear(F97, m, [rhs])
             assert sol.vectors is not None
             assert all(c == 0 for c in sol.vectors[0][s.unknowns :])
+
+
+class TestFoldColumns:
+    @pytest.mark.parametrize("alternating", [False, True])
+    def test_matches_fold_value_entry_by_entry(self, alternating):
+        # entries below 0 and at or above q, at even, odd and large indices
+        s = spec97(2, 1, alternating=alternating, c=(1, 2, 3))
+        samples = [
+            (x, (x - 50, 3 * x + 97, -x * x - 1))
+            for x in (1, 2, 3, 96, 97, 98, 195, 10**20 + 1)
+        ]
+        assert fold_columns(s, samples) == [
+            [fold_value(s, x, vec[comp]) for x, vec in samples] for comp in range(s.dim)
+        ]
 
 
 class TestGeneralTermTheorem:

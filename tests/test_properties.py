@@ -51,7 +51,7 @@ from mss.bulletin import (
     read_bulletin,
 )
 from mss.errors import MssError, ParseError, ValidationError
-from mss.field import Matrix, PrimeField, _weighted_sums
+from mss.field import Matrix, PrimeField, _weighted_sums, lagrange_at_zero
 from mss.ilr import IlrSpec, fit_general_term, fold_columns
 from mss.rng import Drbg, Xof
 from mss.scheme import (
@@ -81,6 +81,13 @@ from test_bulletin import (
 MODULI = (97, (1 << 61) - 1)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+#: At least the example counts the differential properties were written
+#: with, and more under a profile that asks for more.
+DIFFERENTIAL = settings(
+    max_examples=max(300, settings.default.max_examples),
+    deadline=None, derandomize=True, database=None,
+)
 
 
 @st.composite
@@ -198,6 +205,59 @@ def test_solved_weights_give_the_fitted_constant_coefficients(system):
     weights = _solved_weights(spec.field, [x for x, _ in samples])
     got = _weighted_sums(spec.field.q, weights, fold_columns(spec, samples))
     assert got == tuple(coeffs[0] for coeffs in fit_general_term(spec, samples))
+
+
+def per_node_weights(field, nodes):
+    """Oracle: the weights at zero of distinct nonzero nodes, one inversion
+    per node, w_j = prod_{i != j} x_i / (x_i - x_j)."""
+    q = field.q
+    xs = [x % q for x in nodes]
+    weights = []
+    for j, xj in enumerate(xs):
+        num = den = 1
+        for i, xi in enumerate(xs):
+            if i != j:
+                num = num * xi % q
+                den = den * (xi - xj) % q
+        weights.append(num * field.inv(den) % q)
+    return tuple(weights)
+
+
+@st.composite
+def scheme_nodes(draw):
+    """A random quorum of 1..n in random order, then the extras n+1..n+e."""
+    q = draw(st.sampled_from(MODULI))
+    n = draw(st.integers(1, 30))
+    quorum = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    return q, quorum + list(range(n + 1, n + 1 + draw(st.integers(0, 10))))
+
+
+@st.composite
+def wide_residues(draw):
+    """Distinct 61-bit residues."""
+    q = (1 << 61) - 1
+    return q, draw(st.lists(st.integers(1, q - 1), min_size=1, max_size=40, unique=True))
+
+
+@st.composite
+def nodes_past_q(draw):
+    """Nodes at or above a small q, distinct and nonzero mod q."""
+    q = draw(st.sampled_from([2, 3, 97]))
+    residues = draw(st.lists(st.integers(1, q - 1), min_size=1, max_size=min(q - 1, 40), unique=True))
+    return q, [x + q * draw(st.integers(1, 2**64)) for x in residues]
+
+
+@DIFFERENTIAL
+@given(
+    fitted_systems().map(lambda system: (system[0].field.q, [x for x, _ in system[1]]))
+    | scheme_nodes() | wide_residues() | nodes_past_q()
+)
+def test_lagrange_weights_are_the_solved_and_per_node_weights(case):
+    q, nodes = case
+    field = PrimeField(q)
+    units = [[int(i == j) for i in range(len(nodes))] for j in range(len(nodes))]
+    weights = lagrange_at_zero(field, nodes, units)
+    assert weights == per_node_weights(field, nodes) == _solved_weights(field, nodes)
 
 
 @st.composite
@@ -334,14 +394,6 @@ def residue_arrays(draw):
     for _ in range(draw(st.integers(1, 2))):
         arr[draw(st.integers(0, len(arr) - 1))] = draw(hostile_elements(q))
     return q, arr
-
-
-#: At least the example counts these differential properties were written
-#: with, and more under a profile that asks for more.
-DIFFERENTIAL = settings(
-    max_examples=max(300, settings.default.max_examples),
-    deadline=None, derandomize=True, database=None,
-)
 
 
 @DIFFERENTIAL

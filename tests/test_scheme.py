@@ -15,7 +15,7 @@ from mss.errors import (
     NotConsecutive,
     RngSuspect,
 )
-from mss.field import DEFAULT_PRIME, solve_linear, vandermonde
+from mss.field import DEFAULT_PRIME, PrimeField, solve_linear, vandermonde
 from mss.ilr import fold_value, forward_extend
 from mss.rng import Drbg
 from mss.scheme import (
@@ -540,6 +540,24 @@ class TestRecovery:
         sub = participant_subshadows(board, 1, shares[2:5])
         assert recover_way1_vandermonde(board, 1, sub) == tuple(secrets[0])
         assert widths == [1]
+
+    def test_lagrange_inverts_once_per_quorum(self, monkeypatch):
+        """All the quorum's denominators, 5 owners' and 6 extras', are
+        inverted through one inversion of their product."""
+        params, secrets, shares, board = make_deal(
+            Variant.S3, n=12, k=1, thresholds=(5,), seed="one-inversion"
+        )
+        sub = participant_subshadows(board, 1, shares[3:8])
+        calls = []
+        inv = PrimeField.inv
+
+        def counted(field, a):
+            calls.append(a)
+            return inv(field, a)
+
+        monkeypatch.setattr(PrimeField, "inv", counted)
+        assert recover_way1_lagrange(board, 1, sub) == tuple(secrets[0])
+        assert len(calls) == 1
 
     def test_result_same_for_different_quorums(self):
         params, secrets, shares, board = make_deal(
