@@ -19,7 +19,7 @@ from mss import bulletin as bio
 from mss import cli
 from mss.bulletin import encode_secrets
 from mss.counts import public_value_counts
-from mss.field import DEFAULT_PRIME
+from mss.field import DEFAULT_PRIME, PrimeField
 from mss.rng import Drbg
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -464,6 +464,30 @@ class TestRecover:
             "--out", str(dealt / "r_spy.json"), *[str(dealt / f"share_{j}.json") for j in (5, 1, 3)],
         ]) == 0, capsys.readouterr().err
         assert calls == [[4], [5, 1, 3]]
+
+    @pytest.mark.parametrize("variant", ["s1", "s2", "s3", "s4"])
+    def test_recover_reduces_each_subshadow_once(self, tmp_path, variant, monkeypatch, capsys):
+        """One recovery checks and reduces the quorum's subshadows once: at
+        most t_i vector reductions, for every method."""
+        deal_into(tmp_path, variant=variant)
+        reduced = []
+        real = PrimeField.vec
+
+        def spy(field, xs):
+            reduced.append(len(xs))
+            return real(field, xs)
+
+        monkeypatch.setattr(PrimeField, "vec", spy)
+        for method in ("vandermonde", "lagrange", "backward"):
+            for secret, t_i in ((1, 2), (2, 3)):
+                reduced.clear()
+                assert cli.main([
+                    "recover", "--bulletin", str(tmp_path / "bulletin.json"),
+                    "--secret", str(secret), "--method", method,
+                    "--out", str(tmp_path / f"r_{method}_{secret}.json"),
+                    *[str(tmp_path / f"share_{j}.json") for j in (5, 3, 1, 2, 4)],
+                ]) == 0, capsys.readouterr().err
+                assert len(reduced) <= t_i, (method, secret, reduced)
 
     @pytest.mark.parametrize(
         "out, error, code",

@@ -255,15 +255,23 @@ class TestFitGeneralTerm:
 class TestFoldColumns:
     @pytest.mark.parametrize("alternating", [False, True])
     def test_matches_fold_value_entry_by_entry(self, alternating):
-        # entries below 0 and at or above q, at even, odd and large indices
+        # residues, 0, 1 and q - 1 among them, at even, odd and large indices
         s = spec97(2, 1, alternating=alternating, c=(1, 2, 3))
         samples = [
-            (x, (x - 50, 3 * x + 97, -x * x - 1))
-            for x in (1, 2, 3, 96, 97, 98, 195, 10**20 + 1)
+            (x, ((x - 50) % 97, (3 * x + 1) % 97, (-x * x - 1) % 97))
+            for x in (1, 2, 3, 96, 97, 98, 147, 195, 10**20 + 1)
         ]
         assert fold_columns(s, samples) == [
             [fold_value(s, x, vec[comp]) for x, vec in samples] for comp in range(s.dim)
         ]
+
+    @pytest.mark.parametrize("alternating", [False, True])
+    def test_fit_general_term_reduces_its_samples(self, alternating):
+        # entries below 0 and at or above q fit as their residues do
+        s = spec97(2, 1, alternating=alternating, c=(1, 2, 3))
+        samples = [(x, (x - 50, 3 * x + 97, -x * x - 1)) for x in (1, 2, 96, 10**20 + 1)]
+        residues = [(x, tuple(v % 97 for v in vec)) for x, vec in samples]
+        assert fit_general_term(s, samples) == fit_general_term(s, residues)
 
 
 class TestGeneralTermTheorem:

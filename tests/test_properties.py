@@ -2,7 +2,8 @@
 
 For a random variant, modulus, participant count n <= 12, thresholds,
 secrets and DRBG seed, every recovery path returns the dealt secret exactly
-from a random quorum, and decoding an encoded bulletin gives it back.
+from a random quorum, also when the caller moves each of the quorum's
+entries by a multiple of q, and decoding an encoded bulletin gives it back.
 ``first_unbound`` returns the first share, of any shares of a seeded deal
 in any order with up to two of them tampered, that ``verify_commitment``
 refuses against its owner's commitment.
@@ -60,6 +61,8 @@ from mss.scheme import (
     SchemeParams,
     Variant,
     _solved_weights,
+    assemble_subshadows,
+    compute_shadow,
     deal,
     first_unbound,
     participant_subshadows,
@@ -124,6 +127,34 @@ def test_every_recovery_returns_the_dealt_secret(dealt, data):
         start = data.draw(st.integers(1, n - t_i + 1))
         window = participant_subshadows(board, i, shares[start - 1 : start - 1 + t_i])
         assert recover_way2(board, i, window) == secret
+
+
+@PROPERTY
+@given(dealt=deals(), data=st.data())
+def test_entries_moved_by_multiples_of_q_recover_alike(dealt, data):
+    """A group built by the caller, with each entry moved by a multiple of
+    q of either sign, assembles and recovers as its residues do."""
+    secrets, shares, board = dealt
+    n, q = board.setup.params.n, board.setup.params.q
+
+    def moved(vectors):
+        return {
+            j: tuple(v + q * m for v, m in zip(vec, data.draw(
+                st.lists(st.integers(-3, 3), min_size=len(vec), max_size=len(vec)))))
+            for j, vec in vectors.items()
+        }
+
+    for i, secret in enumerate(secrets, start=1):
+        t_i = board.threshold(i)
+        owners = data.draw(st.lists(st.integers(1, n), min_size=t_i, max_size=t_i, unique=True))
+        shadows = {j: compute_shadow(board, i, shares[j - 1]) for j in owners}
+        quorum = assemble_subshadows(board, i, shadows)
+        assert assemble_subshadows(board, i, moved(shadows)) == quorum
+        assert recover_way1_vandermonde(board, i, moved(quorum)) == secret
+        assert recover_way1_lagrange(board, i, moved(quorum)) == secret
+        start = data.draw(st.integers(1, n - t_i + 1))
+        window = participant_subshadows(board, i, shares[start - 1 : start - 1 + t_i])
+        assert recover_way2(board, i, moved(window)) == secret
 
 
 @functools.cache

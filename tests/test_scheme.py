@@ -443,6 +443,19 @@ class TestShadows:
         assert participant_subshadows(board, 2, []) == {}
         assert participant_subshadows(board, 2, iter(())) == {}
 
+    def test_subshadows_are_read_only_and_a_copy_is_checked_again(self):
+        _, _, shares, board = make_deal(Variant.S1, n=6, k=1, thresholds=(3,), seed="ro")
+        sub = participant_subshadows(board, 1, shares[:3])
+        for mutate in (lambda: sub.__setitem__(1, V[:2]), lambda: sub.update({1: V[:2]}),
+                       lambda: sub.pop(1), sub.popitem, sub.clear):
+            with pytest.raises(TypeError, match="^a checked quorum is read-only$"):
+                mutate()
+        copy = dict(sub)
+        copy[1] = V[:2]
+        for method in RECOVERY_METHODS:
+            with pytest.raises(DimMismatch):
+                method(board, 1, copy)
+
     def test_assemble_rejects_out_of_range_index(self):
         params, _, shares, board = make_deal(
             Variant.S1, n=5, k=1, thresholds=(2,), seed="rng"
@@ -464,6 +477,10 @@ V = (1, 2, 3)
         pytest.param({5: V, 6: V, 7: V}, BadIndex, id="index-n+1"),
         pytest.param({1: V, 2: V[:2], 3: V}, DimMismatch, id="short-vector"),
         pytest.param({4: V, 5: V + (4,), 6: V}, DimMismatch, id="long-vector"),
+        pytest.param({1: V[:2], 7: V, 2: V}, DimMismatch, id="lowest-index-first"),
+        pytest.param({True: V, 2: V, 3: V}, BadIndex, id="bool-index"),
+        pytest.param({1.5: V, 2: V, 3: V}, BadIndex, id="float-index"),
+        pytest.param({"1": V, 2: V, 3: V}, BadIndex, id="str-index"),
     ],
 )
 def test_bad_group_raises_one_class_everywhere(variant, group, error):
@@ -471,6 +488,23 @@ def test_bad_group_raises_one_class_everywhere(variant, group, error):
     for check in (assemble_subshadows, *RECOVERY_METHODS, privacy_rank_probe):
         with pytest.raises(error):
             check(board, 1, group)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("check", (assemble_subshadows, *RECOVERY_METHODS, privacy_rank_probe))
+def test_group_checks_run_in_one_order_everywhere(variant, check):
+    """The secret index first, then the caller's group size, then each
+    participant index."""
+    _, _, _, board = make_deal(variant, n=6, k=1, thresholds=(3,), seed="group")
+    if check in RECOVERY_METHODS:
+        with pytest.raises(BadQuorum, match=r"^need exactly 3 subshadows, got 2$"):
+            check(board, 1, {0: V, 1: V})
+    else:
+        with pytest.raises(BadIndex, match=r"^participant index 0 outside \[1, 6\]$"):
+            check(board, 1, {0: V, 1: V})
+    for i in (0, 2):
+        with pytest.raises(BadIndex, match=rf"^secret index {i} outside \[1, 1\]$"):
+            check(board, i, {0: V[:1]})
 
 
 @pytest.mark.parametrize("variant, unknowns", [("s1", 5), ("s2", 5), ("s3", 7), ("s4", 7)])
