@@ -185,22 +185,24 @@ def fold_columns(
     spec: IlrSpec, samples: Sequence[tuple[int, Sequence[int]]]
 ) -> list[list[int]]:
     """Polynomial samples per component: column s holds the folded s-th
-    entries of the residue sample vectors, in sample order (see fold_value)."""
+    entries of the sample vectors, in sample order, each congruent to its fold_value."""
     q = spec.field.q
-    vectors = [[-v % q for v in vec] if spec.alternating and x % 2 else vec for x, vec in samples]
+    vectors = [
+        [-v % q for v in vec] if spec.alternating and x % 2 else vec for x, vec in samples
+    ]
     return [list(column) for column in zip(*vectors)]
 
 
 def _checked_nodes(
-    spec: IlrSpec, samples: Sequence[tuple[int, Sequence[int]]], count: int, checked: int = 0
+    spec: IlrSpec, samples: Sequence[tuple[int, Sequence[int]]], count: int
 ) -> list[int]:
     """The sample indices mod q, after checking, in this order, for exactly
-    ``count`` samples and vectors of dimension len(c) past the first
-    ``checked`` (else ValueError) and for distinct indices (else DuplicateNode)."""
+    ``count`` samples and vectors of dimension len(c) (else ValueError) and
+    for distinct indices (else DuplicateNode)."""
     if len(samples) != count:
         raise ValueError(f"expected {count} samples, got {len(samples)}")
     q = spec.field.q
-    _check_vectors(spec, [vec for _, vec in samples[checked:]], ValueError)
+    _check_vectors(spec, [vec for _, vec in samples], ValueError)
     xs = [x % q for x, _ in samples]
     if len(set(xs)) != len(xs):
         raise DuplicateNode("sample indices must be distinct")
@@ -220,8 +222,7 @@ def fit_general_term(
     """
     xs = _checked_nodes(spec, samples, spec.unknowns)
     matrix = vandermonde(spec.field, xs, spec.unknowns)
-    columns = fold_columns(spec, [(x, spec.field.vec(vec)) for x, vec in samples])
-    solution = solve_linear(spec.field, matrix, columns)
+    solution = solve_linear(spec.field, matrix, fold_columns(spec, samples))
     assert solution.vectors is not None  # distinct nodes: always nonsingular
     return solution.vectors
 

@@ -385,60 +385,48 @@ def compute_shadow(bulletin: Bulletin, i: int, share: Share) -> tuple[int, ...]:
     return ajtai_hash(field, bulletin.setup.matrix(i), share.bits)
 
 
-class _Quorum(dict):
-    """The read-only terms that ``_quorum`` checked for secret ``i`` of ``bulletin``."""
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("a checked quorum is read-only")
-
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
-
-
 def _quorum(
-    bulletin: Bulletin, i: int, group: Mapping[int, Sequence[int]], size=None, shadows=False
-) -> _Quorum:
-    """The group's terms in index order, each reduced once, shadows plus their
-    offset for j >= t_i.  The one check of a group, in this order: the secret
-    index (BadIndex); t_i members for size "recovery", 1 to t_i for "probe"
-    (BadQuorum); int indices, then in ascending order each in [1, n]
-    (BadIndex) and its vector's length t_i (DimMismatch).  Subshadows this
-    returned for secret i of this bulletin are returned as they are."""
+    bulletin: Bulletin, i: int, group: Mapping[int, Sequence[int]], size: str | None = None
+) -> list[tuple[int, Sequence[int]]]:
+    """(index, vector) pairs of a group in index order, the vectors as given,
+    after the one check of a group, in this order: the secret index (BadIndex);
+    t_i members for size "recovery", 1 to t_i for "probe" (BadQuorum); int
+    indices, then in ascending order each in [1, n] (BadIndex) and its
+    vector's length t_i (DimMismatch)."""
     t_i = bulletin.threshold(i)
     if size == "recovery" and len(group) != t_i:
         raise BadQuorum(f"need exactly {t_i} subshadows, got {len(group)}")
     if size == "probe" and not 1 <= len(group) <= t_i:
         raise BadQuorum(f"probe takes 1 to {t_i} subshadows, got {len(group)}")
-    if not shadows and isinstance(group, _Quorum) and group.bulletin is bulletin and group.i == i:
-        return group
     for j in group:
         if type(j) is not int:
             raise BadIndex(f"participant index {j!r} is not an int")
-    n, field = bulletin.setup.params.n, bulletin.setup.params.field()
-    terms = {}
+    n = bulletin.setup.params.n
+    pairs = []
     for j in sorted(group):
         if not 1 <= j <= n:
             raise BadIndex(f"participant index {j} outside [1, {n}]")
         vec = group[j]
         if len(vec) != t_i:
             raise DimMismatch(f"vector for {j} has length {len(vec)}, want {t_i}")
-        shifted = shadows and j >= t_i
-        terms[j] = field.vec_add(vec, bulletin.offset_for(i, j)) if shifted else field.vec(vec)
-    quorum = _Quorum(terms)
-    quorum.bulletin, quorum.i = bulletin, i
-    return quorum
+        pairs.append((j, vec))
+    return pairs
 
 
 def assemble_subshadows(
     bulletin: Bulletin, i: int, shadows: Mapping[int, Sequence[int]]
 ) -> dict[int, tuple[int, ...]]:
-    """Turn shadows into sequence terms: add the published offset for j >= t_i.
-
-    The group is checked as the recoveries check theirs, but of any size:
-    BadIndex for a secret index, or a participant index that is not an int
-    in [1, n], DimMismatch for a vector whose length is not t_i.  The result
-    is read-only, and recoveries from this bulletin take it unchecked.
+    """Turn shadows into sequence terms, reduced mod q: add the published
+    offset for j >= t_i.  The group is checked as a recovery checks one, of
+    any size: BadIndex for a secret index, or a participant index that is not
+    an int in [1, n], DimMismatch for a vector whose length is not t_i.
     """
-    return _quorum(bulletin, i, shadows, shadows=True)
+    t_i = bulletin.threshold(i)
+    field = bulletin.setup.params.field()
+    return {
+        j: field.vec(vec) if j < t_i else field.vec_add(vec, bulletin.offset_for(i, j))
+        for j, vec in _quorum(bulletin, i, shadows)
+    }
 
 
 def participant_subshadows(
@@ -448,25 +436,30 @@ def participant_subshadows(
 
     All shadows come from one ``ajtai_hash_many`` call under G_i; they equal
     ``compute_shadow`` of each share.  Raises BadShares when two shares name
-    one owner, then what ``assemble_subshadows`` raises and returns.
+    one owner, then what ``assemble_subshadows`` raises.
     """
     _check_secret_index(bulletin.setup.params, i)
     shares = list(shares)
     if len({share.owner for share in shares}) != len(shares):
         raise BadShares("two shares name the same owner")
-    hashes = ajtai_hash_many(bulletin.setup.params.field(), bulletin.setup.matrix(i), shares)
-    return assemble_subshadows(bulletin, i, {s.owner: h for s, h in zip(shares, hashes)})
+    field = bulletin.setup.params.field()
+    hashes = ajtai_hash_many(field, bulletin.setup.matrix(i), shares)
+    shadows = {share.owner: values for share, values in zip(shares, hashes)}
+    return assemble_subshadows(bulletin, i, shadows)
 
 
-def _quorum_columns(quorum: _Quorum) -> tuple[IlrSpec, list[int], list[list[int]]]:
-    """The spec of the quorum's secret, and the nodes and folded value columns
-    of its samples and then the published extras, which pass fit_general_term's
-    checks: ValueError unless extras_count(t_i) of dimension t_i, then DuplicateNode."""
-    bulletin, i = quorum.bulletin, quorum.i
-    samples = [*quorum.items(), *bulletin.extra_points(i)]
-    count = len(quorum) + bulletin.setup.params.variant.extras_count(bulletin.threshold(i))
+def _quorum_columns(
+    bulletin: Bulletin, i: int, pairs: Sequence[tuple[int, Sequence[int]]]
+) -> tuple[IlrSpec, list[int], list[list[int]]]:
+    """The spec of secret i, and the nodes and folded value columns of a
+    group's samples: its already checked pairs, then the published extras.
+    The samples pass fit_general_term's checks: ValueError unless there are
+    len(pairs) + extras_count(t_i) of them, all of dimension t_i, and
+    DuplicateNode for a repeated index."""
+    samples = list(pairs) + list(bulletin.extra_points(i))
+    count = len(pairs) + bulletin.setup.params.variant.extras_count(bulletin.threshold(i))
     spec = bulletin.ilr_spec(i)
-    return spec, _checked_nodes(spec, samples, count, len(quorum)), fold_columns(spec, samples)
+    return spec, _checked_nodes(spec, samples, count), fold_columns(spec, samples)
 
 
 def _solved_weights(field: PrimeField, nodes: Sequence[int]) -> tuple[int, ...]:
@@ -493,7 +486,8 @@ def recover_way1_vandermonde(
     t_i subshadows are given, BadIndex for a participant index that is not
     an int in [1, n], and DimMismatch for a subshadow whose length is not t_i.
     """
-    spec, nodes, columns = _quorum_columns(_quorum(bulletin, i, subshadows, "recovery"))
+    pairs = _quorum(bulletin, i, subshadows, "recovery")
+    spec, nodes, columns = _quorum_columns(bulletin, i, pairs)
     return _weighted_sums(spec.field.q, _solved_weights(spec.field, nodes), columns)
 
 
@@ -505,7 +499,8 @@ def recover_way1_lagrange(
     The samples and weighted sums of recover_way1_vandermonde, with the
     weights from the Lagrange product formula; raises the same errors.
     """
-    spec, nodes, columns = _quorum_columns(_quorum(bulletin, i, subshadows, "recovery"))
+    pairs = _quorum(bulletin, i, subshadows, "recovery")
+    spec, nodes, columns = _quorum_columns(bulletin, i, pairs)
     return lagrange_at_zero(spec.field, nodes, columns)
 
 
@@ -519,11 +514,13 @@ def recover_way2(
     same errors as recover_way1_vandermonde, and NotConsecutive when the
     indices do not form one window.
     """
-    quorum = _quorum(bulletin, i, subshadows, "recovery")
-    start, *_, last = quorum
-    if last - start != len(quorum) - 1:
+    group = _quorum(bulletin, i, subshadows, "recovery")
+    start = group[0][0]
+    if group[-1][0] - start != len(group) - 1:
         raise NotConsecutive("backward recovery needs consecutive participant indices")
-    return backward_recover(bulletin.ilr_spec(i), list(quorum.values()), start=start)[-1]
+    window = [vec for _, vec in group]
+    recovered = backward_recover(bulletin.ilr_spec(i), window, start=start)
+    return recovered[-1]
 
 
 def verify_secret(bulletin: Bulletin, i: int, candidate: Sequence[int]) -> bool:
@@ -567,7 +564,8 @@ def privacy_rank_probe(
     given, and BadIndex, DimMismatch and ValueError as the recoveries do
     for a bad group or bad extras.
     """
-    spec, nodes, columns = _quorum_columns(_quorum(bulletin, i, subshadows, "probe"))
+    pairs = _quorum(bulletin, i, subshadows, "probe")
+    spec, nodes, columns = _quorum_columns(bulletin, i, pairs)
     sol = solve_linear(spec.field, vandermonde(spec.field, nodes, spec.unknowns), columns)
     # with free dims, a nullspace vector moves A_0: the nullspace polynomial
     # vanishes at the sample points, all nonzero, so its value at 0 is not 0

@@ -443,19 +443,6 @@ class TestShadows:
         assert participant_subshadows(board, 2, []) == {}
         assert participant_subshadows(board, 2, iter(())) == {}
 
-    def test_subshadows_are_read_only_and_a_copy_is_checked_again(self):
-        _, _, shares, board = make_deal(Variant.S1, n=6, k=1, thresholds=(3,), seed="ro")
-        sub = participant_subshadows(board, 1, shares[:3])
-        for mutate in (lambda: sub.__setitem__(1, V[:2]), lambda: sub.update({1: V[:2]}),
-                       lambda: sub.pop(1), sub.popitem, sub.clear):
-            with pytest.raises(TypeError, match="^a checked quorum is read-only$"):
-                mutate()
-        copy = dict(sub)
-        copy[1] = V[:2]
-        for method in RECOVERY_METHODS:
-            with pytest.raises(DimMismatch):
-                method(board, 1, copy)
-
     def test_assemble_rejects_out_of_range_index(self):
         params, _, shares, board = make_deal(
             Variant.S1, n=5, k=1, thresholds=(2,), seed="rng"
