@@ -20,9 +20,6 @@ from .errors import DimMismatch, MssError, NotBinary, RngSuspect, ShareSpaceExha
 from .field import Matrix, PrimeField, _pack, _unpack, matrix_rank
 from .rng import Xof
 
-#: Keep the share space at >= 2^16 vectors even for tiny test parameters.
-MIN_SHARE_BITS = 16
-
 #: Consecutive repeated draws tolerated while drawing distinct shares or constants.
 MAX_SHARE_RESAMPLES = 1000
 
@@ -52,20 +49,6 @@ class Share:
             raise NotBinary("share bits must be 0 or 1")
         if not self.bits:
             raise ValueError("share must be nonempty")
-
-
-def share_length(max_threshold: int, n: int) -> int:
-    """Share bit-length: max(ceil(t*log2 t), ceil(log2 n), 16).
-
-    Computed exactly in integer arithmetic: ceil(t*log2 t) = ceil(log2 t^t).
-    """
-    if n < 2:
-        raise ValueError("need at least 2 participants")
-    if max_threshold < 2:
-        raise ValueError("threshold must be at least 2")
-    from_threshold = (max_threshold**max_threshold - 1).bit_length()
-    from_n = (n - 1).bit_length()
-    return max(from_threshold, from_n, MIN_SHARE_BITS)
 
 
 def _distinct_draws(draw, sizes, error: MssError) -> list[tuple[int, ...]]:

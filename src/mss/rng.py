@@ -49,7 +49,7 @@ class Drbg:
             material = os.urandom(32)
         elif isinstance(seed, str):
             material = seed.encode("utf-8")
-        elif isinstance(seed, int):
+        elif isinstance(seed, int) and not isinstance(seed, bool):
             if seed < 0:
                 raise ValueError("seed must be nonnegative")
             material = seed.to_bytes(max(1, (seed.bit_length() + 7) // 8), "big")

@@ -34,7 +34,6 @@ from .ajtai import (
     expand_matrix,
     sample_distinct_shares,
     sample_matrix_full_rank,
-    share_length,
 )
 from .errors import (
     BadIndex,
@@ -86,13 +85,17 @@ class Variant(str, enum.Enum):
 #: so this also bounds the t**t that deriving r computes exactly.
 MAX_PARTICIPANTS = 4096
 
+#: Keep the share space at >= 2^16 vectors even for tiny test parameters.
+MIN_SHARE_BITS = 16
+
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Validated deal parameters.
+    """Validated deal parameters, the one place they are checked and derived.
 
-    Omit r to derive it: the share bit-length bound for (max threshold, n).
-    An r that is given must be positive.
+    n, k, every threshold, q and a given r must be ints, not bools or floats.
+    Omit r to derive the share bit-length from the largest threshold t,
+    r = max(ceil(t*log2 t), ceil(log2 n), MIN_SHARE_BITS); a given r must be positive.
     """
 
     variant: Variant
@@ -103,12 +106,18 @@ class SchemeParams:
     r: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "variant", Variant(self.variant))
         object.__setattr__(self, "thresholds", tuple(self.thresholds))
+        given_r = () if self.r is None else (self.r,)
+        for name, values in (("n", (self.n,)), ("k", (self.k,)), ("thresholds", self.thresholds),
+                             ("q", (self.q,)), ("r", given_r)):
+            for value in values:
+                if type(value) is not int:  # True and 5.0 compare equal to ints
+                    raise ValueError(f"{name}: {value!r} is not an int")
+        object.__setattr__(self, "variant", Variant(self.variant))
         if self.n < 2:
             raise ValueError("need at least 2 participants")
         if self.n > MAX_PARTICIPANTS:
-            # before share_length runs: parameters come from files and flags
+            # before r is derived: parameters come from files and flags
             raise ValueError(f"at most {MAX_PARTICIPANTS} participants, got {self.n}")
         if self.k < 1:
             raise ValueError("need at least 1 secret")
@@ -121,7 +130,10 @@ class SchemeParams:
         if self.q <= self.n + self.max_threshold + 1:
             raise ValueError("modulus too small for the evaluation points")
         if self.r is None:
-            object.__setattr__(self, "r", share_length(self.max_threshold, self.n))
+            t = self.max_threshold
+            from_threshold = (t**t - 1).bit_length()  # ceil(t*log2 t) = ceil(log2 t^t), exactly
+            from_n = (self.n - 1).bit_length()
+            object.__setattr__(self, "r", max(from_threshold, from_n, MIN_SHARE_BITS))
         if self.r < 1:
             raise ValueError("share length must be positive")
 
@@ -165,6 +177,8 @@ class DealSetup:
 
 
 def _check_secret_index(params: SchemeParams, i: int) -> None:
+    if type(i) is not int:
+        raise BadIndex(f"secret index {i!r} is not an int")
     if not 1 <= i <= params.k:
         raise BadIndex(f"secret index {i} outside [1, {params.k}]")
 

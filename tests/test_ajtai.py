@@ -12,33 +12,19 @@ from mss.ajtai import (
     expand_matrix,
     sample_distinct_shares,
     sample_matrix_full_rank,
-    share_length,
     verify_commitment,
 )
 from mss.errors import DimMismatch, NotBinary, RngSuspect, ShareSpaceExhausted
 from mss.field import Matrix, PrimeField, matrix_rank
 from mss.rng import Drbg, Xof
+from test_packed import reference_eliminate
 
 F97 = PrimeField(97)
 
 
 def reference_rank(field, m):
-    """Row rank by elimination over the whole matrix, every column."""
-    q = field.q
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    rank = 0
-    for col in range(m.cols):
-        pivot = next((r for r in range(rank, m.rows) if rows[r][col] % q), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv_p = pow(rows[rank][col], -1, q)
-        prow = [v * inv_p % q for v in rows[rank]]
-        for r in range(rank + 1, m.rows):
-            f = rows[r][col] % q
-            rows[r] = [(a - f * b) % q for a, b in zip(rows[r], prow)]
-        rank += 1
-    return rank
+    """Row rank by per-entry elimination over the whole matrix, every column."""
+    return len(reference_eliminate(field, [list(m.row(i)) for i in range(m.rows)], m.cols))
 
 
 def reference_expansion(field, rows, cols, seed):
@@ -60,26 +46,6 @@ def reference_full_rank_sample(field, rows, cols, rng):
 
 def leading_block(m):
     return Matrix(m.rows, m.rows, tuple(v for i in range(m.rows) for v in m.row(i)[: m.rows]))
-
-
-class TestShareLength:
-    def test_small_parameters_hit_the_floor(self):
-        assert share_length(2, 4) == 16
-        assert share_length(3, 7) == 16
-
-    def test_threshold_bound_dominates(self):
-        assert share_length(8, 12) == 24
-
-    def test_exact_ceil_of_t_log_t(self):
-        # ceil(t * log2 t) computed without floating point
-        assert share_length(5, 4) == max(12, 16)  # 5*log2(5) = 11.6...
-        assert share_length(32, 64) == 160
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            share_length(1, 4)
-        with pytest.raises(ValueError):
-            share_length(2, 1)
 
 
 class TestShareSampling:

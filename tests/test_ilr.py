@@ -16,6 +16,7 @@ from mss.ilr import (
     to_homogeneous,
 )
 from mss.rng import Drbg
+from test_packed import reference_forward
 
 F97 = PrimeField(97)
 FBIG = PrimeField(DEFAULT_PRIME)
@@ -36,24 +37,6 @@ def satisfies(spec, terms):
             if acc % q != expect[s]:
                 return False
     return True
-
-
-def step_oracle(spec, initial, upto):
-    """Oracle: step the recursion definition literally, term by term."""
-    f = spec.field
-    coeffs = recursion_coeffs(spec)
-    terms = [tuple(v) for v in initial]
-    while len(terms) < upto + 1:
-        i = len(terms) - (spec.window - 1)
-        rhs = rhs_term(spec, i)
-        new = []
-        for s in range(spec.dim):
-            acc = rhs[s]
-            for lam in range(1, spec.window):
-                acc -= coeffs[lam] * terms[len(terms) - lam][s]
-            new.append(acc % f.q)
-        terms.append(tuple(new))
-    return terms
 
 
 class TestSpecValidation:
@@ -124,7 +107,7 @@ class TestForwardExtend:
 
     def test_binomial_closed_form(self):
         s = spec97(2, 1, c=(1,))
-        oracle = step_oracle(s, [(0,), (0,)], 5)
+        oracle = list(reference_forward(s, [(0,), (0,)], 5))
         assert [v[0] for v in oracle] == [0, 0, 0, 1, 4, 10]  # C(j, 3)
         seq = forward_extend(s, [(0,), (0,)], 5)
         assert list(seq) == oracle

@@ -10,8 +10,10 @@ refuses against its owner's commitment.
 The weights at zero that one linear solve gives a node set turn any
 samples into the constant coefficients that ``fit_general_term`` fits, and
 the Vandermonde recovery of any bulletin's quorum equals those.
-``read_bulletin`` gives ``deal_id`` of the decoded bulletin even for a file
-with unknown keys, indentation and shuffled key order.  The
+``SchemeParams`` refuses a field that is a bool or a float, and what it
+accepts deals a bulletin that reads back with equal params and its
+``deal_id``.  ``read_bulletin`` gives ``deal_id`` of the decoded bulletin
+even for a file with unknown keys, indentation and shuffled key order.  The
 bulletin's one-pass residue-array parser agrees with a per-element reference
 parser on hostile arrays and on levels of them, errors included, and its
 writer gives the bytes of ``json.dumps`` with sorted keys.  One hostile
@@ -332,6 +334,36 @@ def test_decode_encode_is_the_identity(dealt):
     for share in shares:
         share_file = decode_share(encode_share(share, deal=digest))
         assert (share_file.share, share_file.deal) == (share, digest)
+
+
+def loosely_typed(value):
+    """The int value itself, or the bool or the float equal to it."""
+    return st.sampled_from((value, bool(value), float(value)))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_params_are_ints_or_refused(data):
+    """Each field an int, a bool or a float: ``SchemeParams`` raises
+    ValueError, or its deal reads back with equal params and its deal_id."""
+    n = data.draw(st.integers(2, 6))
+    k = data.draw(st.integers(1, 2))
+    thresholds = data.draw(st.lists(st.integers(2, n), min_size=k, max_size=k))
+    r = data.draw(st.sampled_from((None, 1, 16)))
+    try:
+        params = SchemeParams(
+            variant=data.draw(st.sampled_from(list(Variant))),
+            n=data.draw(loosely_typed(n)),
+            k=data.draw(loosely_typed(k)),
+            thresholds=[data.draw(loosely_typed(t)) for t in thresholds],
+            q=data.draw(loosely_typed(97)),
+            r=None if r is None else data.draw(loosely_typed(r)),
+        )
+    except ValueError:
+        return
+    _, board = deal(params, [(0,) * t for t in params.thresholds], Drbg(0))
+    decoded, digest = read_bulletin(encode_bulletin(board)[0])
+    assert (decoded.setup.params, digest) == (params, deal_id(board))
 
 
 #: Values of unknown keys, which decode ignores.
@@ -723,6 +755,8 @@ def test_randbytes_rejects_negative_lengths_before_drawing(n):
     [
         (-1, ValueError, "seed must be nonnegative"),
         (1.5, TypeError, "unsupported seed type: float"),
+        (True, TypeError, "unsupported seed type: bool"),
+        (False, TypeError, "unsupported seed type: bool"),
         (b"seed", TypeError, "unsupported seed type: bytes"),
     ],
 )

@@ -1,6 +1,7 @@
 """The four-phase protocol: dealing, recovery, verification, privacy probe."""
 
 import dataclasses
+import re
 import time
 
 import pytest
@@ -123,6 +124,28 @@ class TestSchemeParams:
     def test_counts_and_share_length_validated(self, n, k, r, message):
         with pytest.raises(ValueError, match=message):
             SchemeParams(variant=Variant.S1, n=n, k=k, thresholds=(2,) * k, q=97, r=r)
+
+    @pytest.mark.parametrize(
+        "t, n, r",
+        [
+            (2, 4, 16),  # small parameters hit the floor
+            (3, 7, 16),
+            (8, 12, 24),  # the threshold bound dominates
+            (5, 5, 16),  # ceil(5 * log2 5) = 12, computed without floating point
+            (32, 64, 160),
+        ],
+    )
+    def test_derived_share_length_rule(self, t, n, r):
+        assert SchemeParams(variant=Variant.S1, n=n, k=1, thresholds=(t,)).r == r
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("k", True), ("n", 5.0), ("thresholds", (2.5,)), ("q", 97.0), ("r", 16.0), ("r", True)],
+    )
+    def test_fields_must_be_ints(self, field, value):
+        fields = {"variant": Variant.S1, "n": 5, "k": 1, "thresholds": (2,), "q": 97}
+        with pytest.raises(ValueError, match=f"^{field}: .* is not an int$"):
+            SchemeParams(**{**fields, field: value})
 
 
 class TestIlrSpecFor:
@@ -475,6 +498,27 @@ def test_bad_group_raises_one_class_everywhere(variant, group, error):
     for check in (assemble_subshadows, *RECOVERY_METHODS, privacy_rank_probe):
         with pytest.raises(error):
             check(board, 1, group)
+
+
+@pytest.mark.parametrize("i", [True, 1.0, 1.5, "1"])
+def test_secret_index_must_be_an_int_everywhere(i):
+    _, _, shares, board = make_deal(Variant.S1, n=6, k=2, thresholds=(3, 4), seed="index")
+    sub = participant_subshadows(board, 1, shares[:3])
+    entries = [
+        lambda: board.threshold(i),
+        lambda: board.offset_for(i, 4),
+        lambda: board.extra_points(i),
+        lambda: board.ilr_spec(i),
+        lambda: ilr_spec_for(board.setup.params, i, board.constants),
+        lambda: compute_shadow(board, i, shares[0]),
+        lambda: participant_subshadows(board, i, shares[:3]),
+        lambda: verify_secret(board, i, (1, 2, 3)),
+        *(lambda check=check: check(board, i, sub)
+          for check in (assemble_subshadows, *RECOVERY_METHODS, privacy_rank_probe)),
+    ]
+    for entry in entries:
+        with pytest.raises(BadIndex, match=f"^secret index {re.escape(repr(i))} is not an int$"):
+            entry()
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
