@@ -8,6 +8,13 @@ which is what makes the published commitments h_j = F*sh_j binding.
 A public matrix is published as a 32-byte seed, which ``expand_matrix``
 turns into the matrix by SHAKE-256, as Kyber and NewHope publish theirs;
 the matrices are then pseudorandom, with SHAKE-256 as a random oracle.
+
+Hashing many vectors under one matrix reads its columns packed, each one
+int of byte-aligned slots (``_slot_bits``): ``_seeded_columns`` lays a
+seed's stream straight into them and ``_matrix_columns`` packs a
+``Matrix``, with equal columns for the matrix a seed expands to.
+``ajtai_hash_many`` then sums the packed columns each vector picks, and
+``ajtai_hash`` stays the per-entry definition.
 """
 
 from __future__ import annotations
@@ -95,14 +102,14 @@ def sample_matrix_full_rank(
     raise RngSuspect(f"{MAX_RANK_RESAMPLES} rank-deficient draws in a row")
 
 
-def _check_length(a: Matrix, x: Sequence[int]) -> None:
-    if len(x) != a.cols:
-        raise DimMismatch(f"matrix has {a.cols} columns, vector has {len(x)}")
+def _check_length(cols: int, x: Sequence[int]) -> None:
+    if len(x) != cols:
+        raise DimMismatch(f"matrix has {cols} columns, vector has {len(x)}")
 
 
 def ajtai_hash(field: PrimeField, a: Matrix, x: Sequence[int]) -> tuple[int, ...]:
     """A * x mod q for binary x: the subset sum of A's columns picked by x."""
-    _check_length(a, x)
+    _check_length(a.cols, x)
     if any(b not in (0, 1) for b in x):
         raise NotBinary("input vector must be binary")
     q = field.q
@@ -117,32 +124,87 @@ def ajtai_hash(field: PrimeField, a: Matrix, x: Sequence[int]) -> tuple[int, ...
     return tuple(out)
 
 
-def ajtai_hash_many(
-    field: PrimeField, a: Matrix, shares: Sequence[Share]
-) -> list[tuple[int, ...]]:
-    """``ajtai_hash(field, a, share.bits)`` for every share.
+def _slot_bits(q: int, cols: int) -> int:
+    """Bits per slot of a packed column: whole bytes, at least k + 1 for
+    q's bit length k, so that a candidate below 2^k plus 2^k - q carries
+    into bit k of its own slot and no further, and at least
+    bits(cols * (q - 1)), so that a sum of one residue per column fits."""
+    return -(-max(q.bit_length() + 1, (cols * (q - 1)).bit_length()) // 8) * 8
 
-    A ``Share`` has binary bits by construction, so the packed path checks
-    only their length.
 
-    Each column of A is packed once into one integer, entry i in the
-    w-bit slot i (see ``field._pack``), with w = bits(cols * (q - 1)): a
-    sum of at most cols residues fits in a slot, so slots never carry
-    into each other.  A vector's hash is then one sum of the packed
-    columns it picks, unpacked and reduced mod q.  Packing costs more
-    than one hash, so it pays when several vectors are hashed under the
-    same A; fewer than two go through ``ajtai_hash``.
+def _matrix_columns(field: PrimeField, a: Matrix) -> list[int]:
+    """A's columns packed for ``ajtai_hash_many``: column j's entry i mod q
+    in slot i of int j (see ``field._pack``)."""
+    w = _slot_bits(field.q, a.cols)
+    return [_pack(a.column(j), field.q, w) for j in range(a.cols)]
+
+
+def _seeded_columns(field: PrimeField, rows: int, cols: int, seed: bytes) -> list[int]:
+    """``_matrix_columns`` of ``expand_matrix(field, rows, cols, seed)``,
+    built from the seed's stream without a ``Matrix``.
+
+    ``randbelow_many`` would read rows * cols candidates of nbytes
+    big-endian bytes each, keep the top k bits of each, and keep them all
+    unless one is q or more.  Those bytes are laid straight into the
+    slots: for each row and each candidate byte, one strided slice copies
+    the row's bytes into slot rows - 1 - i of every column, right-aligned,
+    so that reading a column as one big-endian int puts row 0 in slot 0.
+    One ``>> shift & mask`` then keeps each slot's top k bits.  Adding
+    2^k - q to every slot carries into bit k of a slot exactly when its
+    candidate is q or more; then the expansion rejected a candidate, and
+    the matrix is expanded and packed instead.  A candidate whose first
+    byte is above q's first byte is q or more: such a stream, common when
+    q is just above a power of two, goes to the expansion before any
+    slot is laid.
     """
-    if len(shares) < 2:
-        return [ajtai_hash(field, a, share.bits) for share in shares]
+    q = field.q
+    k = q.bit_length()
+    nbytes = (k + 7) // 8
+    w = _slot_bits(q, cols)
+    size = w // 8
+    column_bytes = rows * size
+    row_bytes = cols * nbytes
+    data = Xof(seed).randbytes(rows * row_bytes)
+    top = (q << 8 * nbytes - k) >> 8 * nbytes - 8  # q's first byte as a candidate's
+    if data[::nbytes].translate(None, bytes(range(top + 1))):  # a first byte above it
+        return _matrix_columns(field, expand_matrix(field, rows, cols, seed))
+    slots = bytearray(cols * column_bytes)
+    for i in range(rows):
+        first = (rows - i) * size - nbytes  # row i's candidate in column 0
+        row = data[i * row_bytes : (i + 1) * row_bytes]
+        for b in range(nbytes):
+            slots[first + b :: column_bytes] = row[b::nbytes]
+    every_slot = ((1 << (w * rows)) - 1) // ((1 << w) - 1)  # 1 in each slot
+    shift, mask = 8 * nbytes - k, ((1 << k) - 1) * every_slot
+    offset, carry = ((1 << k) - q) * every_slot, (1 << k) * every_slot
+    view = memoryview(slots)
+    columns = []
+    for start in range(0, len(slots), column_bytes):
+        column = int.from_bytes(view[start : start + column_bytes], "big") >> shift & mask
+        if (column + offset) & carry:
+            return _matrix_columns(field, expand_matrix(field, rows, cols, seed))
+        columns.append(column)
+    return columns
+
+
+def ajtai_hash_many(
+    field: PrimeField, rows: int, columns: Sequence[int], shares: Sequence[Share]
+) -> list[tuple[int, ...]]:
+    """``ajtai_hash(field, a, share.bits)`` for every share, for the
+    rows x len(columns) matrix A whose columns are packed as
+    ``_matrix_columns`` and ``_seeded_columns`` pack them.
+
+    A ``Share`` has binary bits by construction, so only their length is
+    checked.  A vector's hash is one sum of the packed columns it picks,
+    unpacked and reduced mod q: slots are at least bits(cols * (q - 1))
+    wide, so a sum of at most cols residues never carries into the next.
+    """
     for share in shares:
-        _check_length(a, share.bits)
-    q, rows, cols = field.q, a.rows, a.cols
-    w = (cols * (q - 1)).bit_length()
-    packed = [_pack(a.column(j), q, w) for j in range(cols)]
+        _check_length(len(columns), share.bits)
+    q = field.q
+    w = _slot_bits(q, len(columns))
     return [
-        tuple(_unpack(sum(compress(packed, share.bits)), rows, q, w))
-        for share in shares
+        tuple(_unpack(sum(compress(columns, share.bits)), rows, q, w)) for share in shares
     ]
 
 

@@ -34,6 +34,7 @@ from typing import Sequence
 
 from .ajtai import Share
 from .errors import (
+    BadIndex,
     ParseError,
     UnsupportedVersion,
     ValidationError,
@@ -332,17 +333,23 @@ def read_bulletin(data: bytes | str, secrets=None) -> tuple[Bulletin, str]:
     """The bulletin and its ``deal_id``, in one pass.
 
     Both bulletin formats are read; a format 2 seed is checked and kept,
-    and ``DealSetup.matrix`` expands it when an op first needs its matrix.
+    and ``DealSetup.hash_shares`` packs its columns when an op first hashes
+    under it.
     The digest is hashed from the setup section rebuilt from the file's own
     residue and seed strings.  Decode has checked each to be ``str`` of its
     value, so the section equals ``_setup_section`` of ``bulletin.setup``;
     keys that decode ignores never reach it.
 
     ``secrets``, if given, is any iterable, read once, of the secrets whose
-    offsets and extras are parsed, ignoring any index outside 1..k; every
-    other secret's are checked for shape alone and read as None.  The rest
-    is read in full.
+    offsets and extras are parsed, ignoring any int outside 1..k; an entry
+    that is not an int raises BadIndex.  Every other secret's are checked
+    for shape alone and read as None.  The rest is read in full.
     """
+    if secrets is not None:
+        secrets = tuple(secrets)
+        for i in secrets:
+            if type(i) is not int:  # True and 1.0 compare equal to 1
+                raise BadIndex(f"secret index {i!r} is not an int")
     obj = _load_json(data, "bulletin", versions=tuple(_MATRIX_KEYS))
     version = obj["format_version"]
     params = _parse_params(_get(obj, "params"))
@@ -471,6 +478,10 @@ class RecoveredFile:
 def encode_recovered(
     secret_index: int, candidate: Sequence[int], verified: bool, deal: str
 ) -> bytes:
+    """The recovery report, for a secret index that ``decode_recovered``
+    reads back: an int of at least 1, else a ValueError."""
+    if type(secret_index) is not int or secret_index < 1:
+        raise ValueError(f"secret index {secret_index!r} is not an int of at least 1")
     return _document(
         "recovered",
         secret_index=secret_index,

@@ -29,7 +29,8 @@ from .ajtai import (
     MAX_SHARE_RESAMPLES,
     Share,
     _distinct_draws,
-    ajtai_hash,
+    _matrix_columns,
+    _seeded_columns,
     ajtai_hash_many,
     expand_matrix,
     sample_distinct_shares,
@@ -159,21 +160,35 @@ class DealSetup:
     params: SchemeParams
     matrices: tuple[Matrix | bytes, ...]
     commitments: tuple[tuple[int, ...], ...]
-    #: Matrices already expanded, by index; the dealer fills in those it drew.
-    expanded: dict[int, Matrix] = dataclasses.field(
+    #: Each matrix's packed columns, by index, packed on first use; the
+    #: dealer fills in those of the matrices it drew.
+    packed: dict[int, list[int]] = dataclasses.field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
+    def _rows(self, i: int) -> int:
+        return self.params.thresholds[i - 1] if i else self.params.max_threshold
+
     def matrix(self, i: int) -> Matrix:
-        """F for i = 0 and G_i for i = 1..k, a seed expanded on first use."""
+        """F for i = 0 and G_i for i = 1..k, a seed expanded on each call:
+        hashing reads the packed columns instead (``hash_shares``)."""
         source = self.matrices[i]
         if isinstance(source, Matrix):
             return source
-        if i not in self.expanded:
-            params = self.params
-            rows = params.thresholds[i - 1] if i else params.max_threshold
-            self.expanded[i] = expand_matrix(params.field(), rows, params.r, source)
-        return self.expanded[i]
+        return expand_matrix(self.params.field(), self._rows(i), self.params.r, source)
+
+    def hash_shares(self, i: int, shares: Sequence[Share]) -> list[tuple[int, ...]]:
+        """Each share's bits hashed under matrix i (see ``matrix``), from its
+        columns packed once: a seed's straight from its stream, so no
+        ``Matrix`` is built for it."""
+        field = self.params.field()
+        if i not in self.packed:
+            source = self.matrices[i]
+            self.packed[i] = (
+                _matrix_columns(field, source) if isinstance(source, Matrix)
+                else _seeded_columns(field, self._rows(i), self.params.r, source)
+            )
+        return ajtai_hash_many(field, self._rows(i), self.packed[i], shares)
 
 
 def _check_secret_index(params: SchemeParams, i: int) -> None:
@@ -288,8 +303,10 @@ def setup(params: SchemeParams, rng) -> tuple[tuple[Share, ...], DealSetup]:
     rows = (*params.thresholds, params.max_threshold)  # G_1..G_k, then F
     *masks, commit = (sample_matrix_full_rank(field, t, params.r, rng) for t in rows)
     seeds, matrices = zip(commit, *masks)  # F first, as DealSetup indexes them
-    deal_setup = DealSetup(params, seeds, tuple(ajtai_hash_many(field, matrices[0], shares)))
-    deal_setup.expanded.update(enumerate(matrices))
+    packed = [_matrix_columns(field, m) for m in matrices]
+    commitments = ajtai_hash_many(field, params.max_threshold, packed[0], shares)
+    deal_setup = DealSetup(params, seeds, tuple(commitments))
+    deal_setup.packed.update(enumerate(packed))
     return shares, deal_setup
 
 
@@ -298,7 +315,7 @@ def first_unbound(setup: DealSetup, shares: Sequence[Share]) -> Share | None:
     owner's commitment, or None.  Raises BadIndex for an owner past n."""
     if any(share.owner > setup.params.n for share in shares):
         raise BadIndex(f"a share's owner is outside [1, {setup.params.n}]")
-    hashes = ajtai_hash_many(setup.params.field(), setup.matrix(0), shares)
+    hashes = setup.hash_shares(0, shares)
     return next((share for share, values in zip(shares, hashes)
                  if values != setup.commitments[share.owner - 1]), None)
 
@@ -357,7 +374,7 @@ def construct(
     for i in range(1, params.k + 1):
         t_i = params.thresholds[i - 1]
         # shadows[j - 1] is owner j's, as the shares are ordered by owner
-        shadows = ajtai_hash_many(field, setup.matrix(i), shares)
+        shadows = setup.hash_shares(i, shares)
         spec = ilr_spec_for(params, i, constants)
         initial = [field.vec(secrets[i - 1])]
         initial.extend(shadows[: t_i - 1])
@@ -395,8 +412,8 @@ def deal(
 def compute_shadow(bulletin: Bulletin, i: int, share: Share) -> tuple[int, ...]:
     """Shadow d_j = G_i * sh_j of one participant for secret i."""
     _check_secret_index(bulletin.setup.params, i)
-    field = bulletin.setup.params.field()
-    return ajtai_hash(field, bulletin.setup.matrix(i), share.bits)
+    (shadow,) = bulletin.setup.hash_shares(i, [share])
+    return shadow
 
 
 def _quorum(
@@ -448,16 +465,15 @@ def participant_subshadows(
 ) -> dict[int, tuple[int, ...]]:
     """Subshadows of secret i computed straight from a group's shares.
 
-    All shadows come from one ``ajtai_hash_many`` call under G_i; they equal
-    ``compute_shadow`` of each share.  Raises BadShares when two shares name
-    one owner, then what ``assemble_subshadows`` raises.
+    All shadows come from one ``DealSetup.hash_shares`` call under G_i;
+    they equal ``compute_shadow`` of each share.  Raises BadShares when two
+    shares name one owner, then what ``assemble_subshadows`` raises.
     """
     _check_secret_index(bulletin.setup.params, i)
     shares = list(shares)
     if len({share.owner for share in shares}) != len(shares):
         raise BadShares("two shares name the same owner")
-    field = bulletin.setup.params.field()
-    hashes = ajtai_hash_many(field, bulletin.setup.matrix(i), shares)
+    hashes = bulletin.setup.hash_shares(i, shares)
     shadows = {share.owner: values for share, values in zip(shares, hashes)}
     return assemble_subshadows(bulletin, i, shadows)
 

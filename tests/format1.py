@@ -7,7 +7,7 @@ encodes as a format 1 bulletin, so seeded format 1 files can be rebuilt
 byte for byte and checked against their pins.
 """
 
-from mss.ajtai import MAX_RANK_RESAMPLES, Share, ajtai_hash_many, sample_distinct_shares
+from mss.ajtai import MAX_RANK_RESAMPLES, Share, ajtai_hash, sample_distinct_shares
 from mss.errors import RngSuspect
 from mss.field import Matrix, matrix_rank
 from mss.scheme import DealSetup, construct
@@ -30,7 +30,8 @@ def format1_setup(params, rng):
 
     masks = [full_rank(t) for t in params.thresholds]
     f = full_rank(params.max_threshold)
-    return shares, DealSetup(params, (f, *masks), tuple(ajtai_hash_many(field, f, shares)))
+    commitments = tuple(ajtai_hash(field, f, share.bits) for share in shares)
+    return shares, DealSetup(params, (f, *masks), commitments)
 
 
 def format1_deal(params, secrets, rng):

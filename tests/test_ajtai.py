@@ -1,12 +1,17 @@
 """Binary-share sampling, subset-sum hashing, and commitments."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mss import ajtai
 from mss.ajtai import (
     MAX_RANK_RESAMPLES,
     SEED_BYTES,
     Share,
+    _matrix_columns,
+    _seeded_columns,
+    _slot_bits,
     ajtai_hash,
     ajtai_hash_many,
     expand_matrix,
@@ -15,9 +20,10 @@ from mss.ajtai import (
     verify_commitment,
 )
 from mss.errors import DimMismatch, NotBinary, RngSuspect, ShareSpaceExhausted
-from mss.field import Matrix, PrimeField, matrix_rank
+from mss.field import Matrix, PrimeField, _pack, matrix_rank
 from mss.rng import Drbg, Xof
 from test_packed import reference_eliminate
+from test_properties import DIFFERENTIAL
 
 F97 = PrimeField(97)
 
@@ -241,6 +247,11 @@ class TestExpandMatrix:
 BIG_PRIME = (1 << 64) + 13
 
 
+def packed_hashes(field, a, shares):
+    """``ajtai_hash_many`` under A's columns, packed from the matrix."""
+    return ajtai_hash_many(field, a.rows, _matrix_columns(field, a), shares)
+
+
 class TestAjtaiHashMany:
     @pytest.mark.parametrize("q", [97, (1 << 61) - 1, BIG_PRIME])
     @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 17), (8, 255), (32, 160)])
@@ -253,13 +264,13 @@ class TestAjtaiHashMany:
             Matrix(rows, cols, field.rand_vec(rng, rows * cols)),
             Matrix(rows, cols, (q - 1,) * (rows * cols)),  # largest slot sums
         ):
-            assert ajtai_hash_many(field, a, shares) == [
+            assert packed_hashes(field, a, shares) == [
                 ajtai_hash(field, a, x) for x in vectors
             ]
 
     def test_no_shares(self):
         a = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
-        assert ajtai_hash_many(F97, a, []) == []
+        assert packed_hashes(F97, a, []) == []
 
     @pytest.mark.parametrize("bad", [(1, 0), (1, 0, 1, 1)])
     def test_wrong_length_raises_like_single_hash(self, bad):
@@ -267,7 +278,7 @@ class TestAjtaiHashMany:
         with pytest.raises(DimMismatch) as single:
             ajtai_hash(F97, a, bad)
         with pytest.raises(DimMismatch) as many:
-            ajtai_hash_many(F97, a, [Share(1, (1, 1, 0)), Share(2, bad)])
+            packed_hashes(F97, a, [Share(1, (1, 1, 0)), Share(2, bad)])
         assert str(many.value) == str(single.value)
 
     @pytest.mark.parametrize("count", [0, 1])
@@ -278,7 +289,7 @@ class TestAjtaiHashMany:
         rng = Drbg(f"few-{count}-{q}-{rows}-{cols}")
         a = Matrix(rows, cols, field.rand_vec(rng, rows * cols))
         shares = [Share(owner=j, bits=rng.bit_vector(cols)) for j in range(1, count + 1)]
-        assert ajtai_hash_many(field, a, shares) == [
+        assert packed_hashes(field, a, shares) == [
             ajtai_hash(field, a, share.bits) for share in shares
         ]
 
@@ -288,19 +299,108 @@ class TestAjtaiHashMany:
         with pytest.raises(DimMismatch) as single:
             ajtai_hash(F97, a, bad)
         with pytest.raises(DimMismatch) as many:
-            ajtai_hash_many(F97, a, [Share(1, bad)])
+            packed_hashes(F97, a, [Share(1, bad)])
         assert str(many.value) == str(single.value)
 
-    @pytest.mark.parametrize("count, packs", [(0, False), (1, False), (2, True), (5, True)])
-    def test_packs_columns_only_for_two_or_more_shares(self, monkeypatch, count, packs):
-        # one hash costs less than packing A's columns, so one share is not packed
-        packed = []
-        real_pack = ajtai._pack
-        monkeypatch.setattr(ajtai, "_pack", lambda *args: packed.append(1) or real_pack(*args))
+    @pytest.mark.parametrize("count", [0, 1, 2, 5])
+    def test_hashing_packs_nothing(self, monkeypatch, count):
+        # the columns are packed once by their owner, never per hash
         a = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        columns = _matrix_columns(F97, a)
         shares = [Share(j, (1, j % 2, 1)) for j in range(1, count + 1)]
-        assert ajtai_hash_many(F97, a, shares) == [ajtai_hash(F97, a, s.bits) for s in shares]
-        assert bool(packed) is packs
+        monkeypatch.setattr(ajtai, "_pack", lambda *args: pytest.fail("packed while hashing"))
+        assert ajtai_hash_many(F97, 2, columns, shares) == [
+            ajtai_hash(F97, a, s.bits) for s in shares
+        ]
+
+
+#: Primes whose candidates are 1, 3, 8 and 10 bytes wide.  2^16 + 1, just
+#: above a power of two, rejects about half its candidates, so its matrices
+#: almost always take the fallback; 251 and 2^64 - 59 use every bit of
+#: their candidate bytes.
+KERNEL_PRIMES = (
+    97, 251, (1 << 16) + 1, (1 << 24) - 3, (1 << 61) - 1, (1 << 64) - 59, (1 << 78) - 11
+)
+
+
+class TestSeededColumns:
+    """The packed columns a seed expands to, against the per-entry oracles."""
+
+    @DIFFERENTIAL
+    @given(
+        q=st.sampled_from(KERNEL_PRIMES),
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 48),
+        seed=st.binary(min_size=SEED_BYTES, max_size=SEED_BYTES),
+        data=st.data(),
+    )
+    @example(q=(1 << 16) + 1, rows=1, cols=1, seed=bytes(SEED_BYTES), data=None)
+    @example(q=(1 << 61) - 1, rows=3, cols=1, seed=bytes(SEED_BYTES), data=None)
+    # rejected candidates whose first byte is q's, so only the carry test
+    # sees them: one in slot 0 whose carry an 8-bit slot would lose, and
+    # one with a 7-bit shift
+    @example(q=251, rows=2, cols=1, seed=(750).to_bytes(SEED_BYTES, "big"), data=None)
+    @example(q=(1 << 16) + 1, rows=1, cols=1, seed=(112).to_bytes(SEED_BYTES, "big"), data=None)
+    def test_match_the_matrix_and_its_hashes(self, q, rows, cols, seed, data):
+        field = PrimeField(q)
+        m = reference_expansion(field, rows, cols, seed)
+        columns = _seeded_columns(field, rows, cols, seed)
+        w = _slot_bits(q, cols)
+        assert columns == [_pack(m.column(j), q, w) for j in range(cols)]
+        vectors = [(0,) * cols, (1,) * cols]
+        if data is not None:
+            bits = st.lists(st.integers(0, 1), min_size=cols, max_size=cols).map(tuple)
+            vectors += data.draw(st.lists(bits, max_size=4))
+        shares = [Share(owner=j, bits=x) for j, x in enumerate(vectors, start=1)]
+        for count in (0, 1, len(shares)):
+            assert ajtai_hash_many(field, rows, columns, shares[:count]) == [
+                ajtai_hash(field, m, share.bits) for share in shares[:count]
+            ]
+
+    @pytest.mark.parametrize("q", [(1 << 24) - 3, (1 << 61) - 1, (1 << 78) - 11])
+    def test_kept_candidates_build_no_matrix(self, monkeypatch, q):
+        field = PrimeField(q)
+        seed = Drbg(f"kept-{q}").randbytes(SEED_BYTES)
+        expected = _matrix_columns(field, expand_matrix(field, 24, 111, seed))
+        monkeypatch.setattr(ajtai, "expand_matrix", lambda *args: pytest.fail("expanded"))
+        monkeypatch.setattr(ajtai, "Matrix", lambda *args: pytest.fail("built a Matrix"))
+        assert _seeded_columns(field, 24, 111, seed) == expected
+
+    @pytest.mark.parametrize(
+        "rows, cols, seed, laid",
+        [
+            (4, 9, Drbg("rejected").randbytes(SEED_BYTES), False),  # a first byte above q's
+            (1, 1, (112).to_bytes(SEED_BYTES, "big"), True),  # q's first byte: the carry test
+        ],
+        ids=["first-byte", "carry"],
+    )
+    def test_a_rejected_candidate_falls_back_to_the_expansion(
+        self, monkeypatch, rows, cols, seed, laid
+    ):
+        field = PrimeField((1 << 16) + 1)
+        expanded, layouts = [], []
+        real = ajtai.expand_matrix
+        monkeypatch.setattr(
+            ajtai, "expand_matrix", lambda *args: expanded.append(args[1:3]) or real(*args)
+        )
+        monkeypatch.setattr(
+            ajtai, "bytearray", lambda size: layouts.append(size) or bytearray(size),
+            raising=False,
+        )
+        m = reference_expansion(field, rows, cols, seed)
+        assert _seeded_columns(field, rows, cols, seed) == _matrix_columns(field, m)
+        assert expanded == [(rows, cols)]
+        assert bool(layouts) == laid
+
+    def test_wrong_length_raises_like_single_hash(self):
+        field = PrimeField((1 << 61) - 1)
+        seed = bytes(range(SEED_BYTES))
+        columns = _seeded_columns(field, 2, 3, seed)
+        with pytest.raises(DimMismatch) as single:
+            ajtai_hash(field, expand_matrix(field, 2, 3, seed), (1, 0))
+        with pytest.raises(DimMismatch) as many:
+            ajtai_hash_many(field, 2, columns, [Share(1, (1, 1, 0)), Share(2, (1, 0))])
+        assert str(many.value) == str(single.value) == "matrix has 3 columns, vector has 2"
 
 
 class TestVerifyCommitment:

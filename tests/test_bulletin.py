@@ -6,6 +6,7 @@ import functools
 import json
 import os
 import random
+import re
 import stat
 import sys
 import time
@@ -636,6 +637,15 @@ class TestPartialRead:
         assert read_bulletin(blob, secrets=(0, 4, -1)) == read_bulletin(blob, secrets=())
         assert read_bulletin(blob, secrets=(4, 2)) == read_bulletin(blob, secrets=(2,))
 
+    @pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=repr)
+    def test_an_index_that_is_not_an_int_is_refused(self, variant, format1, bad):
+        # True and 1.0 equal 1, so a set of them would read secret 1
+        _, _, blob = partial_deal(variant, format1)
+        refused = f"^secret index {re.escape(repr(bad))} is not an int$"
+        for secrets in ((bad,), (2, bad), (1, bad)):
+            with pytest.raises(BadIndex, match=refused):
+                read_bulletin(blob, secrets=secrets)
+
     @pytest.mark.parametrize("secrets", PARTIAL_READS[1:], ids=str)
     def test_a_one_shot_iterable_reads_as_its_tuple(self, variant, format1, secrets):
         # each secret's offsets and extras test membership, so a generator
@@ -908,6 +918,16 @@ class TestSecretsAndRecoveredFiles:
         for candidate in ([], ["9" * 40, "0"]):
             blob = json.dumps({**obj, "candidate": candidate}).encode()
             assert decode_recovered(blob).candidate == tuple(map(int, candidate))
+
+    @pytest.mark.parametrize("bad", [True, 1.0, 0], ids=repr)
+    def test_recovered_index_the_decoder_refuses_is_not_written(self, bad):
+        with pytest.raises(
+            ValueError, match=f"^secret index {re.escape(repr(bad))} is not an int of at least 1$"
+        ):
+            encode_recovered(bad, (5,), True, "ab" * 32)
+        obj = json.loads(encode_recovered(1, (5,), True, "ab" * 32))
+        with pytest.raises((ParseError, ValidationError)):  # what it would have written
+            decode_recovered(json.dumps({**obj, "secret_index": bad}).encode())
 
     def test_recovered_index_zero_rejected(self):
         obj = json.loads(encode_recovered(1, (5,), True, "ab" * 32))

@@ -636,16 +636,29 @@ class TestExpansion:
 
     @pytest.fixture
     def expansions(self, monkeypatch):
-        """The row count of every matrix expanded, in order."""
-        rows = []
-        real = ajtai.expand_matrix
+        """The row count of every matrix expanded, in order: each matrix the
+        dealer draws or ``DealSetup.matrix`` expands (``expand_matrix``) and
+        each seed a reader packs (``_seeded_columns``, counted once when it
+        falls back to ``expand_matrix`` on a rejected candidate)."""
+        rows, packing = [], []
+        real_expand, real_columns = ajtai.expand_matrix, scheme._seeded_columns
 
-        def spy(field, n_rows, cols, seed):
+        def expand(field, n_rows, cols, seed):
+            if not packing:
+                rows.append(n_rows)
+            return real_expand(field, n_rows, cols, seed)
+
+        def columns(field, n_rows, cols, seed):
             rows.append(n_rows)
-            return real(field, n_rows, cols, seed)
+            packing.append(n_rows)
+            try:
+                return real_columns(field, n_rows, cols, seed)
+            finally:
+                packing.pop()
 
-        monkeypatch.setattr(ajtai, "expand_matrix", spy)
-        monkeypatch.setattr(scheme, "expand_matrix", spy)
+        monkeypatch.setattr(ajtai, "expand_matrix", expand)
+        monkeypatch.setattr(scheme, "expand_matrix", expand)
+        monkeypatch.setattr(scheme, "_seeded_columns", columns)
         return rows
 
     def test_deal_expands_each_matrix_it_draws_once(
@@ -722,13 +735,14 @@ class TestExpansion:
         share = tmp_path / "share.json"
         share.write_bytes(bio.encode_share(ajtai.Share(owner=1, bits=Drbg(2).bit_vector(r))))
         sizes = []
-        real = scheme.expand_matrix
+        for name in ("expand_matrix", "_seeded_columns"):
+            real = getattr(scheme, name)
 
-        def spy(field, rows, cols, seed):
-            sizes.append((rows, cols))
-            return real(field, rows, cols, seed)
+            def spy(field, rows, cols, seed, real=real):
+                sizes.append((rows, cols))
+                return real(field, rows, cols, seed)
 
-        monkeypatch.setattr(scheme, "expand_matrix", spy)
+            monkeypatch.setattr(scheme, name, spy)
         assert cli.main(["verify-share", "--bulletin", str(bulletin), "--share", str(share)]) == 1
         assert "share 1: FAIL" in capsys.readouterr().err
         assert sizes == [(params.max_threshold, r)]  # F, t_max * r residues

@@ -8,6 +8,7 @@ import pytest
 
 from mss import ajtai, ilr, scheme
 from mss.ajtai import Share, ajtai_hash, verify_commitment
+from mss.bulletin import encode_bulletin, read_bulletin
 from mss.errors import (
     BadIndex,
     BadQuorum,
@@ -222,8 +223,52 @@ class TestSetup:
 
         monkeypatch.setattr(ajtai, "_check_binary", scan, raising=False)
         monkeypatch.setattr(ajtai, "ajtai_hash", scan)
-        monkeypatch.setattr(scheme, "ajtai_hash", scan)
         assert deal(p, secrets, Drbg("scan")) == expected
+
+
+class TestPackedColumns:
+    """Each matrix's columns are packed once per ``DealSetup``: by the dealer
+    from the matrices it drew, by a reader straight from each seed it uses."""
+
+    @pytest.fixture
+    def packings(self, monkeypatch):
+        """The packing function of every matrix packed, in order."""
+        calls = []
+        for name in ("_matrix_columns", "_seeded_columns"):
+            real = getattr(scheme, name)
+
+            def spy(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(scheme, name, spy)
+        return calls
+
+    P = SchemeParams(variant=Variant.S1, n=6, k=3, thresholds=(2, 3, 4))
+
+    def test_the_dealer_packs_each_matrix_once(self, packings):
+        shares, board = deal(self.P, [(1, 2), (3, 4, 5), (6, 7, 8, 9)], Drbg("packed"))
+        assert packings == ["_matrix_columns"] * 4  # F, G_1..G_3
+        assert first_unbound(board.setup, shares) is None
+        participant_subshadows(board, 2, shares[:3])
+        compute_shadow(board, 3, shares[0])
+        assert packings == ["_matrix_columns"] * 4
+
+    def test_a_reader_packs_each_seed_it_uses_once_and_builds_no_matrix(
+        self, packings, monkeypatch
+    ):
+        shares, board = deal(self.P, [(1, 2), (3, 4, 5), (6, 7, 8, 9)], Drbg("packed"))
+        read, _ = read_bulletin(encode_bulletin(board)[0])
+        del packings[:]
+        monkeypatch.setattr(ajtai, "expand_matrix", lambda *args: pytest.fail("expanded"))
+        for _ in range(2):
+            assert first_unbound(read.setup, shares[3:]) is None
+            assert participant_subshadows(read, 2, shares[1:4]) == participant_subshadows(
+                board, 2, shares[1:4]
+            )
+            assert compute_shadow(read, 2, shares[5]) == compute_shadow(board, 2, shares[5])
+        assert packings == ["_seeded_columns"] * 2  # F, then G_2
+        assert sorted(read.setup.packed) == [0, 2]
 
 
 class TestFirstUnbound:
