@@ -28,11 +28,11 @@ from typing import Iterable, Mapping, Sequence
 from .ajtai import (
     MAX_SHARE_RESAMPLES,
     Share,
+    _check_length,
     _distinct_draws,
     _matrix_columns,
     _seeded_columns,
     ajtai_hash_many,
-    expand_matrix,
     sample_distinct_shares,
     sample_matrix_full_rank,
 )
@@ -169,18 +169,12 @@ class DealSetup:
     def _rows(self, i: int) -> int:
         return self.params.thresholds[i - 1] if i else self.params.max_threshold
 
-    def matrix(self, i: int) -> Matrix:
-        """F for i = 0 and G_i for i = 1..k, a seed expanded on each call:
-        hashing reads the packed columns instead (``hash_shares``)."""
-        source = self.matrices[i]
-        if isinstance(source, Matrix):
-            return source
-        return expand_matrix(self.params.field(), self._rows(i), self.params.r, source)
-
     def hash_shares(self, i: int, shares: Sequence[Share]) -> list[tuple[int, ...]]:
-        """Each share's bits hashed under matrix i (see ``matrix``), from its
-        columns packed once: a seed's straight from its stream, so no
-        ``Matrix`` is built for it."""
+        """Each share's bits hashed under matrices[i], the one way to F and the
+        G_i: lengths are checked against r first (DimMismatch), then the columns
+        are packed once, a seed's straight from its stream without a ``Matrix``."""
+        for share in shares:
+            _check_length(self.params.r, share.bits)
         field = self.params.field()
         if i not in self.packed:
             source = self.matrices[i]
@@ -422,8 +416,8 @@ def _quorum(
     """(index, vector) pairs of a group in index order, the vectors as given,
     after the one check of a group, in this order: the secret index (BadIndex);
     t_i members for size "recovery", 1 to t_i for "probe" (BadQuorum); int
-    indices, then in ascending order each in [1, n] (BadIndex) and its
-    vector's length t_i (DimMismatch)."""
+    indices, then in ascending order each in [1, n] (BadIndex), its vector's
+    length t_i (DimMismatch) and int entries, not bools (ValueError)."""
     t_i = bulletin.threshold(i)
     if size == "recovery" and len(group) != t_i:
         raise BadQuorum(f"need exactly {t_i} subshadows, got {len(group)}")
@@ -440,6 +434,8 @@ def _quorum(
         vec = group[j]
         if len(vec) != t_i:
             raise DimMismatch(f"vector for {j} has length {len(vec)}, want {t_i}")
+        if any(type(x) is not int for x in vec):
+            raise ValueError(f"vector for {j} has entries that are not ints")
         pairs.append((j, vec))
     return pairs
 
@@ -450,7 +446,8 @@ def assemble_subshadows(
     """Turn shadows into sequence terms, reduced mod q: add the published
     offset for j >= t_i.  The group is checked as a recovery checks one, of
     any size: BadIndex for a secret index, or a participant index that is not
-    an int in [1, n], DimMismatch for a vector whose length is not t_i.
+    an int in [1, n], DimMismatch for a vector whose length is not t_i, and
+    ValueError for one with an entry that is not an int.
     """
     t_i = bulletin.threshold(i)
     field = bulletin.setup.params.field()
@@ -514,7 +511,8 @@ def recover_way1_vandermonde(
     of its samples.  The group is checked once, as assemble_subshadows checks
     one: BadIndex for a secret index out of range, BadQuorum unless exactly
     t_i subshadows are given, BadIndex for a participant index that is not
-    an int in [1, n], and DimMismatch for a subshadow whose length is not t_i.
+    an int in [1, n], DimMismatch for a subshadow whose length is not t_i,
+    and ValueError for one with an entry that is not an int.
     """
     pairs = _quorum(bulletin, i, subshadows, "recovery")
     spec, nodes, columns = _quorum_columns(bulletin, i, pairs)

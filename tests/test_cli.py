@@ -637,9 +637,9 @@ class TestExpansion:
     @pytest.fixture
     def expansions(self, monkeypatch):
         """The row count of every matrix expanded, in order: each matrix the
-        dealer draws or ``DealSetup.matrix`` expands (``expand_matrix``) and
-        each seed a reader packs (``_seeded_columns``, counted once when it
-        falls back to ``expand_matrix`` on a rejected candidate)."""
+        dealer draws (``expand_matrix``) and each seed a reader packs
+        (``_seeded_columns``, counted once when it falls back to
+        ``expand_matrix`` on a rejected candidate)."""
         rows, packing = [], []
         real_expand, real_columns = ajtai.expand_matrix, scheme._seeded_columns
 
@@ -657,7 +657,6 @@ class TestExpansion:
                 packing.pop()
 
         monkeypatch.setattr(ajtai, "expand_matrix", expand)
-        monkeypatch.setattr(scheme, "expand_matrix", expand)
         monkeypatch.setattr(scheme, "_seeded_columns", columns)
         return rows
 
@@ -735,14 +734,13 @@ class TestExpansion:
         share = tmp_path / "share.json"
         share.write_bytes(bio.encode_share(ajtai.Share(owner=1, bits=Drbg(2).bit_vector(r))))
         sizes = []
-        for name in ("expand_matrix", "_seeded_columns"):
-            real = getattr(scheme, name)
+        real = scheme._seeded_columns
 
-            def spy(field, rows, cols, seed, real=real):
-                sizes.append((rows, cols))
-                return real(field, rows, cols, seed)
+        def spy(field, rows, cols, seed):
+            sizes.append((rows, cols))
+            return real(field, rows, cols, seed)
 
-            monkeypatch.setattr(scheme, name, spy)
+        monkeypatch.setattr(scheme, "_seeded_columns", spy)
         assert cli.main(["verify-share", "--bulletin", str(bulletin), "--share", str(share)]) == 1
         assert "share 1: FAIL" in capsys.readouterr().err
         assert sizes == [(params.max_threshold, r)]  # F, t_max * r residues

@@ -38,7 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mss.ajtai import Share, verify_commitment
+from mss.ajtai import Share, expand_matrix, verify_commitment
 from mss.bulletin import (
     _Residues,
     _canonical_bytes,
@@ -194,10 +194,11 @@ def pooled_shares(draw):
 def test_first_unbound_is_the_first_share_failing_its_commitment(case):
     setup, given = case
     field = setup.params.field()
+    f = expand_matrix(field, setup.params.max_threshold, setup.params.r, setup.matrices[0])
 
     def reference(shares):
         return next((share for share in shares if not verify_commitment(
-            field, setup.matrix(0), share, setup.commitments[share.owner - 1]
+            field, f, share, setup.commitments[share.owner - 1]
         )), None)
 
     # one share goes through the per-row hash, two or more through packed columns

@@ -1,13 +1,14 @@
 """The four-phase protocol: dealing, recovery, verification, privacy probe."""
 
 import dataclasses
+import json
 import re
 import time
 
 import pytest
 
 from mss import ajtai, ilr, scheme
-from mss.ajtai import Share, ajtai_hash, verify_commitment
+from mss.ajtai import Share, ajtai_hash, expand_matrix, verify_commitment
 from mss.bulletin import encode_bulletin, read_bulletin
 from mss.errors import (
     BadIndex,
@@ -58,9 +59,8 @@ def dealer_sequence(board, i, shares):
     params = board.setup.params
     field = params.field()
     t_i = board.threshold(i)
-    shadows = {
-        s.owner: ajtai_hash(field, board.setup.matrix(i), s.bits) for s in shares
-    }
+    g_i = expand_matrix(field, t_i, params.r, board.setup.matrices[i])
+    shadows = {s.owner: ajtai_hash(field, g_i, s.bits) for s in shares}
     # index 0 must be the secret; reconstruct it from any full quorum first
     sub = participant_subshadows(board, i, shares[:t_i])
     secret = recover_way2(
@@ -197,13 +197,12 @@ class TestSetup:
         assert len(shares) == 5
         assert len({s.bits for s in shares}) == 5
         for i, t_i in enumerate(p.thresholds, start=1):
-            g = result.matrix(i)
+            g = expand_matrix(field, t_i, p.r, result.matrices[i])
             assert (g.rows, g.cols) == (t_i, p.r)
-        assert (result.matrix(0).rows, result.matrix(0).cols) == (3, p.r)
+        f = expand_matrix(field, p.max_threshold, p.r, result.matrices[0])
+        assert (f.rows, f.cols) == (3, p.r)
         for share, commitment in zip(shares, result.commitments):
-            assert verify_commitment(
-                field, result.matrix(0), share, commitment
-            )
+            assert verify_commitment(field, f, share, commitment)
 
     def test_seeded_setup_deterministic(self):
         p = SchemeParams(variant=Variant.S2, n=5, k=2, thresholds=(2, 3), q=97)
@@ -269,6 +268,24 @@ class TestPackedColumns:
             assert compute_shadow(read, 2, shares[5]) == compute_shadow(board, 2, shares[5])
         assert packings == ["_seeded_columns"] * 2  # F, then G_2
         assert sorted(read.setup.packed) == [0, 2]
+
+    def test_a_share_of_another_length_is_refused_before_any_packing(self, monkeypatch):
+        params = SchemeParams(variant=Variant.S1, n=8, k=2, thresholds=(3, 4))
+        shares, board = deal(params, [(1, 2, 3), (4, 5, 6, 7)], Drbg("huge-r"))
+        obj = json.loads(encode_bulletin(board)[0])
+        obj["params"]["r"] = 10**9  # the reader packs nothing, so this stays cheap
+        read, _ = read_bulletin(json.dumps(obj).encode())
+        for module, name in ((scheme, "_seeded_columns"), (ajtai, "expand_matrix")):
+            monkeypatch.setattr(module, name, lambda *args: pytest.fail("packed"))
+        share = shares[1]
+        assert len(share.bits) == 16
+        for entry in (
+            lambda: first_unbound(read.setup, [share]),
+            lambda: compute_shadow(read, 2, share),
+            lambda: participant_subshadows(read, 1, [share]),
+        ):
+            with pytest.raises(DimMismatch, match=r"^matrix has 1000000000 columns, vector has 16$"):
+                entry()
 
 
 class TestFirstUnbound:
@@ -536,12 +553,16 @@ V = (1, 2, 3)
         pytest.param({True: V, 2: V, 3: V}, BadIndex, id="bool-index"),
         pytest.param({1.5: V, 2: V, 3: V}, BadIndex, id="float-index"),
         pytest.param({"1": V, 2: V, 3: V}, BadIndex, id="str-index"),
+        pytest.param({1: V, 2: (5.0, 7.0, 9.0), 3: V}, ValueError, id="float-entry"),
+        pytest.param({1: V, 2: V, 3: (True, 2, 3)}, ValueError, id="bool-entry"),
+        pytest.param({1: ("1", 2, 3), 2: V, 3: V}, ValueError, id="str-entry"),
     ],
 )
 def test_bad_group_raises_one_class_everywhere(variant, group, error):
     _, _, _, board = make_deal(variant, n=6, k=1, thresholds=(3,), seed="group")
+    message = "entries that are not ints" if error is ValueError else None
     for check in (assemble_subshadows, *RECOVERY_METHODS, privacy_rank_probe):
-        with pytest.raises(error):
+        with pytest.raises(error, match=message):
             check(board, 1, group)
 
 

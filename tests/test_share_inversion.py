@@ -11,6 +11,7 @@ shortest vector by far, and LLL reduction finds it (Lagarias and Odlyzko,
 JACM 1985).
 """
 
+from mss.ajtai import expand_matrix
 from mss.field import solve_linear
 from mss.rng import Drbg
 from mss.scheme import SchemeParams, Variant, deal
@@ -94,7 +95,7 @@ def test_lll_recovers_a_default_length_share_from_its_commitment():
     shares, board = deal(params, [field.rand_vec(rng, 8)], rng)
     owner = 3
     h = board.setup.commitments[owner - 1]
-    f = board.setup.matrix(0)
+    f = expand_matrix(field, params.max_threshold, params.r, board.setup.matrices[0])
     x = invert_commitment(field, f, h)
     assert x == shares[owner - 1].bits
     # exact integer arithmetic, independent of the library's field code

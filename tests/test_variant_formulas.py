@@ -9,7 +9,7 @@ sequences satisfy them term by term.
 import dataclasses
 import math
 
-from mss.ajtai import ajtai_hash
+from mss.ajtai import ajtai_hash, expand_matrix
 from mss.rng import Drbg
 from mss.scheme import (
     SchemeParams,
@@ -168,12 +168,10 @@ class TestMultiUseShares:
         _, second_setup = setup(params, rng)
         # participants keep their original share bits; the second deal only
         # publishes fresh matrices and commitments for those same bits
+        f = expand_matrix(field, params.max_threshold, params.r, second_setup.matrices[0])
         reissued = dataclasses.replace(
             second_setup,
-            commitments=tuple(
-                ajtai_hash(field, second_setup.matrix(0), share.bits)
-                for share in shares
-            ),
+            commitments=tuple(ajtai_hash(field, f, share.bits) for share in shares),
         )
         secrets_a = [field.rand_vec(rng, t) for t in params.thresholds]
         secrets_b = [field.rand_vec(rng, t) for t in params.thresholds]
