@@ -66,6 +66,10 @@ class _Residues(list):
     from ints and by decode from strings it has checked to be canonical."""
 
 
+def _is_digest(value) -> bool:
+    return isinstance(value, str) and _HEX_DIGEST.fullmatch(value) is not None
+
+
 def _dump(obj) -> str:
     """``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` for the
     codec's str-keyed objects, with each residue array written by ``join``."""
@@ -223,7 +227,7 @@ def _parse_matrix(value, q: int, rows: int, cols: int, what: str) -> tuple[Matri
 
 def _parse_seed(value, what: str) -> tuple[bytes, str]:
     """The seed, and the string it was read from."""
-    if not isinstance(value, str) or not _HEX_DIGEST.fullmatch(value):
+    if not _is_digest(value):
         raise ValidationError(f"{what} must be 64 lowercase hex digits")
     return bytes.fromhex(value), value
 
@@ -359,9 +363,8 @@ def read_bulletin(data: bytes | str, secrets=None) -> tuple[Bulletin, str]:
     raw_commitments = _get(obj, "commitments")
     commitments = _parse_nested(raw_commitments, q, [t_max] * n, "commitments")
     raw_hashes = _array(_get(obj, "secret_hashes"), k, "secret_hashes")
-    for h in raw_hashes:
-        if not isinstance(h, str) or not _HEX_DIGEST.fullmatch(h):
-            raise ValidationError("secret hash must be 64 lowercase hex digits")
+    if not all(map(_is_digest, raw_hashes)):
+        raise ValidationError("secret hash must be 64 lowercase hex digits")
 
     shapes = {
         "offsets": [[t] * (n - t + 1) for t in ts],
@@ -396,6 +399,8 @@ class ShareFile:
 
 
 def encode_share(share: Share, deal: str | None = None) -> bytes:
+    if deal is not None and not _is_digest(deal):
+        raise ValueError(f"deal {deal!r} is not a 64-digit hex digest")
     r = len(share.bits)
     value = int(bytes(share.bits).translate(_BIT_DIGITS), 2)
     bits = format(value, "x").zfill((r + 3) // 4)
@@ -422,28 +427,17 @@ def decode_share(data: bytes | str) -> ShareFile:
         raise ValidationError("bit string longer than r")
     bits = _bits(value, r)
     deal = obj.get("deal")
-    if deal is not None and (not isinstance(deal, str) or not _HEX_DIGEST.fullmatch(deal)):
+    if deal is not None and not _is_digest(deal):
         raise ValidationError("deal must be a 64-digit hex digest")
     return ShareFile(share=Share(owner=owner, bits=bits), deal=deal)
 
 
-def bind_share(share_file: ShareFile, bulletin: Bulletin, deal: str) -> Share:
-    """Check a share file against a bulletin and return the share.
-
-    ``deal`` is the bulletin's digest, ``deal_id(bulletin)``, computed once
-    by the caller for all the share files it binds; a share file that names
-    another deal raises WrongDeal.
-    """
-    params = bulletin.setup.params
+def bind_share(share_file: ShareFile, deal: str) -> Share:
+    """The share of a share file that names no deal or ``deal``, a bulletin's
+    ``deal_id``, else WrongDeal; ``scheme.first_unbound`` checks the rest."""
     share = share_file.share
     if share_file.deal is not None and share_file.deal != deal:
         raise WrongDeal(f"share of owner {share.owner} belongs to another deal")
-    if len(share.bits) != params.r:
-        raise ValidationError(
-            f"share length {len(share.bits)} does not match the deal's r={params.r}"
-        )
-    if not 1 <= share.owner <= params.n:
-        raise ValidationError(f"owner {share.owner} outside [1, {params.n}]")
     return share
 
 
@@ -478,10 +472,14 @@ class RecoveredFile:
 def encode_recovered(
     secret_index: int, candidate: Sequence[int], verified: bool, deal: str
 ) -> bytes:
-    """The recovery report, for a secret index that ``decode_recovered``
-    reads back: an int of at least 1, else a ValueError."""
+    """The recovery report, for values that ``decode_recovered`` reads back,
+    else a ValueError."""
     if type(secret_index) is not int or secret_index < 1:
         raise ValueError(f"secret index {secret_index!r} is not an int of at least 1")
+    if not isinstance(verified, bool):
+        raise ValueError(f"verified {verified!r} is not a boolean")
+    if not _is_digest(deal):
+        raise ValueError(f"deal {deal!r} is not a 64-digit hex digest")
     return _document(
         "recovered",
         secret_index=secret_index,
@@ -507,7 +505,7 @@ def decode_recovered(data: bytes | str, q: int | None = None) -> RecoveredFile:
     if not isinstance(verified, bool):
         raise ParseError("verified must be a boolean")
     deal = _get(obj, "deal")
-    if not isinstance(deal, str) or not _HEX_DIGEST.fullmatch(deal):
+    if not _is_digest(deal):
         raise ValidationError("deal must be a 64-digit hex digest")
     return RecoveredFile(
         secret_index=index, candidate=candidate, verified=verified, deal=deal

@@ -96,7 +96,7 @@ def cmd_deal(args) -> int:
 
 def cmd_verify_share(args) -> int:
     board, digest = bio.read_bulletin(_read(args.bulletin), secrets=())
-    share = bio.bind_share(bio.decode_share(_read(args.share)), board, digest)
+    share = bio.bind_share(bio.decode_share(_read(args.share)), digest)
     if first_unbound(board.setup, [share]) is None:
         print(f"share {share.owner}: OK")
         return EXIT_OK
@@ -133,7 +133,7 @@ def cmd_recover(args) -> int:
 
     by_owner = {}  # in the order given
     for path in args.shares:
-        share = bio.bind_share(bio.decode_share(_read(path)), board, digest)
+        share = bio.bind_share(bio.decode_share(_read(path)), digest)
         if share.owner in by_owner:
             raise MssError(f"duplicate share for owner {share.owner}")
         by_owner[share.owner] = share

@@ -28,7 +28,6 @@ from typing import Iterable, Mapping, Sequence
 from .ajtai import (
     MAX_SHARE_RESAMPLES,
     Share,
-    _check_length,
     _distinct_draws,
     _matrix_columns,
     _seeded_columns,
@@ -171,10 +170,14 @@ class DealSetup:
 
     def hash_shares(self, i: int, shares: Sequence[Share]) -> list[tuple[int, ...]]:
         """Each share's bits hashed under matrices[i], the one way to F and the
-        G_i: lengths are checked against r first (DimMismatch), then the columns
-        are packed once, a seed's straight from its stream without a ``Matrix``."""
-        for share in shares:
-            _check_length(self.params.r, share.bits)
+        G_i: BadIndex unless i is an int in [0, k], DimMismatch unless each share
+        is r bits long, then the columns are packed once, a seed's from its stream."""
+        k, r = self.params.k, self.params.r
+        if type(i) is not int or not 0 <= i <= k:  # True and 1.0 compare equal to 1
+            raise BadIndex(f"matrix index {i!r} outside [0, {k}]")
+        for length in (len(share.bits) for share in shares):
+            if length != r:
+                raise DimMismatch(f"share length {length} does not match the deal's r={r}")
         field = self.params.field()
         if i not in self.packed:
             source = self.matrices[i]
@@ -307,8 +310,9 @@ def setup(params: SchemeParams, rng) -> tuple[tuple[Share, ...], DealSetup]:
 def first_unbound(setup: DealSetup, shares: Sequence[Share]) -> Share | None:
     """The first share, in the order given, that F does not hash to its
     owner's commitment, or None.  Raises BadIndex for an owner past n."""
-    if any(share.owner > setup.params.n for share in shares):
-        raise BadIndex(f"a share's owner is outside [1, {setup.params.n}]")
+    for share in shares:
+        if share.owner > setup.params.n:
+            raise BadIndex(f"owner {share.owner} outside [1, {setup.params.n}]")
     hashes = setup.hash_shares(0, shares)
     return next((share for share, values in zip(shares, hashes)
                  if values != setup.commitments[share.owner - 1]), None)
@@ -353,11 +357,8 @@ def construct(
     _validate_secrets(params, secrets)
     if len(shares) != params.n:
         raise BadShares(f"expected {params.n} shares, got {len(shares)}")
-    for j, share in enumerate(shares, start=1):
-        if share.owner != j:
-            raise BadShares("shares must be ordered by owner 1..n")
-        if len(share.bits) != params.r:
-            raise BadShares(f"share {j} has wrong bit-length")
+    if [share.owner for share in shares] != list(range(1, params.n + 1)):
+        raise BadShares("shares must be ordered by owner 1..n")
     if first_unbound(setup, shares) is not None:
         raise BadShares("shares are not the ones the setup commits to")
     field = params.field()

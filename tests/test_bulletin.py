@@ -198,7 +198,7 @@ class TestDealIdCoversTheSetup:
             mixed = dataclasses.replace(board, **{key: getattr(other, key)})
             assert getattr(mixed, key) != getattr(board, key)
             assert self.digests(mixed) == self.digests(board)
-            assert tuple(bind_share(f, mixed, deal_id(mixed)) for f in files) == shares
+            assert tuple(bind_share(f, deal_id(mixed)) for f in files) == shares
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_another_setup_changes_every_digest(self, variant):
@@ -209,7 +209,7 @@ class TestDealIdCoversTheSetup:
             assert before != after
         for share_file in files:
             with pytest.raises(WrongDeal):
-                bind_share(share_file, swapped, deal_id(swapped))
+                bind_share(share_file, deal_id(swapped))
 
 
 #: Files that json.loads itself cannot take.
@@ -809,39 +809,34 @@ class TestShareFiles:
         shares_b, board_b = make_board(seed="deal-b")
         blob = encode_share(shares_a[0], deal=deal_id(board_a))
         share_file = decode_share(blob)
-        assert bind_share(share_file, board_a, deal_id(board_a)) == shares_a[0]
+        assert bind_share(share_file, deal_id(board_a)) == shares_a[0]
         with pytest.raises(WrongDeal):
-            bind_share(share_file, board_b, deal_id(board_b))
+            bind_share(share_file, deal_id(board_b))
 
     def test_other_deals_digest_rejected_at_binding(self):
         shares_a, board_a = make_board(seed="deal-a")
         _, board_b = make_board(seed="deal-b")
         share_file = decode_share(encode_share(shares_a[0], deal=deal_id(board_a)))
         with pytest.raises(WrongDeal):
-            bind_share(share_file, board_a, deal_id(board_b))
+            bind_share(share_file, deal_id(board_b))
 
     def test_unbound_share_binds_anywhere(self):
         shares, board = make_board()
         share_file = decode_share(encode_share(shares[0]))
-        assert bind_share(share_file, board, deal_id(board)) == shares[0]
+        assert bind_share(share_file, deal_id(board)) == shares[0]
 
-    def test_wrong_length_rejected_at_binding(self):
-        from mss.ajtai import Share
-
-        shares, board = make_board()
-        short = decode_share(encode_share(Share(owner=1, bits=(1, 0, 1, 0))))
-        with pytest.raises(ValidationError):
-            bind_share(short, board, deal_id(board))
-
-    def test_owner_out_of_range_rejected_at_binding(self):
-        from mss.ajtai import Share
-
-        shares, board = make_board()
-        stray = decode_share(
-            encode_share(Share(owner=9, bits=shares[0].bits))
-        )
-        with pytest.raises(ValidationError):
-            bind_share(stray, board, deal_id(board))
+    @pytest.mark.parametrize(
+        "bad", ["x" * 64, "AB" * 32, "ab" * 31, "ab" * 32 + "\n", 5], ids=repr
+    )
+    def test_deal_the_decoder_refuses_is_not_written(self, bad):
+        shares, _ = make_board()
+        with pytest.raises(
+            ValueError, match=f"^deal {re.escape(repr(bad))} is not a 64-digit hex digest$"
+        ):
+            encode_share(shares[0], deal=bad)
+        obj = json.loads(encode_share(shares[0], deal="ab" * 32))
+        with pytest.raises(ValidationError, match="^deal must be a 64-digit hex digest$"):
+            decode_share(json.dumps({**obj, "deal": bad}).encode())  # what it would have written
 
 
 class TestSecretsAndRecoveredFiles:
@@ -918,15 +913,21 @@ class TestSecretsAndRecoveredFiles:
             blob = json.dumps({**obj, "candidate": candidate}).encode()
             assert decode_recovered(blob).candidate == tuple(map(int, candidate))
 
-    @pytest.mark.parametrize("bad", [True, 1.0, 0], ids=repr)
-    def test_recovered_index_the_decoder_refuses_is_not_written(self, bad):
-        with pytest.raises(
-            ValueError, match=f"^secret index {re.escape(repr(bad))} is not an int of at least 1$"
-        ):
-            encode_recovered(bad, (5,), True, "ab" * 32)
-        obj = json.loads(encode_recovered(1, (5,), True, "ab" * 32))
+    @pytest.mark.parametrize("key, bad, message", [
+        *(pytest.param("secret_index", bad, "secret index {!r} is not an int of at least 1",
+                       id=repr(bad)) for bad in (True, 1.0, 0)),
+        *(pytest.param("verified", bad, "verified {!r} is not a boolean", id=f"verified={bad!r}")
+          for bad in (1, 0, "true", None)),
+        *(pytest.param("deal", bad, "deal {!r} is not a 64-digit hex digest", id=f"deal={bad!r}")
+          for bad in ("x" * 64, "AB" * 32, "ab" * 31, "ab" * 32 + "\n", None)),
+    ])
+    def test_recovered_index_the_decoder_refuses_is_not_written(self, key, bad, message):
+        good = {"secret_index": 1, "candidate": (5,), "verified": True, "deal": "ab" * 32}
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(bad))}$"):
+            encode_recovered(**{**good, key: bad})
+        obj = json.loads(encode_recovered(**good))
         with pytest.raises((ParseError, ValidationError)):  # what it would have written
-            decode_recovered(json.dumps({**obj, "secret_index": bad}).encode())
+            decode_recovered(json.dumps({**obj, key: bad}).encode())
 
     def test_recovered_index_zero_rejected(self):
         obj = json.loads(encode_recovered(1, (5,), True, "ab" * 32))

@@ -708,7 +708,7 @@ class TestExpansion:
         unbound = bio.decode_share((dealt / "share_2.json").read_bytes()).share
         share.write_bytes(bio.encode_share(unbound))
         message = (
-            "error: ValidationError: share length 16 does not match the deal's r=1000000000\n"
+            "error: DimMismatch: share length 16 does not match the deal's r=1000000000\n"
         )
         assert cli.main(["verify-share", "--bulletin", str(bulletin), "--share", str(share)]) == 2
         assert capsys.readouterr().err == message
@@ -717,6 +717,23 @@ class TestExpansion:
             "--out", str(dealt / "r_huge.json"), str(share),
         ]) == 2
         assert capsys.readouterr().err == message
+        assert expansions == []
+
+    def test_an_owner_past_n_is_refused_before_expanding(self, dealt, expansions, capsys):
+        """The library's one owner check refuses it: BadIndex, exit 2."""
+        bound = bio.decode_share((dealt / "share_2.json").read_bytes())
+        stray = dealt / "share_6.json"
+        stray.write_bytes(bio.encode_share(ajtai.Share(6, bound.share.bits), bound.deal))
+        bulletin = str(dealt / "bulletin.json")
+        message = "error: BadIndex: owner 6 outside [1, 5]\n"
+        assert cli.main(["verify-share", "--bulletin", bulletin, "--share", str(stray)]) == 2
+        assert capsys.readouterr().err == message
+        assert cli.main([
+            "recover", "--bulletin", bulletin, "--secret", "1", "--method", "lagrange",
+            "--out", str(dealt / "r_stray.json"), str(dealt / "share_1.json"), str(stray),
+        ]) == 2
+        assert capsys.readouterr().err == message
+        assert not (dealt / "r_stray.json").exists()
         assert expansions == []
 
     def test_a_share_of_the_declared_r_expands_t_max_times_r_residues(

@@ -279,13 +279,34 @@ class TestPackedColumns:
             monkeypatch.setattr(module, name, lambda *args: pytest.fail("packed"))
         share = shares[1]
         assert len(share.bits) == 16
+        message = r"^share length 16 does not match the deal's r=1000000000$"
         for entry in (
             lambda: first_unbound(read.setup, [share]),
             lambda: compute_shadow(read, 2, share),
             lambda: participant_subshadows(read, 1, [share]),
+            lambda: construct(read.setup, shares, [(1, 2, 3), (4, 5, 6, 7)], Drbg("c")),
         ):
-            with pytest.raises(DimMismatch, match=r"^matrix has 1000000000 columns, vector has 16$"):
+            with pytest.raises(DimMismatch, match=message):
                 entry()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize(
+        "index", [lambda k: -1, lambda k: k + 1, lambda k: True, lambda k: 1.0],
+        ids=["-1", "k + 1", "True", "1.0"],
+    )
+    def test_a_matrix_index_outside_0_to_k_is_refused_before_the_length_check(
+        self, k, index, packings
+    ):
+        params = SchemeParams(variant=Variant.S1, n=6, k=k, thresholds=(2, 3)[:k])
+        shares, board = deal(params, [(1, 2), (3, 4, 5)][:k], Drbg("index"))
+        read, _ = read_bulletin(encode_bulletin(board)[0])
+        del packings[:]
+        i = index(k)
+        message = rf"^matrix index {re.escape(repr(i))} outside \[0, {k}\]$"
+        for given in (shares, [Share(owner=1, bits=(1, 0))]):
+            with pytest.raises(BadIndex, match=message):
+                read.setup.hash_shares(i, given)
+        assert packings == [] and read.setup.packed == {}
 
 
 class TestFirstUnbound:
@@ -317,7 +338,7 @@ class TestFirstUnbound:
         p = SchemeParams(variant=Variant.S1, n=5, k=1, thresholds=(2,), q=97)
         shares, deal_setup = setup(p, Drbg("past"))
         past = Share(owner=6, bits=shares[0].bits)
-        with pytest.raises(BadIndex, match=r"^a share's owner is outside \[1, 5\]$"):
+        with pytest.raises(BadIndex, match=r"^owner 6 outside \[1, 5\]$"):
             first_unbound(deal_setup, [*shares, past])
         with pytest.raises(BadIndex):
             first_unbound(deal_setup, [past])
@@ -393,7 +414,7 @@ class TestConstruct:
             construct(result, swapped, [(1, 2)], rng)
         short = Share(owner=3, bits=s[2].bits[:-1])
         cut = (*s[:2], short, *s[3:])
-        with pytest.raises(BadShares, match="^share 3 has wrong bit-length$"):
+        with pytest.raises(DimMismatch, match="^share length 15 does not match the deal's r=16$"):
             construct(result, cut, [(1, 2)], rng)
 
     def test_shares_of_another_setup_refused(self):
