@@ -11,10 +11,11 @@ the matrices are then pseudorandom, with SHAKE-256 as a random oracle.
 
 Hashing many vectors under one matrix reads its columns packed, each one
 int of byte-aligned slots (``_slot_bits``): ``_seeded_columns`` lays a
-seed's stream straight into them and ``_matrix_columns`` packs a
-``Matrix``, with equal columns for the matrix a seed expands to.
-``ajtai_hash_many`` then sums the packed columns each vector picks, and
-``ajtai_hash`` stays the per-entry definition.
+seed's stream straight into them, for the dealer and every reader, and
+``_matrix_columns`` packs a ``Matrix`` (format 1, or a rejected stream),
+with equal columns for the matrix a seed expands to.  ``ajtai_hash_many``
+then sums the packed columns each vector picks, and ``ajtai_hash`` stays
+the per-entry definition.
 """
 
 from __future__ import annotations
@@ -89,16 +90,20 @@ def expand_matrix(field: PrimeField, rows: int, cols: int, seed: bytes) -> Matri
 
 def sample_matrix_full_rank(
     field: PrimeField, rows: int, cols: int, rng
-) -> tuple[bytes, Matrix]:
-    """A seed drawn from rng and the matrix it expands to, redrawn until
-    that matrix has full row rank."""
+) -> tuple[bytes, list[int]]:
+    """A seed drawn from rng and its ``_seeded_columns``, redrawn until its
+    matrix has full row rank: ranked on the leading rows x rows block, and
+    expanded and ranked whole only when that block is singular."""
     if rows > cols:
         raise DimMismatch("full row rank needs rows <= cols")
+    w = _slot_bits(field.q, cols)
     for _attempt in range(MAX_RANK_RESAMPLES):
         seed = rng.randbytes(SEED_BYTES)
-        m = expand_matrix(field, rows, cols, seed)
-        if matrix_rank(field, m) == rows:
-            return seed, m
+        columns = _seeded_columns(field, rows, cols, seed)
+        block = zip(*(_unpack(c, rows, field.q, w) for c in columns[:rows]))
+        if (matrix_rank(field, Matrix.from_rows(list(block))) == rows
+                or matrix_rank(field, expand_matrix(field, rows, cols, seed)) == rows):
+            return seed, columns
     raise RngSuspect(f"{MAX_RANK_RESAMPLES} rank-deficient draws in a row")
 
 

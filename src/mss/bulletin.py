@@ -476,6 +476,8 @@ def encode_recovered(
     else a ValueError."""
     if type(secret_index) is not int or secret_index < 1:
         raise ValueError(f"secret index {secret_index!r} is not an int of at least 1")
+    if any(type(x) is not int or x < 0 for x in candidate):
+        raise ValueError(f"candidate {candidate!r} has a component that is not an int >= 0")
     if not isinstance(verified, bool):
         raise ValueError(f"verified {verified!r} is not a boolean")
     if not _is_digest(deal):

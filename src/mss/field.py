@@ -140,18 +140,8 @@ class Matrix:
 
 
 def matrix_rank(field: PrimeField, m: Matrix) -> int:
-    """Row rank: the pivot count of forward elimination (first-nonzero
-    pivoting, see ``_eliminate``).
-
-    A wide matrix is ranked on its leading rows x rows block first: when
-    that block is nonsingular the matrix has full row rank, and the other
-    columns are never touched.  Only a singular block sends the whole
-    matrix through elimination.
-    """
-    if m.rows < m.cols:
-        block = [m.row(i)[: m.rows] for i in range(m.rows)]
-        if len(_eliminate(field, block, m.rows)[0]) == m.rows:
-            return m.rows
+    """Row rank: the pivot count of forward elimination over every column
+    (first-nonzero pivoting, see ``_eliminate``)."""
     return len(_eliminate(field, [m.row(i) for i in range(m.rows)], m.cols)[0])
 
 

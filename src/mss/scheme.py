@@ -299,8 +299,7 @@ def setup(params: SchemeParams, rng) -> tuple[tuple[Share, ...], DealSetup]:
     )
     rows = (*params.thresholds, params.max_threshold)  # G_1..G_k, then F
     *masks, commit = (sample_matrix_full_rank(field, t, params.r, rng) for t in rows)
-    seeds, matrices = zip(commit, *masks)  # F first, as DealSetup indexes them
-    packed = [_matrix_columns(field, m) for m in matrices]
+    seeds, packed = zip(commit, *masks)  # F first, as DealSetup indexes them
     commitments = ajtai_hash_many(field, params.max_threshold, packed[0], shares)
     deal_setup = DealSetup(params, seeds, tuple(commitments))
     deal_setup.packed.update(enumerate(packed))

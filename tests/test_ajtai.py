@@ -50,6 +50,24 @@ def reference_full_rank_sample(field, rows, cols, rng):
     raise RngSuspect("reference sampler gave up")
 
 
+def reference_packed_sample(field, rows, cols, rng):
+    """``reference_full_rank_sample``'s seed, and its matrix's columns packed."""
+    seed, m = reference_full_rank_sample(field, rows, cols, rng)
+    return seed, _matrix_columns(field, m)
+
+
+class SeedLog(Drbg):
+    """A Drbg that keeps every byte string it draws."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.drawn = []
+
+    def randbytes(self, n):
+        self.drawn.append(super().randbytes(n))
+        return self.drawn[-1]
+
+
 def leading_block(m):
     return Matrix(m.rows, m.rows, tuple(v for i in range(m.rows) for v in m.row(i)[: m.rows]))
 
@@ -117,8 +135,8 @@ class TestAjtaiHash:
             ajtai_hash(F97, a, (1, 0, 2))
 
     def test_linearity_on_disjoint_support(self):
-        rng = Drbg(12)
-        _, a = sample_matrix_full_rank(F97, 3, 8, rng)
+        seed, _ = sample_matrix_full_rank(F97, 3, 8, Drbg(12))
+        a = expand_matrix(F97, 3, 8, seed)
         x = (1, 0, 1, 0, 0, 1, 0, 0)
         y = (0, 1, 0, 0, 1, 0, 0, 1)
         both = tuple(xi | yi for xi, yi in zip(x, y))
@@ -127,8 +145,8 @@ class TestAjtaiHash:
         )
 
     def test_deterministic(self):
-        rng = Drbg(12)
-        _, a = sample_matrix_full_rank(F97, 3, 8, rng)
+        seed, _ = sample_matrix_full_rank(F97, 3, 8, Drbg(12))
+        a = expand_matrix(F97, 3, 8, seed)
         x = Drbg(4).bit_vector(8)
         assert ajtai_hash(F97, a, x) == ajtai_hash(F97, a, x)
 
@@ -140,24 +158,45 @@ class TestMatrixRank:
     def test_matches_full_elimination(self, q):
         field = PrimeField(q)
         rng = Drbg(f"rank-{q}")
-        singular_blocks = 0
         for rows, cols in [(1, 3), (2, 3), (2, 5), (3, 4), (3, 3), (4, 2), (4, 7)]:
             for _ in range(60):
                 m = Matrix(rows, cols, field.rand_vec(rng, rows * cols))
-                if rows < cols and reference_rank(field, leading_block(m)) < rows:
-                    singular_blocks += 1
                 assert matrix_rank(field, m) == reference_rank(field, m)
-        assert singular_blocks > 0
 
 
 class TestMatrixSampling:
+    @pytest.mark.parametrize("q", [2, 5, 97])
+    def test_decides_as_full_ranking(self, q):
+        """The sampler keeps and redraws the seeds the reference does, and
+        packs the columns of the one it keeps; the sweep reaches seeds whose
+        leading block is singular, which only the expanded matrix decides."""
+        field = PrimeField(q)
+        rng, ref_rng = SeedLog(f"rank-{q}"), Drbg(f"rank-{q}")
+        singular_blocks = 0
+        for rows, cols in [(1, 3), (2, 3), (2, 5), (3, 4), (3, 3), (4, 7)]:
+            for _ in range(60):
+                start = len(rng.drawn)
+                sample = sample_matrix_full_rank(field, rows, cols, rng)
+                assert sample == reference_packed_sample(field, rows, cols, ref_rng)
+                blocks = (
+                    leading_block(reference_expansion(field, rows, cols, seed))
+                    for seed in rng.drawn[start:]
+                )
+                singular_blocks += rows < cols and sum(
+                    reference_rank(field, block) < rows for block in blocks
+                )
+        assert rng.randbytes(32) == ref_rng.randbytes(32)
+        assert singular_blocks > 0
+
     def test_single_row_is_nonzero(self):
-        _, m = sample_matrix_full_rank(F97, 1, 4, Drbg(5))
-        assert any(v != 0 for v in m.data)
+        seed, columns = sample_matrix_full_rank(F97, 1, 4, Drbg(5))
+        assert (seed, columns) == reference_packed_sample(F97, 1, 4, Drbg(5))
+        assert any(v != 0 for v in expand_matrix(F97, 1, 4, seed).data)
 
     def test_square_sample_is_invertible(self):
-        _, m = sample_matrix_full_rank(F97, 4, 4, Drbg(6))
-        assert matrix_rank(F97, m) == 4
+        seed, columns = sample_matrix_full_rank(F97, 4, 4, Drbg(6))
+        assert (seed, columns) == reference_packed_sample(F97, 4, 4, Drbg(6))
+        assert matrix_rank(F97, expand_matrix(F97, 4, 4, seed)) == 4
 
     def test_seeded_sampling_identical(self):
         m1 = sample_matrix_full_rank(F97, 3, 10, Drbg(7))
@@ -177,8 +216,9 @@ class TestMatrixSampling:
         assert reference_rank(F97, leading_block(first)) < 2
         assert reference_rank(F97, first) == first_rank
         rng, ref_rng = Drbg(seed), Drbg(seed)
-        seed_bytes, m = sample_matrix_full_rank(F97, 2, 3, rng)
-        assert (seed_bytes, m) == reference_full_rank_sample(F97, 2, 3, ref_rng)
+        seed_bytes, columns = sample_matrix_full_rank(F97, 2, 3, rng)
+        ref_seed, m = reference_full_rank_sample(F97, 2, 3, ref_rng)
+        assert (seed_bytes, columns) == (ref_seed, _matrix_columns(F97, m))
         assert (m == first) == (first_rank == 2)
         assert rng.randbytes(32) == ref_rng.randbytes(32)
 
@@ -193,6 +233,7 @@ class TestMatrixSampling:
                 return super().randbytes(n)
 
         # every seed expands to the zero matrix, so every draw is rank-deficient
+        monkeypatch.setattr(ajtai, "_seeded_columns", lambda field, rows, cols, seed: [0] * cols)
         monkeypatch.setattr(ajtai, "expand_matrix", lambda field, rows, cols, seed: Matrix(
             rows, cols, (0,) * (rows * cols)))
         rng = CountingDrbg()
@@ -202,9 +243,10 @@ class TestMatrixSampling:
 
     def test_sample_is_its_seed_expanded(self):
         rng, ref_rng = Drbg(9), Drbg(9)
-        seed, m = sample_matrix_full_rank(F97, 3, 10, rng)
+        seed, columns = sample_matrix_full_rank(F97, 3, 10, rng)
         assert seed == ref_rng.randbytes(SEED_BYTES)  # a full-rank first draw
-        assert m == expand_matrix(F97, 3, 10, seed) == reference_expansion(F97, 3, 10, seed)
+        m = reference_expansion(F97, 3, 10, seed)
+        assert columns == _seeded_columns(F97, 3, 10, seed) == _matrix_columns(F97, m)
         assert rng.randbytes(32) == ref_rng.randbytes(32)
 
 
@@ -406,7 +448,7 @@ class TestSeededColumns:
 class TestVerifyCommitment:
     def _setup(self, seed=9):
         rng = Drbg(seed)
-        _, f = sample_matrix_full_rank(F97, 4, 16, rng)
+        f = expand_matrix(F97, 4, 16, sample_matrix_full_rank(F97, 4, 16, rng)[0])
         bits = rng.bit_vector(16)
         return f, Share(owner=1, bits=bits), ajtai_hash(F97, f, bits)
 

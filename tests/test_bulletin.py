@@ -916,6 +916,8 @@ class TestSecretsAndRecoveredFiles:
     @pytest.mark.parametrize("key, bad, message", [
         *(pytest.param("secret_index", bad, "secret index {!r} is not an int of at least 1",
                        id=repr(bad)) for bad in (True, 1.0, 0)),
+        *(pytest.param("candidate", bad, "candidate {!r} has a component that is not an int >= 0",
+                       id=f"candidate={bad!r}") for bad in ((-5,), (True,), (5.0,), (5, -1))),
         *(pytest.param("verified", bad, "verified {!r} is not a boolean", id=f"verified={bad!r}")
           for bad in (1, 0, "true", None)),
         *(pytest.param("deal", bad, "deal {!r} is not a 64-digit hex digest", id=f"deal={bad!r}")
@@ -926,8 +928,9 @@ class TestSecretsAndRecoveredFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(message.format(bad))}$"):
             encode_recovered(**{**good, key: bad})
         obj = json.loads(encode_recovered(**good))
+        written = [str(v) for v in bad] if key == "candidate" else bad
         with pytest.raises((ParseError, ValidationError)):  # what it would have written
-            decode_recovered(json.dumps({**obj, key: bad}).encode())
+            decode_recovered(json.dumps({**obj, key: written}).encode())
 
     def test_recovered_index_zero_rejected(self):
         obj = json.loads(encode_recovered(1, (5,), True, "ab" * 32))

@@ -636,12 +636,12 @@ class TestExpansion:
 
     @pytest.fixture
     def expansions(self, monkeypatch):
-        """The row count of every matrix expanded, in order: each matrix the
-        dealer draws (``expand_matrix``) and each seed a reader packs
-        (``_seeded_columns``, counted once when it falls back to
-        ``expand_matrix`` on a rejected candidate)."""
+        """The row count of every matrix expanded, in order: each seed the
+        dealer draws or a reader uses is packed (``_seeded_columns``, counted
+        once when it falls back to ``expand_matrix`` on a rejected candidate),
+        and any other ``expand_matrix`` counts as one more."""
         rows, packing = [], []
-        real_expand, real_columns = ajtai.expand_matrix, scheme._seeded_columns
+        real_expand, real_columns = ajtai.expand_matrix, ajtai._seeded_columns
 
         def expand(field, n_rows, cols, seed):
             if not packing:
@@ -657,27 +657,32 @@ class TestExpansion:
                 packing.pop()
 
         monkeypatch.setattr(ajtai, "expand_matrix", expand)
+        monkeypatch.setattr(ajtai, "_seeded_columns", columns)
         monkeypatch.setattr(scheme, "_seeded_columns", columns)
         return rows
 
     def test_deal_expands_each_matrix_it_draws_once(
         self, tmp_path, monkeypatch, capsys, expansions
     ):
-        ranks = []  # per rank check, whether the matrix was kept
+        draws = []  # per seed drawn, its row count and whether it was kept
         real_rank = ajtai.matrix_rank
 
         def rank(field, m):
-            ranks.append(real_rank(field, m) == m.rows)
-            return real_rank(field, m)
+            result = real_rank(field, m)
+            if m.rows == m.cols:  # a seed's leading block
+                draws.append([m.rows, result == m.rows])
+            else:  # the whole matrix, after a singular block
+                draws[-1][1] = result == m.rows
+            return result
 
         monkeypatch.setattr(ajtai, "matrix_rank", rank)
         secrets = tmp_path / "secrets.json"
         secrets.write_bytes(encode_secrets(97, ((7, 9), (1, 2, 3))))
         argv = [*DEAL_ARGS, "--secrets", str(secrets), "--out-dir", str(tmp_path)]
         assert cli.main(argv) == 0, capsys.readouterr().err
-        redraws = ranks.count(False)
-        assert len(expansions) == len(ranks) == 2 + 1 + redraws
-        assert [rows for rows, kept in zip(expansions, ranks) if kept] == [2, 3, 3]  # G_1, G_2, F
+        redraws = [kept for _, kept in draws].count(False)
+        assert expansions == [rows for rows, _ in draws] and len(draws) == 2 + 1 + redraws
+        assert [rows for rows, kept in draws if kept] == [2, 3, 3]  # G_1, G_2, F
 
     def test_each_reading_command_expands_only_what_it_uses(self, dealt, expansions, capsys):
         bulletin = str(dealt / "bulletin.json")

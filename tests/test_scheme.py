@@ -226,8 +226,8 @@ class TestSetup:
 
 
 class TestPackedColumns:
-    """Each matrix's columns are packed once per ``DealSetup``: by the dealer
-    from the matrices it drew, by a reader straight from each seed it uses."""
+    """Each matrix's columns are packed once per ``DealSetup``, straight from
+    its seed: by the dealer as it draws the seed, by a reader as it uses it."""
 
     @pytest.fixture
     def packings(self, monkeypatch):
@@ -245,13 +245,23 @@ class TestPackedColumns:
 
     P = SchemeParams(variant=Variant.S1, n=6, k=3, thresholds=(2, 3, 4))
 
-    def test_the_dealer_packs_each_matrix_once(self, packings):
+    def test_the_dealer_packs_each_matrix_once(self, packings, monkeypatch):
+        """At the default q the dealer packs each seed it draws from its
+        stream, k + 1 calls of ``_seeded_columns``, and expands none."""
+        drawn = []  # the row count of each seed the dealer packs
+        real = ajtai._seeded_columns
+        monkeypatch.setattr(
+            ajtai, "_seeded_columns", lambda *args: drawn.append(args[1]) or real(*args)
+        )
+        for name in ("expand_matrix", "_matrix_columns"):
+            monkeypatch.setattr(ajtai, name, lambda *args: pytest.fail("expanded"))
         shares, board = deal(self.P, [(1, 2), (3, 4, 5), (6, 7, 8, 9)], Drbg("packed"))
-        assert packings == ["_matrix_columns"] * 4  # F, G_1..G_3
+        assert drawn == [2, 3, 4, 4]  # G_1..G_3, then F
+        assert sorted(board.setup.packed) == [0, 1, 2, 3]
         assert first_unbound(board.setup, shares) is None
         participant_subshadows(board, 2, shares[:3])
         compute_shadow(board, 3, shares[0])
-        assert packings == ["_matrix_columns"] * 4
+        assert drawn == [2, 3, 4, 4] and packings == []
 
     def test_a_reader_packs_each_seed_it_uses_once_and_builds_no_matrix(
         self, packings, monkeypatch

@@ -11,10 +11,19 @@ shortest vector by far, and LLL reduction finds it (Lagarias and Odlyzko,
 JACM 1985).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from mss.ajtai import expand_matrix
-from mss.field import solve_linear
+from mss.field import Matrix, PrimeField, solve_linear
 from mss.rng import Drbg
 from mss.scheme import SchemeParams, Variant, deal
+
+TESTS = Path(__file__).resolve().parent
 
 
 def _dot(u, v):
@@ -28,7 +37,9 @@ def lll(basis, delta=0.99):
     The basis stays exact; Gram-Schmidt runs in floats on it, and a row is
     orthogonalized again after each size reduction, since a reduction by a
     large multiple leaves the float coefficients inexact (Schnorr and
-    Euchner, Math. Programming 1994).
+    Euchner, Math. Programming 1994).  A coefficient within float error of
+    +-1/2 is left as it is: reducing by it only flips its sign, and the
+    reduction would never end.
     """
     b = [list(row) for row in basis]
     n = len(b)
@@ -51,8 +62,8 @@ def lll(basis, delta=0.99):
         while reduced:
             reduced = False
             for j in range(k - 1, -1, -1):
-                c = round(mu[k][j])
-                if c:
+                if abs(mu[k][j]) > 0.5 + 1e-9:
+                    c = round(mu[k][j])
                     b[k] = [x - c * y for x, y in zip(b[k], b[j])]
                     for i in range(j):
                         mu[k][i] -= c * mu[j][i]
@@ -68,16 +79,70 @@ def lll(basis, delta=0.99):
     return b
 
 
+def kernel_lattice(field, r, sol):
+    """A basis of L = {x : F * x = 0 (mod q)} from a solve of F: the kernel
+    vectors mod q, and q times each pivot unit vector."""
+    free = set(sol.free_cols)
+    basis = [list(v) for v in sol.nullspace]
+    return basis + [[field.q * (c == p) for c in range(r)] for p in range(r) if p not in free]
+
+
+def _gram_schmidt(b):
+    """The squared norms of the Gram-Schmidt vectors of b, and the
+    coefficients mu[k][j] of b_k on b*_j for j < k, in floats."""
+    star, norm, mu = [], [], []
+    for row in b:
+        coeffs = [_dot(row, s) / n for s, n in zip(star, norm)]
+        v = [float(x) for x in row]
+        for c, s in zip(coeffs, star):
+            v = [x - c * y for x, y in zip(v, s)]
+        star.append(v)
+        norm.append(_dot(v, v))
+        mu.append(coeffs)
+    return norm, mu
+
+
+def reduce_kernel_lattices(seeds, delta=0.99):
+    """LLL-reduce the kernel lattice of a seeded 4 x 36 matrix at q = 97 for
+    each seed, and check that the result lies in the lattice, is size
+    reduced and meets Lovasz's condition."""
+    field = PrimeField(97)
+    for seed in seeds:
+        f = Matrix(4, 36, field.rand_vec(Drbg(f"lll-{seed}"), 4 * 36))
+        b = lll(kernel_lattice(field, f.cols, solve_linear(field, f, [(0,) * f.rows])))
+        assert all(_dot(f.row(i), row) % field.q == 0 for row in b for i in range(f.rows))
+        norm, mu = _gram_schmidt(b)
+        assert all(abs(c) <= 0.5 + 1e-6 for coeffs in mu for c in coeffs), seed
+        assert all(
+            norm[k] >= (delta - mu[k][k - 1] ** 2) * norm[k - 1] * (1 - 1e-9)
+            for k in range(1, len(b))
+        ), seed
+
+
+def test_lll_ends_on_a_coefficient_at_one_half():
+    """Seeds 1, 3 and 4 meet a Gram-Schmidt coefficient at +-1/2, where a
+    size reduction only flips its sign.  The reduction runs in a child
+    process, so that a reduction that never ends fails within the timeout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(TESTS.parent / "src"), str(TESTS), env.get("PYTHONPATH", "")]
+    )
+    code = "import test_share_inversion as t; t.reduce_kernel_lattices([1, 3, 4])"
+    try:
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("LLL did not end within 30 s")
+    assert run.returncode == 0, run.stderr
+
+
 def invert_commitment(field, f, h):
     """A binary x with F * x = h (mod q), found by LLL on Kannan's embedding
     of the coset {x : F * x = h (mod q)}, or None if the reduced basis holds
     no such vector."""
-    q, r = field.q, f.cols
     sol = solve_linear(field, f, [h])  # a point of the coset, and L's kernel part
-    free = set(sol.free_cols)
-    # L is spanned by the kernel vectors mod q and q times each pivot unit vector
-    basis = [list(v) + [0] for v in sol.nullspace]
-    basis += [[q * (c == p) for c in range(r)] + [0] for p in range(r) if p not in free]
+    basis = [row + [0] for row in kernel_lattice(field, f.cols, sol)]
     basis.append(list(sol.particular[0]) + [1])
     for row in lll(basis):
         if abs(row[-1]) == 1:
