@@ -42,12 +42,15 @@ SEED_BYTES = 32
 
 @dataclass(frozen=True)
 class Share:
-    """A participant's long-lived secret: a binary vector of length r."""
+    """A participant's long-lived secret, checked alone: an owner index of at
+    least 1 and a nonempty tuple of 0/1 bits; ``DealSetup.hash_shares`` checks
+    a group of shares against a deal's n and r."""
 
     owner: int
     bits: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "bits", tuple(self.bits))  # from a list, bytes or generator
         # True and 1.0 compare equal to 1, so types are checked first
         if type(self.owner) is not int:
             raise ValueError("owner index must be an int")

@@ -442,6 +442,8 @@ def bind_share(share_file: ShareFile, deal: str) -> Share:
 
 
 def encode_secrets(q: int, secrets: Sequence[Sequence[int]]) -> bytes:
+    if not secrets or not all(secrets):  # decode_secrets reads no empty vector or list
+        raise ValueError("secrets must be a nonempty list of nonempty vectors")
     for i, secret in enumerate(secrets, start=1):
         if any(type(x) is not int or not 0 <= x < q for x in secret):
             raise ValueError(f"secret {i} has components that are not ints in [0, q)")

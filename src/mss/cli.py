@@ -131,19 +131,13 @@ def cmd_recover(args) -> int:
     i = args.secret
     t_i = board.threshold(i)
 
-    by_owner = {}  # in the order given
-    for path in args.shares:
-        share = bio.bind_share(bio.decode_share(_read(path)), digest)
-        if share.owner in by_owner:
-            raise MssError(f"duplicate share for owner {share.owner}")
-        by_owner[share.owner] = share
-
-    unbound = first_unbound(board.setup, list(by_owner.values()))
+    shares = [bio.bind_share(bio.decode_share(_read(path)), digest) for path in args.shares]
+    unbound = first_unbound(board.setup, shares)
     if unbound is not None:
         print(f"share {unbound.owner}: FAIL", file=sys.stderr)
         return EXIT_VERIFY_FAILED
 
-    ordered = [by_owner[j] for j in sorted(by_owner)]
+    ordered = sorted(shares, key=lambda share: share.owner)
     subshadows = participant_subshadows(board, i, _quorum(ordered, t_i, args.method))
     candidate = _METHODS[args.method](board, i, subshadows)
     verified = verify_secret(board, i, candidate)

@@ -169,12 +169,20 @@ class DealSetup:
         return self.params.thresholds[i - 1] if i else self.params.max_threshold
 
     def hash_shares(self, i: int, shares: Sequence[Share]) -> list[tuple[int, ...]]:
-        """Each share's bits hashed under matrices[i], the one way to F and the
-        G_i: BadIndex unless i is an int in [0, k], DimMismatch unless each share
-        is r bits long, then the columns are packed once, a seed's from its stream."""
-        k, r = self.params.k, self.params.r
+        """Each share hashed under matrices[i], the one way to F and the G_i, after
+        the one check of a share group, in order: BadIndex for i not an int in [0, k]
+        or an owner past n, BadShares for a repeated owner, DimMismatch for length."""
+        k, n, r = self.params.k, self.params.n, self.params.r
         if type(i) is not int or not 0 <= i <= k:  # True and 1.0 compare equal to 1
             raise BadIndex(f"matrix index {i!r} outside [0, {k}]")
+        for share in shares:
+            if share.owner > n:
+                raise BadIndex(f"owner {share.owner} outside [1, {n}]")
+        owners: set[int] = set()
+        for j in (share.owner for share in shares):
+            if j in owners:
+                raise BadShares(f"two shares name the same owner: {j}")
+            owners.add(j)
         for length in (len(share.bits) for share in shares):
             if length != r:
                 raise DimMismatch(f"share length {length} does not match the deal's r={r}")
@@ -308,10 +316,7 @@ def setup(params: SchemeParams, rng) -> tuple[tuple[Share, ...], DealSetup]:
 
 def first_unbound(setup: DealSetup, shares: Sequence[Share]) -> Share | None:
     """The first share, in the order given, that F does not hash to its
-    owner's commitment, or None.  Raises BadIndex for an owner past n."""
-    for share in shares:
-        if share.owner > setup.params.n:
-            raise BadIndex(f"owner {share.owner} outside [1, {setup.params.n}]")
+    owner's commitment, or None; ``DealSetup.hash_shares`` checks the group."""
     hashes = setup.hash_shares(0, shares)
     return next((share for share, values in zip(shares, hashes)
                  if values != setup.commitments[share.owner - 1]), None)
@@ -460,16 +465,11 @@ def assemble_subshadows(
 def participant_subshadows(
     bulletin: Bulletin, i: int, shares: Iterable[Share]
 ) -> dict[int, tuple[int, ...]]:
-    """Subshadows of secret i computed straight from a group's shares.
-
-    All shadows come from one ``DealSetup.hash_shares`` call under G_i;
-    they equal ``compute_shadow`` of each share.  Raises BadShares when two
-    shares name one owner, then what ``assemble_subshadows`` raises.
-    """
+    """Subshadows of secret i straight from a group's shares: one call of
+    ``DealSetup.hash_shares`` under G_i checks the group and gives the shadows,
+    which equal ``compute_shadow``'s, and ``assemble_subshadows`` adds offsets."""
     _check_secret_index(bulletin.setup.params, i)
     shares = list(shares)
-    if len({share.owner for share in shares}) != len(shares):
-        raise BadShares("two shares name the same owner")
     hashes = bulletin.setup.hash_shares(i, shares)
     shadows = {share.owner: values for share, values in zip(shares, hashes)}
     return assemble_subshadows(bulletin, i, shadows)

@@ -730,6 +730,18 @@ class TestShareFiles:
                 assert decoded.deal == deal_field
                 assert encode_share(decoded.share, deal=decoded.deal) == blob
 
+    @pytest.mark.parametrize(
+        "make", [list, bytes, lambda bits: (bit for bit in bits)], ids=["list", "bytes", "generator"]
+    )
+    def test_bits_given_as_any_iterable_are_kept_as_a_tuple(self, make):
+        from mss.ajtai import Share
+
+        bits = (1, 0, 1, 1, 0, 0, 0, 1, 1)
+        share, expected = Share(owner=3, bits=make(bits)), Share(owner=3, bits=bits)
+        assert share.bits == bits and type(share.bits) is tuple
+        assert share == expected and hash(share) == hash(expected)
+        assert decode_share(encode_share(share)).share == share
+
     def test_hex_is_msb_first_and_padded(self):
         from mss.ajtai import Share
 
@@ -852,6 +864,17 @@ class TestSecretsAndRecoveredFiles:
         with pytest.raises(ValueError, match=refusal):
             encode_secrets(97, [(1, 2), (3, bad, 5)])
         assert decode_secrets(encode_secrets(97, [(1, 2), (3, 96, 0)]), 97) == ((1, 2), (3, 96, 0))
+
+    @pytest.mark.parametrize("secrets", [[], [[]], [[1], []]], ids=["no vector", "empty", "[1], []"])
+    def test_secrets_the_decoder_refuses_are_not_written(self, secrets):
+        with pytest.raises(
+            ValueError, match=r"^secrets must be a nonempty list of nonempty vectors$"
+        ):
+            encode_secrets(97, secrets)
+        obj = json.loads(encode_secrets(97, ((1, 2),)))
+        written = [[str(x) for x in vec] for vec in secrets]
+        with pytest.raises(ParseError, match=r"^secrets(\[\d\])? must be a nonempty array$"):
+            decode_secrets(json.dumps({**obj, "secrets": written}).encode(), 97)
 
     def test_secrets_must_be_reduced(self):
         blob = encode_secrets(101, ((99,),))

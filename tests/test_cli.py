@@ -382,7 +382,7 @@ class TestRecover:
     def test_duplicate_share_file_refused(self, dealt):
         result = self.recover(dealt, "lagrange", 1, [2, 3, 2], "r_dup.json")
         assert result.returncode == 2
-        assert result.stderr == "error: MssError: duplicate share for owner 2\n"
+        assert result.stderr == "error: BadShares: two shares name the same owner: 2\n"
         assert not (dealt / "r_dup.json").exists()
 
     def test_share_files_for_one_secret_open_the_others(self, dealt):
@@ -740,6 +740,47 @@ class TestExpansion:
         assert capsys.readouterr().err == message
         assert not (dealt / "r_stray.json").exists()
         assert expansions == []
+
+    @pytest.mark.parametrize("huge_r", [False, True], ids=["own r", "r = 10**9"])
+    @pytest.mark.parametrize("command, files, error", [
+        pytest.param(command, files, error, id=f"{command}-{','.join(files)}")
+        # files: share files by owner, "-short" for one bit fewer than the deal's r
+        for command, files, error in (
+            ("verify-share", ["6"], "BadIndex: owner 6 outside [1, 5]"),
+            ("verify-share", ["6-short"], "BadIndex: owner 6 outside [1, 5]"),
+            ("recover", ["1", "6"], "BadIndex: owner 6 outside [1, 5]"),
+            ("recover", ["1-short", "2", "6"], "BadIndex: owner 6 outside [1, 5]"),
+            ("recover", ["2", "3", "2"], "BadShares: two shares name the same owner: 2"),
+            ("recover", ["1-short", "3", "3"], "BadShares: two shares name the same owner: 3"),
+            ("recover", ["2", "2", "6"], "BadIndex: owner 6 outside [1, 5]"),
+        )
+    ])
+    def test_an_owner_past_n_or_repeated_is_refused_before_expanding(
+        self, dealt, expansions, capsys, huge_r, command, files, error
+    ):
+        """The library's one check of a share group refuses them, exit 2:
+        every owner against n, then a repeat, then every length."""
+        bulletin = dealt / "bulletin.json"
+        if huge_r:
+            obj = json.loads(bulletin.read_bytes())
+            obj["params"]["r"] = 10**9  # every share given is then of the wrong length
+            bulletin = dealt / "huge_r.json"
+            bulletin.write_text(json.dumps(obj))
+        for name in set(files):  # unbound, so that they name neither deal
+            owner = int(name.removesuffix("-short"))
+            bits = bio.decode_share((dealt / f"share_{min(owner, 5)}.json").read_bytes()).share.bits
+            share = ajtai.Share(owner, bits[:-1] if name.endswith("-short") else bits)
+            (dealt / f"given_{name}.json").write_bytes(bio.encode_share(share))
+        paths = [str(dealt / f"given_{name}.json") for name in files]
+        out = dealt / "r_refused.json"
+        argv = {
+            "verify-share": ["verify-share", "--bulletin", str(bulletin), "--share", *paths],
+            "recover": ["recover", "--bulletin", str(bulletin), "--secret", "1",
+                        "--method", "lagrange", "--out", str(out), *paths],
+        }[command]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert expansions == [] and not out.exists()
 
     def test_a_share_of_the_declared_r_expands_t_max_times_r_residues(
         self, tmp_path, monkeypatch, capsys

@@ -299,6 +299,49 @@ class TestPackedColumns:
             with pytest.raises(DimMismatch, match=message):
                 entry()
 
+    @pytest.mark.parametrize("huge_r", [False, True], ids=["own r", "r = 10**9"])
+    @pytest.mark.parametrize("entry, group, error, message", [
+        pytest.param(entry, group, error, message, id=f"{entry}-{name}")
+        for name, group, error, message in (
+            # (name, the group from shares s of owners 1..8, error, message)
+            ("past n", lambda s: [Share(9, s[1].bits)], BadIndex, r"owner 9 outside \[1, 8\]"),
+            ("past n and short", lambda s: [Share(9, s[1].bits[:-1])], BadIndex,
+             r"owner 9 outside \[1, 8\]"),
+            ("past n after a short share",
+             lambda s: [Share(1, s[0].bits[:-1]), s[1], Share(9, s[2].bits)], BadIndex,
+             r"owner 9 outside \[1, 8\]"),
+            ("repeated", lambda s: [s[1], s[2], s[1]], BadShares,
+             "two shares name the same owner: 2"),
+            ("repeated after a short share", lambda s: [Share(1, s[0].bits[:-1]), s[2], s[2]],
+             BadShares, "two shares name the same owner: 3"),
+            ("past n after a repeat", lambda s: [s[1], s[1], Share(9, s[2].bits)], BadIndex,
+             r"owner 9 outside \[1, 8\]"),
+        )
+        for entry in ("first_unbound", "compute_shadow", "participant_subshadows")
+        if entry != "compute_shadow" or name in ("past n", "past n and short")  # one share
+    ])
+    def test_an_owner_past_n_or_repeated_is_refused_before_any_packing(
+        self, entry, group, error, message, huge_r, packings, monkeypatch
+    ):
+        """``DealSetup.hash_shares`` checks every owner against n, then for a
+        repeat, then every length, so each entry refuses before it packs."""
+        params = SchemeParams(variant=Variant.S1, n=8, k=2, thresholds=(3, 4))
+        shares, board = deal(params, [(1, 2, 3), (4, 5, 6, 7)], Drbg("one-check"))
+        obj = json.loads(encode_bulletin(board)[0])
+        if huge_r:
+            obj["params"]["r"] = 10**9  # every share given is then of the wrong length
+        read, _ = read_bulletin(json.dumps(obj).encode())
+        monkeypatch.setattr(ajtai, "expand_matrix", lambda *args: pytest.fail("expanded"))
+        del packings[:]
+        call = {
+            "first_unbound": lambda given: first_unbound(read.setup, given),
+            "compute_shadow": lambda given: compute_shadow(read, 2, *given),
+            "participant_subshadows": lambda given: participant_subshadows(read, 2, given),
+        }[entry]
+        with pytest.raises(error, match=f"^{message}$"):
+            call(group(shares))
+        assert packings == [] and read.setup.packed == {}
+
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize(
         "index", [lambda k: -1, lambda k: k + 1, lambda k: True, lambda k: 1.0],
@@ -551,7 +594,7 @@ class TestShadows:
         s2, s3, s4 = shares[1:4]
         forged = Share(owner=2, bits=tuple(1 - b for b in s2.bits))
         for group in ([s2, forged, s3, s4], [s2, s2, s3]):
-            with pytest.raises(BadShares, match="two shares name the same owner"):
+            with pytest.raises(BadShares, match="^two shares name the same owner: 2$"):
                 participant_subshadows(board, 1, group)
 
     def test_participant_subshadows_of_no_shares(self):
